@@ -25,12 +25,9 @@ from .mapping import (
 )
 from .factorize import (
     FactorizationError,
-    FactorizationProblem,
     GammaVector,
     product_unitary,
     solve_displacement,
-    solve_numeric,
-    solve_three_qubit_analytic,
     target_coefficients,
 )
 from .circuits import (

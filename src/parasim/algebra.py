@@ -150,13 +150,19 @@ def expm_i_hermitian(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return (v * np.exp(1j * scale * w)) @ v.conj().T
 
 
+def restricted_target(spec: ParaSpec, alpha: float) -> np.ndarray:
+    """exp(i alpha (a + adag)) as a dense dim x dim unitary: the one-hot block
+    a displacement factorization must reproduce."""
+    ops = build_fock_ops(spec)
+    return expm_i_hermitian(ops.a + ops.adag, alpha)
+
+
 def displaced_vacuum_exact(spec: ParaSpec, alpha: float) -> np.ndarray:
     """Apply exp(i alpha (a + adag)) to the vacuum level; the dense reference
     against which every circuit-based result is checked."""
-    ops = build_fock_ops(spec)
     vac = np.zeros(spec.dim, dtype=complex)
     vac[0] = 1.0
-    psi = expm_i_hermitian(ops.a + ops.adag, alpha) @ vac
+    psi = restricted_target(spec, alpha) @ vac
     norm = np.linalg.norm(psi)
     assert abs(norm - 1.0) < 1e-12, "displaced vacuum lost normalization"
     return psi

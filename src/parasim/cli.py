@@ -148,11 +148,7 @@ def cmd_verify(args) -> int:
 
 def cmd_factorize(args) -> int:
     spec = _spec_from_args(args)
-    try:
-        gv = solve_displacement(spec, args.alpha, seed=args.seed)
-    except FactorizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    gv = solve_displacement(spec, args.alpha, seed=args.seed)
     if args.out:
         write_gamma_document(args.out, gv, spec, args.alpha)
     else:
@@ -168,11 +164,7 @@ def cmd_compile(args) -> int:
         gv, spec, _alpha = read_gamma_document(args.gammas)
     else:
         spec = _spec_from_args(args)
-        try:
-            gv = solve_displacement(spec, args.alpha, seed=args.seed)
-        except FactorizationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
+        gv = solve_displacement(spec, args.alpha, seed=args.seed)
     basis = generator_family(spec.num_qubits)
     circuit = compile_displacement(gv, basis, optimize=not args.no_optimize)
     counts = gate_counts(circuit)
@@ -186,11 +178,7 @@ def cmd_compile(args) -> int:
 def cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
     noise = read_noise_file(args.noise) if args.noise else None
-    try:
-        gv = solve_displacement(spec, args.alpha, seed=args.seed)
-    except FactorizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    gv = solve_displacement(spec, args.alpha, seed=args.seed)
     basis = generator_family(spec.num_qubits)
     circuit = compile_displacement(gv, basis, optimize=True)
     q = spec.num_qubits
@@ -300,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     fac = sub.add_parser("factorize", help="solve displacement product angles")
     add_spec(fac)
     fac.add_argument("--alpha", type=float, required=True)
-    fac.add_argument("--seed", type=int, default=0)
+    fac.add_argument("--seed", type=int, default=0,
+                     help="accepted for reproducible command lines; the "
+                          "factorization is deterministic")
     fac.add_argument("--out", default=None)
 
     comp = sub.add_parser("compile", help="lower a displacement to native gates")
@@ -309,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--p", type=int)
     comp.add_argument("--np", type=int, default=None)
     comp.add_argument("--alpha", type=float, default=None)
-    comp.add_argument("--seed", type=int, default=0)
+    comp.add_argument("--seed", type=int, default=0,
+                      help="accepted for reproducible command lines; the "
+                           "factorization is deterministic")
     comp.add_argument("--no-optimize", action="store_true")
     comp.add_argument("--out", default=None)
 

@@ -1,55 +1,49 @@
 """Factorization of the displacement propagator exp(i alpha (adag + a))
-into an ordered product of single-generator exponentials.
+into an ordered product of single-generator exponentials, in closed form
+for every register width Q >= 2.
 
-The three-qubit case is solved in closed form through the su(2)-isomorphic
-2x2 surrogate (u0 -> sigma_x, u1 -> sigma_y, v0 -> sigma_z); larger
-registers are solved numerically on the one-hot block, where the restricted
-generators are linearly independent, so block equality lifts to the full
-register when applied to one-hot states.
+Gauge.  The one-hot block G_j of each generator is nonzero only at (a, r)
+and (r, a), a < r.  Under D = diag(i^k) it becomes
+D^-1 G_j D = i s_j (E_ar - E_ra) with s_j = +-2, so exp(i gamma_j G_j) is
+the plane rotation by theta_j = -s_j gamma_j in (a, r), and the target
+exp(i alpha (a + adag)) becomes a real matrix in SO(Q).
+
+Solve.  The family's order (by right qubit r, then growing span) makes the
+product a generalized Euler-angle (Givens) decomposition of SO(Q)
+(Hoffman, Raffenetti & Ruedenberg, J. Math. Phys. 13, 528 (1972); Reck et
+al., PRL 73, 58 (1994)).  For r = Q-1 .. 1 the rotations (r-1, r), ...,
+(0, r) are peeled off row r of the gauged target, rightmost factor first;
+atan2 fixes each angle so that it zeroes entry (r, a) and leaves
+(r, r) >= 0.  No optimizer or seed is involved.
+
+Branch.  gamma_j = -theta_j / s_j is reported in (-pi/2, pi/2].  Every
+generator has eigenvalues in {-2, 0, 2} on the full register, so gamma and
+gamma + pi give the same unitary.
+
+The restricted generators are the images of the full-register ones, so
+block equality lifts to the full register when applied to one-hot states;
+the full-register residual is reported as a check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .algebra import ParaSpec, expm_i_hermitian, ladder_amplitude
+from .algebra import ParaSpec, expm_i_hermitian, ladder_amplitude, restricted_target
 from .mapping import (
     GeneratorBasis,
+    build_xy_hamiltonian,
     generator_family,
+    onehot_block,
     pauli_sum_to_matrix,
-    restrict_to_onehot,
+    pauli_word_permutation,
 )
-
-_SIGMA = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 class FactorizationError(RuntimeError):
-    """Raised when the numeric solver cannot reach the requested residual."""
-
-
-@dataclass(frozen=True)
-class FactorizationProblem:
-    spec: ParaSpec
-    alpha: float
-    basis: GeneratorBasis
-    ordering: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.basis.num_qubits != self.spec.dim:
-            raise ValueError("basis width does not match the spec dimension")
-        if not np.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
-        if not self.ordering:
-            object.__setattr__(self, "ordering", tuple(range(len(self.basis))))
-        elif sorted(self.ordering) != list(range(len(self.basis))):
-            raise ValueError("ordering must be a permutation of the basis indices")
+    """Raised when a factorization misses the requested one-hot residual."""
 
 
 @dataclass(frozen=True)
@@ -69,13 +63,6 @@ class GammaVector:
             raise ValueError("residual must be nonnegative")
 
 
-def wrap_angle(theta: float) -> float:
-    """Reduce to (-pi, pi]; exact for these generators since every
-    restricted eigenvalue is an even integer."""
-    out = float((-theta + np.pi) % (2 * np.pi))
-    return -(out - np.pi)
-
-
 def target_coefficients(spec: ParaSpec, alpha: float) -> list[float]:
     """Per-bond weights c(m) = alpha * ladder_amplitude(spec, m+1), so that
     exp(i sum_m c(m)/2 (XX + YY)_m) matches exp(i alpha (a + adag)) on the
@@ -84,89 +71,69 @@ def target_coefficients(spec: ParaSpec, alpha: float) -> list[float]:
 
 
 def restricted_generators(basis: GeneratorBasis) -> list[np.ndarray]:
-    q = basis.num_qubits
-    return [restrict_to_onehot(pauli_sum_to_matrix(g), q) for g in basis.generators]
+    return [onehot_block(g) for g in basis.generators]
 
 
-def restricted_target(spec: ParaSpec, alpha: float) -> np.ndarray:
-    """exp(i alpha (a + adag)) as a dense dim x dim unitary."""
-    dim = spec.dim
-    a = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        a[n - 1, n] = ladder_amplitude(spec, n)
-    return expm_i_hermitian(a + a.conj().T, alpha)
+def _gauge(block: np.ndarray) -> np.ndarray:
+    """D^-1 block D with D = diag(i^k)."""
+    d = np.array([1, 1j, -1, -1j])[np.arange(block.shape[0]) % 4]
+    return d.conj()[:, None] * block * d
 
 
-def _su2_components(u: np.ndarray):
-    """Write a 2x2 special unitary as w + i(x X + y Y + z Z)."""
-    w = float(np.real(np.trace(u)) / 2)
-    x = float(np.real(np.trace(_SIGMA["X"] @ u) / 2j))
-    y = float(np.real(np.trace(_SIGMA["Y"] @ u) / 2j))
-    z = float(np.real(np.trace(_SIGMA["Z"] @ u) / 2j))
-    return w, x, y, z
+def _planes(basis: GeneratorBasis) -> list[tuple[int, int, float]]:
+    """(a, r, s) per generator: the upper nonzero (a, r) of its one-hot block
+    and the sign s of its gauged block i s (E_ar - E_ra)."""
+    planes = []
+    for block in restricted_generators(basis):
+        (a, r), = np.argwhere(np.triu(block))
+        planes.append((int(a), int(r), float(_gauge(block)[a, r].imag)))
+    return planes
 
 
-def solve_three_qubit_analytic(a_coef: float, b_coef: float) -> GammaVector:
-    """Angles (g0, g1, g2) with exp(i(a u0 + b u1)) = e^{i g0 u0} e^{i g1 u1} e^{i g2 v0}.
-
-    Solved in the 2x2 surrogate exp(i(a X + b Y)) = e^{i g0 X} e^{i g1 Y} e^{i g2 Z};
-    the candidate branches of the closed form are checked against the exact
-    surrogate matrix and the best one is returned.
-    """
-    if b_coef == 0.0:
-        return GammaVector(gammas=(wrap_angle(a_coef), 0.0, 0.0), residual=0.0,
-                           converged=True, labels=("u0", "u1", "v0"))
-    if a_coef == 0.0:
-        return GammaVector(gammas=(0.0, wrap_angle(b_coef), 0.0), residual=0.0,
-                           converged=True, labels=("u0", "u1", "v0"))
-    target = expm_i_hermitian(a_coef * _SIGMA["X"] + b_coef * _SIGMA["Y"])
-    w, x, y, z = _su2_components(target)
-    sin2g1 = float(np.clip(2 * (w * y - x * z), -1.0, 1.0))
-    cos2g1_mag = np.sqrt(max(0.0, 1.0 - sin2g1 ** 2))
-    if cos2g1_mag < 1e-12:
-        # gimbal lock: only g0 -+ g2 is determined; put everything in g0
-        candidates = [(np.arctan2(x, w), np.arcsin(sin2g1) / 2, 0.0)]
-    else:
-        candidates = []
-        for branch in (1.0, -1.0):
-            g1 = np.arcsin(sin2g1) / 2 if branch > 0 else (np.pi - np.arcsin(sin2g1)) / 2
-            g0 = np.arctan2(2 * (w * x + y * z) * branch,
-                            (1 - 2 * (x * x + y * y)) * branch) / 2
-            g2 = np.arctan2(2 * (w * z + x * y) * branch,
-                            (1 - 2 * (y * y + z * z)) * branch) / 2
-            candidates.append((g0, g1, g2))
-    best = None
-    for g0, g1, g2 in candidates:
-        for shift in (0.0, np.pi):  # e^{i pi X} = -1 fixes the SU(2) sign
-            gam = (wrap_angle(g0 + shift), wrap_angle(g1), wrap_angle(g2))
-            prod = expm_i_hermitian(_SIGMA["X"], gam[0]) \
-                @ expm_i_hermitian(_SIGMA["Y"], gam[1]) \
-                @ expm_i_hermitian(_SIGMA["Z"], gam[2])
-            res = float(np.linalg.norm(prod - target))
-            if best is None or res < best[0]:
-                best = (res, gam)
-            if res <= 1e-12:  # principal branch preferred on exact ties
-                best = (res, gam)
-                break
-        else:
-            continue
-        break
-    res, gam = best
-    return GammaVector(gammas=gam, residual=res, converged=res <= 1e-10,
-                       labels=("u0", "u1", "v0"))
+def _rotate_columns(m: np.ndarray, a: int, r: int, theta: float) -> None:
+    """m <- m R(theta) in place, R = exp(theta (E_ar - E_ra))."""
+    c, s = np.cos(theta), np.sin(theta)
+    m[:, [a, r]] = m[:, [a, r]] @ np.array([[c, s], [-s, c]])
 
 
-def product_unitary(gammas, basis: GeneratorBasis, space: str = "onehot",
-                    ordering=None) -> np.ndarray:
+def factor_onehot(target: np.ndarray, basis: GeneratorBasis,
+                  tol: float = 1e-9) -> GammaVector:
+    """Gammas with prod_j exp(i gamma_j G_j) = target on the one-hot block,
+    for any target whose gauged form lies in SO(Q) (see the module
+    docstring).  The residual is that of the product of the Givens factors
+    the returned gammas define; FactorizationError if it exceeds tol."""
+    planes = _planes(basis)
+    gauged = _gauge(target)
+    rest = gauged.real.copy()
+    gammas = np.empty(len(planes))
+    for j in reversed(range(len(planes))):
+        a, r, s = planes[j]
+        theta = np.arctan2(-rest[r, a], rest[r, r])
+        _rotate_columns(rest, a, r, -theta)
+        gammas[j] = -theta / s
+    # theta in [-pi, pi] puts gamma in [-pi/2, pi/2]; + 0.0 turns -0.0 into 0.0
+    gammas = np.where(gammas <= -np.pi / 2, gammas + np.pi, gammas) + 0.0
+    product = np.eye(len(target))
+    for gamma, (a, r, s) in zip(gammas, planes):
+        _rotate_columns(product, a, r, -s * gamma)
+    residual = float(np.linalg.norm(product - gauged))
+    if residual > tol:
+        raise FactorizationError(
+            f"factorization residual {residual:.3e} exceeds tol {tol:.1e}")
+    return GammaVector(gammas=tuple(float(g) for g in gammas), residual=residual,
+                       converged=True, labels=basis.labels)
+
+
+def product_unitary(gammas, basis: GeneratorBasis, space: str = "onehot") -> np.ndarray:
     """Ordered product prod_j exp(i gamma_j G_j) on the one-hot block or the
-    full register (leftmost factor applied last)."""
-    gam = np.asarray([g for g in (gammas.gammas if isinstance(gammas, GammaVector) else gammas)],
+    full register (leftmost factor applied last), by dense eigendecomposition:
+    the reference the closed-form solve is checked against."""
+    gam = np.asarray(gammas.gammas if isinstance(gammas, GammaVector) else gammas,
                      dtype=float)
     if len(gam) != len(basis):
         raise ValueError("gamma count does not match the basis")
     if space not in ("onehot", "full"):
         raise ValueError(f"unknown space {space!r}")
-    order = tuple(ordering) if ordering is not None else tuple(range(len(basis)))
     q = basis.num_qubits
     if space == "onehot":
         mats = restricted_generators(basis)
@@ -174,113 +141,49 @@ def product_unitary(gammas, basis: GeneratorBasis, space: str = "onehot",
     else:
         mats = [pauli_sum_to_matrix(g) for g in basis.generators]
         out = np.eye(2 ** q, dtype=complex)
-    for j in order:
-        out = out @ expm_i_hermitian(mats[j], gam[j])
+    for g, m in zip(gam, mats):
+        out = out @ expm_i_hermitian(m, g)
     return out
 
 
-def _full_space_residual(gammas, problem: FactorizationProblem) -> float:
-    """Frobenius mismatch of the same product against the full-register
-    exponential of the XY target; reported for transparency, not enforced."""
-    basis = problem.basis
-    q = basis.num_qubits
-    coefs = target_coefficients(problem.spec, problem.alpha)
-    target = np.zeros((2 ** q, 2 ** q), dtype=complex)
-    for m, c in enumerate(coefs):
-        target += c / 2 * pauli_sum_to_matrix(basis.generators[_u_index(basis, m)])
-    target = expm_i_hermitian(target)
-    prod = product_unitary(gammas, basis, space="full", ordering=problem.ordering)
-    return float(np.linalg.norm(prod - target))
+def full_space_residual(gammas, basis: GeneratorBasis, spec: ParaSpec,
+                         alpha: float) -> float:
+    """Frobenius mismatch of the product against the full-register
+    exponential of the XY target; reported for transparency, not enforced.
 
-
-def _u_index(basis: GeneratorBasis, m: int) -> int:
-    return basis.labels.index(f"u{m}")
-
-
-def solve_numeric(problem: FactorizationProblem, tol: float = 1e-9,
-                  seed: int = 0, max_restarts: int = 8) -> GammaVector:
-    """Minimize ||prod_j exp(i gamma_j R_j) - T||_F on the one-hot block.
-
-    BFGS with analytic gradients from the product rule, starting from the
-    bond coefficients padded with zeros, plus seeded random restarts on
-    stagnation.  Raises FactorizationError if the residual never reaches tol.
+    A generator's two Pauli words commute and square to one, so its
+    exponential is prod_w (cos(c_w gamma) + i sin(c_w gamma) P_w), applied
+    to the product as signed row permutations.  The XY Hamiltonian's XX and
+    YY words are real, so the target's eigendecomposition is real.
     """
-    basis = problem.basis
     q = basis.num_qubits
-    if q < 3:
-        raise ValueError("numeric factorization expects at least 3 qubits")
-    order = list(problem.ordering)
-    all_mats = restricted_generators(basis)
-    mats = [all_mats[j] for j in order]
-    count = len(mats)
-    target = restricted_target(problem.spec, problem.alpha)
-    eig = [np.linalg.eigh(m) for m in mats]
-
-    def objective(gam):
-        exps = [(v * np.exp(1j * g * w)) @ v.conj().T
-                for g, (w, v) in zip(gam, eig)]
-        prefix = [np.eye(q, dtype=complex)]
-        for e in exps[:-1]:
-            prefix.append(prefix[-1] @ e)
-        suffix = [np.eye(q, dtype=complex)]
-        for e in reversed(exps[1:]):
-            suffix.insert(0, e @ suffix[0])
-        diff = prefix[-1] @ exps[-1] - target
-        value = float(np.real(np.vdot(diff, diff)))
-        grad = np.empty(count)
-        for j in range(count):
-            deriv = prefix[j] @ (1j * mats[j] @ exps[j]) @ suffix[j]
-            grad[j] = 2 * np.real(np.vdot(deriv, diff))
-        return value, grad
-
-    init = np.zeros(count)
-    coefs = target_coefficients(problem.spec, problem.alpha)
-    for pos, j in enumerate(order):
-        label = basis.labels[j]
-        if label.startswith("u"):
-            init[pos] = coefs[int(label[1:])] / 2
-    rng = np.random.default_rng(seed)
-    guess = init
-    best_res, best_gam = np.inf, init
-    for _ in range(max_restarts + 1):
-        fit = minimize(objective, guess, jac=True, method="BFGS",
-                       options={"gtol": 1e-15, "maxiter": 5000})
-        res = float(np.sqrt(max(fit.fun, 0.0)))
-        if res < best_res:
-            best_res, best_gam = res, fit.x
-        if best_res <= tol:
-            break
-        guess = init + rng.normal(scale=0.5, size=count)
-    if best_res > tol:
-        raise FactorizationError(
-            f"factorization did not converge: best residual {best_res:.3e} > tol {tol:.1e}")
-    # angles are reported in basis order regardless of the product ordering
-    gam_by_basis = np.empty(count)
-    for pos, j in enumerate(order):
-        gam_by_basis[j] = wrap_angle(best_gam[pos])
-    full_res = _full_space_residual(gam_by_basis, problem)
-    return GammaVector(gammas=tuple(float(g) for g in gam_by_basis),
-                       residual=best_res, converged=True,
-                       labels=basis.labels, residual_full=full_res)
+    hamiltonian = pauli_sum_to_matrix(build_xy_hamiltonian(spec, alpha)).real
+    prod = np.eye(2 ** q, dtype=complex)
+    for gamma, generator in zip(reversed(gammas), reversed(basis.generators)):
+        for term in generator.terms:
+            rows, phase = pauli_word_permutation(term.letters)
+            angle = term.coeff * gamma
+            turned = prod[rows]
+            turned *= (1j * np.sin(angle) * phase)[:, None]
+            prod *= np.cos(angle)
+            prod += turned
+    return float(np.linalg.norm(prod - expm_i_hermitian(hamiltonian)))
 
 
 def solve_displacement(spec: ParaSpec, alpha: float, tol: float = 1e-9,
                        seed: int = 0) -> GammaVector:
-    """Factor exp(i alpha (a + adag)) for the given spec: closed form on
-    three qubits, numeric elsewhere.  Full-register residual is attached in
-    both cases."""
+    """Factor exp(i alpha (a + adag)) for the given spec in closed form, with
+    the full-register residual attached.  The solve is deterministic: seed
+    is accepted for the callers that pass one and does not change the
+    result.  FactorizationError if the one-hot residual exceeds tol."""
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     basis = generator_family(spec.num_qubits)
-    problem = FactorizationProblem(spec=spec, alpha=alpha, basis=basis)
-    if spec.num_qubits == 3:
-        coefs = target_coefficients(spec, alpha)
-        gv = solve_three_qubit_analytic(coefs[0] / 2, coefs[1] / 2)
-        block = product_unitary(gv, basis, space="onehot")
-        res = float(np.linalg.norm(block - restricted_target(spec, alpha)))
-        full = _full_space_residual(gv.gammas, problem)
-        return GammaVector(gammas=gv.gammas, residual=res,
-                           converged=res <= max(tol, 1e-10),
-                           labels=gv.labels, residual_full=full)
-    return solve_numeric(problem, tol=tol, seed=seed)
+    # exp(0) is exactly 1; the eigh round-off in restricted_target would
+    # leave gammas of order 1e-17 instead of zeros
+    target = restricted_target(spec, alpha) if alpha else np.eye(spec.dim)
+    gv = factor_onehot(target, basis, tol)
+    return replace(gv, residual_full=full_space_residual(gv.gammas, basis, spec, alpha))
 
 
 def write_gamma_document(path, gv: GammaVector, spec: ParaSpec, alpha: float) -> None:
@@ -301,8 +204,15 @@ def write_gamma_document(path, gv: GammaVector, spec: ParaSpec, alpha: float) ->
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
 def read_gamma_document(path):
-    """Inverse of write_gamma_document; returns (GammaVector, ParaSpec, alpha)."""
+    """Inverse of write_gamma_document; returns (GammaVector, ParaSpec, alpha).
+    A missing or unparsable key raises ValueError naming it."""
     fields = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -310,12 +220,25 @@ def read_gamma_document(path):
             continue
         key, _, value = line.partition(" ")
         fields[key] = value
-    spec = ParaSpec(kind=fields["kind"], p=int(fields["p"]), np=int(fields["np"]))
+
+    def field(key, parse):
+        if key not in fields:
+            raise ValueError(f"gamma document {path}: missing key {key!r}")
+        try:
+            return parse(fields[key])
+        except ValueError:
+            raise ValueError(f"gamma document {path}: cannot parse "
+                             f"{key} {fields[key]!r}") from None
+
+    def floats(text):
+        return tuple(float(x) for x in text.split())
+
+    spec = ParaSpec(kind=field("kind", str), p=field("p", int), np=field("np", int))
     gv = GammaVector(
-        gammas=tuple(float(x) for x in fields["gammas"].split()),
-        residual=float(fields["residual_onehot"]),
-        converged=fields["converged"] == "true",
-        labels=tuple(fields["labels"].split()),
-        residual_full=float(fields["residual_full"]),
+        gammas=field("gammas", floats),
+        residual=field("residual_onehot", float),
+        converged=field("converged", _parse_bool),
+        labels=field("labels", lambda text: tuple(text.split())),
+        residual_full=field("residual_full", float),
     )
-    return gv, spec, float(fields["alpha"])
+    return gv, spec, field("alpha", float)

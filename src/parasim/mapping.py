@@ -24,6 +24,10 @@ _PAULI = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+# the nonzero in each row of a letter, (P[0, f], P[1, 1 - f]), f = 1 for X/Y
+_PAULI_ROWS = {c: m[[0, 1], [int(c in "XY"), int(c not in "XY")]]
+               for c, m in _PAULI.items()}
+
 # span-k generators are labeled u (2 qubits), v (3), w (4), a (5); wider
 # spans continue alphabetically from b.
 _SPAN_LETTER = {2: "u", 3: "v", 4: "w", 5: "a"}
@@ -31,6 +35,21 @@ _SPAN_LETTER = {2: "u", 3: "v", 4: "w", 5: "a"}
 
 def _span_letter(k: int) -> str:
     return _SPAN_LETTER.get(k) or chr(ord("b") + k - 6)
+
+
+def pauli_word_permutation(letters: str) -> tuple[np.ndarray, np.ndarray]:
+    """A Pauli word as a signed permutation (qubit 0 most significant).
+
+    Row y of the word's 2^Q x 2^Q matrix has its single nonzero, phase[y],
+    in column rows[y] = y XOR (mask of the X/Y letters); so word @ M equals
+    phase[:, None] * M[rows].
+    """
+    phase = np.ones(1, dtype=complex)
+    mask = 0
+    for c in letters:
+        mask = 2 * mask + (c in "XY")
+        phase = (phase[:, None] * _PAULI_ROWS[c]).ravel()
+    return np.arange(phase.size) ^ mask, phase
 
 
 @dataclass(frozen=True)
@@ -54,10 +73,10 @@ class PauliString:
         return len(self.letters)
 
     def matrix(self) -> np.ndarray:
-        m = np.array([[1.0 + 0j]])
-        for c in self.letters:
-            m = np.kron(m, _PAULI[c])
-        return self.coeff * m
+        rows, phase = pauli_word_permutation(self.letters)
+        m = np.zeros((rows.size, rows.size), dtype=complex)
+        m[np.arange(rows.size), rows] = self.coeff * phase
+        return m
 
 
 @dataclass(frozen=True)
@@ -189,6 +208,22 @@ def restrict_to_onehot(op: np.ndarray, num_qubits: int) -> np.ndarray:
         raise ValueError(f"operator shape {op.shape} does not match {num_qubits} qubits")
     idx = [onehot_index(i, num_qubits) for i in range(num_qubits)]
     return op[np.ix_(idx, idx)]
+
+
+def onehot_block(h: PauliSum) -> np.ndarray:
+    """restrict_to_onehot(pauli_sum_to_matrix(h)) without the 2^Q matrix.
+
+    Entry (i, j) of a word is the product over qubits k of its letter's
+    entry <[k == i]| P_k |[k == j]>.
+    """
+    q = h.num_qubits
+    bits = np.eye(q, dtype=int)
+    out = np.zeros((q, q), dtype=complex)
+    for term in h.terms:
+        table = np.stack([_PAULI[c] for c in term.letters])
+        out += term.coeff * table[np.arange(q)[:, None, None], bits[:, :, None],
+                                  bits[:, None, :]].prod(axis=0)
+    return out
 
 
 def commutator_table(basis: GeneratorBasis, tol: float = 1e-12):

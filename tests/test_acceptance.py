@@ -30,11 +30,9 @@ from parasim.experiments import (
     run_pf_evolution,
 )
 from parasim.factorize import (
-    FactorizationProblem,
     product_unitary,
     restricted_target,
     solve_displacement,
-    solve_numeric,
 )
 from parasim.mapping import check_jacobi, commutator_table, generator_family, onehot_index
 
@@ -123,9 +121,7 @@ def test_criterion_3_factorization_exactness():
             residual = np.linalg.norm(block - restricted_target(spec, alpha))
             worst = max(worst, residual)
     spec5 = ParaSpec("pf", 4)
-    gv5 = solve_numeric(FactorizationProblem(spec=spec5, alpha=0.5,
-                                             basis=generator_family(5)),
-                        tol=1e-8, seed=SEED)
+    gv5 = solve_displacement(spec5, 0.5, tol=1e-8, seed=SEED)
     elapsed = time.time() - start
     ok = worst <= 1e-8 and gv5.converged and gv5.residual <= 1e-8 and elapsed < 30.0
     report(3, "factorization-exactness", ok, elapsed, 30.0,

@@ -1,9 +1,15 @@
 """Command-line front end tests: exit codes, artifact files, reproducibility
 and config validation."""
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import parasim.cli
 from parasim.cli import main, parse_float_list, parse_int_range, read_noise_file
+from parasim.factorize import FactorizationError
 from parasim.circuits import circuit_unitary, read_circuit
 from parasim.engine import read_shotset
 
@@ -115,6 +121,47 @@ class TestCompile:
 
     def test_requires_spec_or_document(self):
         assert run_cli("compile") == 2
+
+    @pytest.mark.parametrize("key,replacement,named", [
+        ("np", None, "missing key 'np'"),
+        ("gammas", "gammas 0.1 abc 0.3", "cannot parse gammas"),
+    ])
+    def test_malformed_gamma_document_exits_2(self, tmp_path, capsys, key,
+                                              replacement, named):
+        gammas = tmp_path / "gammas.txt"
+        run_cli("factorize", "--kind", "pf", "--p", "2", "--alpha", "0.5",
+                "--out", str(gammas))
+        lines = [ln for ln in gammas.read_text().splitlines()
+                 if not ln.startswith(key + " ")]
+        if replacement:
+            lines.append(replacement)
+        gammas.write_text("\n".join(lines) + "\n")
+        assert run_cli("compile", "--gammas", str(gammas)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and named in err
+
+
+class TestFactorizationFailure:
+    @pytest.mark.parametrize("argv", [
+        ("factorize", "--kind", "pf", "--p", "2", "--alpha", "0.5"),
+        ("compile", "--kind", "pf", "--p", "2", "--alpha", "0.5"),
+        ("simulate", "--kind", "pf", "--p", "2", "--alpha", "0.5", "--shots", "10"),
+    ])
+    def test_solver_failure_is_one_line_and_exit_1(self, monkeypatch, capsys, argv):
+        def fail(*args, **kwargs):
+            raise FactorizationError("factorization residual 1e-03 exceeds tol 1e-09")
+
+        monkeypatch.setattr(parasim.cli, "solve_displacement", fail)
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: factorization residual 1e-03 exceeds tol 1e-09\n"
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, parasim.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 class TestSimulate:

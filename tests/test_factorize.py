@@ -1,33 +1,55 @@
-"""Displacement factorization tests: target coefficients, the analytic
-three-qubit solve, the numeric solver and product unitaries, all checked
+"""Displacement factorization tests: target coefficients, the closed-form
+Givens solve on every register width and product unitaries, all checked
 against dense matrix-exponential oracles built in the tests."""
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from parasim.algebra import ParaSpec, displaced_vacuum_exact
+from parasim.algebra import ParaSpec, build_fock_ops, displaced_vacuum_exact
 from parasim.factorize import (
     FactorizationError,
-    FactorizationProblem,
+    factor_onehot,
+    full_space_residual,
     product_unitary,
     read_gamma_document,
+    restricted_generators,
     restricted_target,
     solve_displacement,
-    solve_numeric,
-    solve_three_qubit_analytic,
     target_coefficients,
-    wrap_angle,
 )
-from parasim.mapping import generator_family, onehot_index
+from parasim.mapping import (
+    build_xy_hamiltonian,
+    generator_family,
+    onehot_index,
+    pauli_sum_to_matrix,
+    restrict_to_onehot,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def surrogate_product(gammas):
-    return expm(1j * gammas[0] * SX) @ expm(1j * gammas[1] * SY) \
-        @ expm(1j * gammas[2] * SZ)
+def dense_generators(basis):
+    return [restrict_to_onehot(pauli_sum_to_matrix(g), basis.num_qubits)
+            for g in basis.generators]
+
+
+def bond_target(coefs):
+    """Oracle exp(i sum_m c(m)/2 (XX + YY)_m) on the one-hot block, for any
+    bond coefficients; the u generators are the (XX + YY)_m bonds."""
+    basis = generator_family(len(coefs) + 1)
+    gens = dict(zip(basis.labels, dense_generators(basis)))
+    return expm(1j * sum(c / 2 * gens[f"u{m}"] for m, c in enumerate(coefs)))
+
+
+def assert_factors(target, tol=1e-10):
+    basis = generator_family(len(target))
+    gv = factor_onehot(target, basis)
+    assert np.linalg.norm(product_unitary(gv, basis) - target) <= tol
+    assert gv.residual <= tol and gv.converged
+    assert all(-np.pi / 2 < g <= np.pi / 2 for g in gv.gammas)
+    return gv
 
 
 class TestTargetCoefficients:
@@ -44,41 +66,44 @@ class TestTargetCoefficients:
 
 
 class TestThreeQubitAnalytic:
+    """exp(i(a u0 + b u1)), bond coefficients (2a, 2b), through the Givens
+    peel, which is the Euler-angle solve on three qubits."""
+
     def test_single_generator_targets(self):
         for theta in (0.4, -1.2):
-            gv = solve_three_qubit_analytic(theta, 0.0)
+            gv = assert_factors(bond_target([2 * theta, 0.0]))
             assert gv.gammas == pytest.approx((theta, 0.0, 0.0), abs=1e-12)
-            gv = solve_three_qubit_analytic(0.0, theta)
-            assert gv.gammas == pytest.approx((0.0, theta, 0.0), abs=1e-12)
+            gv = assert_factors(bond_target([0.0, 2 * theta]))
+            if abs(theta) < np.pi / 4:
+                assert gv.gammas == pytest.approx((0.0, theta, 0.0), abs=1e-12)
+            # beyond pi/4 the u1 rotation turns entry (2, 2) negative, and the
+            # peel, which keeps it >= 0, takes an equivalent branch through v0
 
     def test_generic_target_against_expm_oracle(self):
-        gv = solve_three_qubit_analytic(0.3, 0.7)
-        target = expm(1j * (0.3 * SX + 0.7 * SY))
-        assert np.linalg.norm(surrogate_product(gv.gammas) - target) <= 1e-10
-        assert gv.residual <= 1e-10
-        assert gv.converged
+        gv = assert_factors(bond_target([0.6, 1.4]))
+        gens = dense_generators(generator_family(3))
+        oracle = expm(1j * gv.gammas[0] * gens[0]) @ expm(1j * gv.gammas[1] * gens[1]) \
+            @ expm(1j * gv.gammas[2] * gens[2])
+        assert np.linalg.norm(oracle - bond_target([0.6, 1.4])) <= 1e-10
 
     @pytest.mark.parametrize("a,b", [
         (0.0, 0.0), (np.pi, 0.0), (np.pi / 2, np.pi / 2),
         (2.2, -3.9), (-1.7, 0.4), (5.0, 5.0),
     ])
     def test_hard_targets_still_exact(self, a, b):
-        gv = solve_three_qubit_analytic(a, b)
-        target = expm(1j * (a * SX + b * SY))
-        assert np.linalg.norm(surrogate_product(gv.gammas) - target) <= 1e-10
+        assert_factors(bond_target([2 * a, 2 * b]))
 
     def test_random_targets_exact(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
             a, b = rng.uniform(-6, 6, size=2)
-            gv = solve_three_qubit_analytic(a, b)
-            assert gv.residual <= 1e-10, (a, b, gv.residual)
+            assert_factors(bond_target([2 * a, 2 * b]))
 
     def test_su2_relations_validate_the_surrogate(self):
-        # the isomorphism u0 -> X, u1 -> Y, v0 -> Z is sound because the
-        # structure constants match: [u0,u1]=2i v0, [u1,v0]=2i u0, [v0,u0]=2i u1
+        # [u0,u1]=2i v0, [u1,v0]=2i u0, [v0,u0]=2i u1: the three-qubit family
+        # closes like the Pauli matrices, so its product is an Euler-angle
+        # decomposition
         basis = generator_family(3)
-        from parasim.mapping import pauli_sum_to_matrix
         u0, u1, v0 = (pauli_sum_to_matrix(g) for g in basis.generators)
         assert np.max(np.abs(u0 @ u1 - u1 @ u0 - 2j * v0)) < 1e-13
         assert np.max(np.abs(u1 @ v0 - v0 @ u1 - 2j * u0)) < 1e-13
@@ -87,108 +112,79 @@ class TestThreeQubitAnalytic:
 
 
 class TestNumericSolver:
-    def test_agrees_with_analytic_on_three_qubits(self):
-        spec = ParaSpec("pf", 2)
-        basis = generator_family(3)
-        for alpha in (0.1, 0.3, 0.5, 0.785398, 1.0):
-            coefs = target_coefficients(spec, alpha)
-            analytic = solve_three_qubit_analytic(coefs[0] / 2, coefs[1] / 2)
-            numeric = solve_numeric(
-                FactorizationProblem(spec=spec, alpha=alpha, basis=basis),
-                tol=1e-9, seed=0)
-            for ga, gn in zip(analytic.gammas, numeric.gammas):
-                assert abs(wrap_angle(ga - gn)) < 1e-8
+    """solve_displacement's contract, which the numeric solver used to hold
+    for Q >= 4 and the closed form now holds for every width."""
 
     def test_zero_alpha_gives_zero_gammas(self):
-        spec = ParaSpec("pb", 3, np=3)
-        basis = generator_family(4)
-        gv = solve_numeric(FactorizationProblem(spec=spec, alpha=0.0, basis=basis))
+        gv = solve_displacement(ParaSpec("pb", 3, np=3), 0.0)
         assert np.allclose(gv.gammas, 0.0, atol=1e-12)
         assert gv.residual <= 1e-12
 
     def test_five_qubit_convergence(self):
-        spec = ParaSpec("pf", 4)
-        basis = generator_family(5)
-        gv = solve_numeric(
-            FactorizationProblem(spec=spec, alpha=0.5, basis=basis),
-            tol=1e-8, seed=0)
+        gv = solve_displacement(ParaSpec("pf", 4), 0.5, tol=1e-8, seed=0)
         assert gv.converged and gv.residual <= 1e-8
         assert np.isfinite(gv.residual_full)
 
     def test_determinism(self):
         spec = ParaSpec("pf", 4)
-        basis = generator_family(5)
-        problem = FactorizationProblem(spec=spec, alpha=0.7, basis=basis)
-        first = solve_numeric(problem, seed=42)
-        second = solve_numeric(problem, seed=42)
-        assert first.gammas == second.gammas
-
-    def test_custom_product_ordering(self):
-        # reversed factor order also converges; the product evaluated in that
-        # ordering reproduces the target
-        spec = ParaSpec("pb", 2, np=3)
-        basis = generator_family(4)
-        order = tuple(reversed(range(len(basis))))
-        problem = FactorizationProblem(spec=spec, alpha=0.6, basis=basis,
-                                       ordering=order)
-        gv = solve_numeric(problem, tol=1e-9, seed=0)
-        block = product_unitary(gv, basis, space="onehot", ordering=order)
-        assert np.linalg.norm(block - restricted_target(spec, 0.6)) <= 1e-9
-
-    def test_invalid_ordering_rejected(self):
-        basis = generator_family(3)
-        with pytest.raises(ValueError):
-            FactorizationProblem(spec=ParaSpec("pf", 2), alpha=0.1,
-                                 basis=basis, ordering=(0, 0, 1))
+        first = solve_displacement(spec, 0.7, seed=42)
+        assert solve_displacement(spec, 0.7, seed=42) == first
+        assert solve_displacement(spec, 0.7, seed=7).gammas == first.gammas
 
     def test_nonconvergence_raises_with_best_residual(self):
-        spec = ParaSpec("pf", 4)
-        basis = generator_family(5)
-        problem = FactorizationProblem(spec=spec, alpha=0.5, basis=basis)
-        with pytest.raises(FactorizationError, match="best residual"):
-            solve_numeric(problem, tol=1e-300, max_restarts=0)
+        with pytest.raises(FactorizationError, match="exceeds tol"):
+            solve_displacement(ParaSpec("pf", 4), 0.5, tol=1e-300)
 
-    def test_gradient_matches_finite_differences(self):
-        # finite-difference oracle for the analytic product-rule gradient
-        spec = ParaSpec("pb", 2, np=3)
-        basis = generator_family(4)
-        from parasim.factorize import restricted_generators
-        gens = restricted_generators(basis)
-        target = restricted_target(spec, 0.8)
-        eig = [np.linalg.eigh(g) for g in gens]
 
-        def value(gam):
-            prod = np.eye(4, dtype=complex)
-            for g, (w, v) in zip(gam, eig):
-                prod = prod @ ((v * np.exp(1j * g * w)) @ v.conj().T)
-            diff = prod - target
-            return float(np.real(np.vdot(diff, diff)))
+SPECS = [ParaSpec("pb", 1, np=1)] + [
+    spec for q in range(3, 10)
+    for spec in ([ParaSpec("pf", q - 1)] if q % 2 else []) + [ParaSpec("pb", 3, np=q - 1)]
+]
 
-        def grad(gam):
-            exps = [(v * np.exp(1j * g * w)) @ v.conj().T for g, (w, v) in zip(gam, eig)]
-            out = np.empty(len(gens))
-            for j in range(len(gens)):
-                left = np.eye(4, dtype=complex)
-                for e in exps[:j]:
-                    left = left @ e
-                right = np.eye(4, dtype=complex)
-                for e in exps[j + 1:]:
-                    right = right @ e
-                deriv = left @ (1j * gens[j] @ exps[j]) @ right
-                prod = left @ exps[j] @ right
-                out[j] = 2 * np.real(np.vdot(deriv, prod - target))
-            return out
 
-        rng = np.random.default_rng(3)
-        gam = rng.normal(scale=0.4, size=len(gens))
-        numeric_grad = np.empty_like(gam)
-        h = 1e-6
-        for j in range(len(gam)):
-            up, down = gam.copy(), gam.copy()
-            up[j] += h
-            down[j] -= h
-            numeric_grad[j] = (value(up) - value(down)) / (2 * h)
-        assert np.max(np.abs(grad(gam) - numeric_grad)) < 1e-6
+class TestGivensSolve:
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}{s.p}-q{s.dim}")
+    def test_exact_on_every_width(self, spec):
+        basis = generator_family(spec.num_qubits)
+        ops = build_fock_ops(spec)
+        for alpha in (0.0, 0.1, -0.1, 0.5, 1.0, 2.0, 5.0):
+            gv = solve_displacement(spec, alpha)
+            oracle = expm(1j * alpha * (ops.a + ops.adag))
+            assert np.linalg.norm(product_unitary(gv, basis) - oracle) <= 1e-12
+            assert gv.residual <= 1e-12
+            assert all(-np.pi / 2 < g <= np.pi / 2 for g in gv.gammas)
+
+    @pytest.mark.parametrize("q", [4, 5, 7, 9])
+    def test_random_bond_coefficients(self, q):
+        # zeros and |c| up to 10 on wider registers
+        rng = np.random.default_rng(q)
+        for _ in range(10):
+            coefs = rng.uniform(-10, 10, size=q - 1)
+            coefs[rng.random(q - 1) < 0.3] = 0.0
+            assert_factors(bond_target(coefs))
+
+    def test_target_outside_the_product_group_raises(self):
+        target = np.diag(np.exp(1j * np.array([0.0, 0.3, -0.2, 0.1])))
+        with pytest.raises(FactorizationError):
+            factor_onehot(target, generator_family(4))
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 6, 7])
+    def test_generators_built_directly_match_dense_restriction(self, q):
+        basis = generator_family(q)
+        for direct, dense in zip(restricted_generators(basis), dense_generators(basis)):
+            assert np.array_equal(direct, dense)
+            assert np.count_nonzero(direct) == 2
+
+    @pytest.mark.parametrize("spec", [ParaSpec("pb", 2, np=1), ParaSpec("pf", 2),
+                                      ParaSpec("pb", 3, np=3), ParaSpec("pf", 4),
+                                      ParaSpec("pb", 2, np=5)])
+    def test_full_residual_matches_dense_formula(self, spec):
+        basis = generator_family(spec.num_qubits)
+        target = expm(1j * pauli_sum_to_matrix(build_xy_hamiltonian(spec, 0.8)))
+        rng = np.random.default_rng(spec.dim)
+        for gammas in (rng.normal(size=len(basis)), solve_displacement(spec, 0.8).gammas):
+            dense = np.linalg.norm(product_unitary(gammas, basis, space="full") - target)
+            assert full_space_residual(gammas, basis, spec, 0.8) == pytest.approx(dense, abs=1e-10)
 
 
 class TestProductUnitary:
@@ -202,8 +198,7 @@ class TestProductUnitary:
     def test_analytic_gammas_reproduce_restricted_target(self):
         spec = ParaSpec("pb", 2, np=2)
         basis = generator_family(3)
-        coefs = target_coefficients(spec, 0.6)
-        gv = solve_three_qubit_analytic(coefs[0] / 2, coefs[1] / 2)
+        gv = solve_displacement(spec, 0.6)
         block = product_unitary(gv, basis, space="onehot")
         assert np.linalg.norm(block - restricted_target(spec, 0.6)) <= 1e-10
 
@@ -264,3 +259,14 @@ class TestGammaDocument:
         assert loaded.residual == gv.residual
         text = path.read_text()
         assert "factors 20" in text
+
+    @pytest.mark.parametrize("key", ["kind", "np", "alpha", "gammas", "converged"])
+    def test_missing_key_named(self, tmp_path, key):
+        from parasim.factorize import write_gamma_document
+        path = tmp_path / "gammas.txt"
+        write_gamma_document(path, solve_displacement(ParaSpec("pf", 2), 0.3),
+                             ParaSpec("pf", 2), 0.3)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(ln for ln in lines if not ln.startswith(key + " ")))
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            read_gamma_document(path)

@@ -14,8 +14,10 @@ from parasim.mapping import (
     encode_fock,
     generator_family,
     number_operator_pauli,
+    onehot_block,
     onehot_index,
     pauli_sum_to_matrix,
+    pauli_word_permutation,
     restrict_to_onehot,
 )
 
@@ -123,6 +125,22 @@ class TestDenseMatrices:
         with pytest.raises(ValueError):
             pauli_sum_to_matrix(PauliSum((PauliString(1.0, "X" * 13),)))
 
+    @pytest.mark.parametrize("q", [1, 2, 4, 6])
+    def test_words_match_kronecker_products(self, q):
+        # oracle: the word as a Kronecker product of matrices written out here
+        single = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
+                  "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+        rng = np.random.default_rng(q)
+        for _ in range(25):
+            letters = "".join(rng.choice(list("IXYZ"), size=q))
+            kron = np.ones((1, 1))
+            for c in letters:
+                kron = np.kron(kron, single[c])
+            assert np.array_equal(PauliString(-0.5, letters).matrix(), -0.5 * kron)
+            rows, phase = pauli_word_permutation(letters)
+            m = rng.normal(size=(2 ** q, 3))
+            assert np.array_equal(phase[:, None] * m[rows], kron @ m)
+
 
 class TestOnehotRestriction:
     def test_u0_restriction(self):
@@ -143,6 +161,14 @@ class TestOnehotRestriction:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             restrict_to_onehot(np.eye(7), 3)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7])
+    def test_onehot_block_matches_dense_restriction(self, q):
+        sums = list(generator_family(q).generators)
+        sums += [build_xy_hamiltonian(ParaSpec("pb", 3, np=q - 1), 0.7),
+                 number_operator_pauli(q)]
+        for h in sums:
+            assert np.array_equal(onehot_block(h), restrict_to_onehot(pauli_sum_to_matrix(h), q))
 
     @pytest.mark.parametrize("spec", [
         ParaSpec("pf", 2), ParaSpec("pf", 4), ParaSpec("pf", 6),
