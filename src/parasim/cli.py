@@ -366,7 +366,7 @@ def main(argv=None) -> int:
     except (FactorizationError, EmptyShotSetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

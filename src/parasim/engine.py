@@ -3,8 +3,11 @@ confusion-matrix SPAM correction and one-hot post-selection.
 
 Noise is stochastic (quantum-jump style): preparation bit flips, a uniform
 non-identity Pauli after each gate with the depolarizing probability, and
-classical readout bit flips.  Memory stays at one 2^Q vector; ensemble
-statistics come from re-running trajectories per shot.
+classical readout bit flips.  Shots whose preparation and gate coins all
+come up clean are drawn from the ideal state; the other trajectories are
+replayed together as the columns of (2^Q, chunk) amplitude blocks, one
+batched call per gate, with each Pauli kick applied to its column as a
+signed row permutation.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuits import Circuit, apply_gate_batch
+from .mapping import pauli_word_permutation
 
 
 class EmptyShotSetError(ValueError):
@@ -102,71 +106,23 @@ def is_onehot(bitstring: str) -> bool:
     return bitstring.count("1") == 1
 
 
-def prepare_initial(num_qubits: int, noise: NoiseModel | None = None,
-                    rng: np.random.Generator | None = None) -> StateVector:
-    """|0..0> with optional per-qubit preparation flips, then X on qubit 0,
-    which ideally lands the register on the vacuum one-hot state |10..0>."""
+def prepare_initial(num_qubits: int) -> StateVector:
+    """X on qubit 0 of |0..0>: the vacuum one-hot state |10..0>."""
     if num_qubits < 1:
         raise ValueError("need at least one qubit")
-    bits = np.zeros(num_qubits, dtype=int)
-    if noise is not None and noise.has_prep_noise:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        bits ^= (rng.random(num_qubits) < noise.p_prep_flip).astype(int)
-    bits[0] ^= 1
     amps = np.zeros(2 ** num_qubits, dtype=complex)
-    index = 0
-    for b in bits:
-        index = (index << 1) | int(b)
-    amps[index] = 1.0
+    amps[2 ** (num_qubits - 1)] = 1.0
     return StateVector(num_qubits, amps)
 
 
-_PAULI_1Q = [
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-]
-
-
-def _apply_pauli(amps: np.ndarray, which: int, qubit: int, num_qubits: int) -> np.ndarray:
-    tensor = amps.reshape([2] * num_qubits)
-    tensor = np.moveaxis(tensor, qubit, 0)
-    tensor = np.tensordot(_PAULI_1Q[which], tensor, axes=([1], [0]))
-    tensor = np.moveaxis(tensor, 0, qubit)
-    return tensor.reshape(-1)
-
-
-def apply_circuit(state: StateVector, circuit: Circuit,
-                  noise: NoiseModel | None = None,
-                  rng: np.random.Generator | None = None) -> StateVector:
-    """Run the circuit gate by gate; with noise, each gate is followed by a
-    uniform non-identity Pauli on its support with the model's probability."""
+def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
+    """Run the noiseless circuit gate by gate."""
     if state.num_qubits != circuit.num_qubits:
         raise ValueError("state and circuit widths differ")
     q = state.num_qubits
     amps = state.amps.copy()
-    noisy = noise is not None and noise.has_gate_noise
-    if noisy and rng is None:
-        rng = np.random.default_rng(0)
     for gate in circuit.gates:
         amps = apply_gate_batch(amps, gate, q)
-        if not noisy:
-            continue
-        prob = noise.p_depol_1q if len(gate.qubits) == 1 else noise.p_depol_2q
-        if prob <= 0.0 or rng.random() >= prob:
-            continue
-        if len(gate.qubits) == 1:
-            amps = _apply_pauli(amps, rng.integers(3), gate.qubits[0], q)
-        else:
-            choice = 1 + rng.integers(15)  # uniform over 15 non-identity pairs
-            first, second = divmod(choice, 4)
-            if first:
-                amps = _apply_pauli(amps, first - 1, gate.qubits[0], q)
-            if second:
-                amps = _apply_pauli(amps, second - 1, gate.qubits[1], q)
-        norm = np.linalg.norm(amps)
-        amps = amps / norm
     return StateVector(q, amps)
 
 
@@ -185,7 +141,7 @@ def sample_shots(state: StateVector, shots: int, noise: NoiseModel | None = None
                  seed: int = 0) -> ShotSet:
     """Sample bitstrings from |amps|^2, flipping each read bit with the
     confusion rates when a noise model is given.  Fixed-state sampling; use
-    run_and_sample for per-shot trajectory resampling under gate noise."""
+    run_and_sample for per-shot trajectories under gate noise."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     q = state.num_qubits
@@ -195,129 +151,112 @@ def sample_shots(state: StateVector, shots: int, noise: NoiseModel | None = None
     levels = rng.choice(2 ** q, size=shots, p=probs)
     bits = (levels[:, None] >> np.arange(q - 1, -1, -1)) & 1
     if noise is not None and noise.has_readout_noise:
-        bits = _readout_flip(bits, noise, rng)
+        bits = _readout_flip(bits, noise, rng.random(bits.shape))
     return ShotSet(counts=_counts_from_strings(_bits_to_strings(bits)),
                    shots=shots, seed=seed)
 
 
-def _readout_flip(bits: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random(bits.shape)
-    flip = np.where(bits == 0, u < noise.eps01, u < noise.eps10)
-    return bits ^ flip.astype(int)
+def _readout_flip(bits: np.ndarray, noise: NoiseModel, u: np.ndarray) -> np.ndarray:
+    """Flip each read bit whose uniform draw falls under its confusion rate."""
+    return bits ^ np.where(bits == 0, u < noise.eps01, u < noise.eps10)
 
 
-_PREFIX_QUBIT_LIMIT = 6  # prefix-product fast path memory cap
+# Amplitude bytes of one trajectory block: the dirty shots are replayed
+# together in chunks of as many (2^Q,) complex columns as fit.
+_BLOCK_BYTES = 1 << 24
 
 
-def _prefix_unitaries(circuit: Circuit) -> list[np.ndarray]:
-    """prefix[j] = product of the first j gates as a dense matrix."""
-    q = circuit.num_qubits
-    prefixes = [np.eye(2 ** q, dtype=complex)]
-    for gate in circuit.gates:
-        prefixes.append(apply_gate_batch(prefixes[-1], gate, q))
-    return prefixes
+def _levels(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Measured level of each column of a (2^Q, n) cumulative distribution
+    (or of one broadcast (2^Q, 1) column): the count of entries <= u cdf[-1]."""
+    return np.minimum((cdf <= u * cdf[-1]).sum(axis=0), cdf.shape[0] - 1)
 
 
-def _trajectory_amps(circuit: Circuit, init_index: int, events,
-                     prefixes) -> np.ndarray:
-    """Final state for one noisy trajectory.
+def _kick_table(qubits: tuple[int, ...], num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 4^k - 1 non-identity Pauli words on a gate's k qubits, in the
+    order a uniform draw picks them (base-4 digits 'IXYZ', the gate's first
+    qubit most significant), as stacked signed row permutations."""
+    k = len(qubits)
+    words = []
+    for choice in range(1, 4 ** k):
+        letters = ["I"] * num_qubits
+        for pos, qubit in enumerate(qubits):
+            letters[qubit] = "IXYZ"[(choice >> 2 * (k - 1 - pos)) & 3]
+        words.append(pauli_word_permutation("".join(letters)))
+    rows, phase = zip(*words)
+    return np.stack(rows), np.stack(phase)
 
-    events: list of (gate_position_1based, pauli_recipe); with prefix
-    matrices available only O(#events) matvecs are needed, otherwise the
-    gates are replayed one by one.
+
+def _replay(circuit: Circuit, shots: np.ndarray, init: np.ndarray,
+            coins: np.ndarray, pauli_u: np.ndarray, kicks: dict) -> np.ndarray:
+    """Final amplitudes of a block of trajectories, column c replaying shot
+    s = shots[c].
+
+    The column starts on basis state init[s]; after gate j, where
+    coins[s, j] is set, it takes the Pauli word that pauli_u[s, j] picks
+    uniformly.  `kicks` caches the word tables by gate support.
     """
     q = circuit.num_qubits
-    dim = 2 ** q
-    if prefixes is not None:
-        vec = np.zeros(dim, dtype=complex)
-        vec[init_index] = 1.0
-        applied = 0
-        for position, recipe in events:
-            vec = prefixes[position] @ (prefixes[applied].conj().T @ vec)
-            for which, qubit in recipe:
-                vec = _apply_pauli(vec, which, qubit, q)
-            applied = position
-        return prefixes[len(circuit.gates)] @ (prefixes[applied].conj().T @ vec)
-    amps = np.zeros(dim, dtype=complex)
-    amps[init_index] = 1.0
-    pending = dict(events)
-    for j, gate in enumerate(circuit.gates, start=1):
+    amps = np.zeros((2 ** q, shots.size), dtype=complex)
+    amps[init[shots], np.arange(shots.size)] = 1.0
+    hit_gate, hit_col = np.nonzero(coins[shots].T)  # sorted by gate
+    bounds = np.searchsorted(hit_gate, np.arange(len(circuit.gates) + 1))
+    for j, gate in enumerate(circuit.gates):
         amps = apply_gate_batch(amps, gate, q)
-        if j in pending:
-            for which, qubit in pending[j]:
-                amps = _apply_pauli(amps, which, qubit, q)
+        cols = hit_col[bounds[j]:bounds[j + 1]]
+        if cols.size == 0:
+            continue
+        if gate.qubits not in kicks:
+            kicks[gate.qubits] = _kick_table(gate.qubits, q)
+        rows, phase = kicks[gate.qubits]
+        u = pauli_u[shots[cols], j]
+        choice = np.minimum((u * len(rows)).astype(int), len(rows) - 1)
+        amps[:, cols] = phase[choice].T * amps[rows[choice].T, cols]
     return amps
 
 
-def _pauli_recipe(gate, u: float):
-    """Map one uniform draw to a non-identity Pauli on the gate's support."""
-    if len(gate.qubits) == 1:
-        return [(min(int(u * 3), 2), gate.qubits[0])]
-    choice = 1 + min(int(u * 15), 14)
-    first, second = divmod(choice, 4)
-    recipe = []
-    if first:
-        recipe.append((first - 1, gate.qubits[0]))
-    if second:
-        recipe.append((second - 1, gate.qubits[1]))
-    return recipe
-
-
 def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None,
-                   seed: int = 0, resample: bool = True) -> ShotSet:
+                   seed: int = 0) -> ShotSet:
     """Prepare |10..0>, run the circuit and measure `shots` times.
 
-    With stochastic preparation/gate noise and resample=True (the default),
-    every shot gets its own trajectory; all stochastic decisions are drawn
-    up front from one seeded generator, so results are reproducible.  Shots
-    whose error coins all come up clean share the ideal state.
+    With preparation or gate noise every shot is its own trajectory.  All
+    stochastic decisions are drawn up front from one seeded generator, so
+    results are reproducible.  Shots whose error coins all come up clean
+    sample the ideal state; the others are replayed together, gate by gate,
+    as the columns of (2^Q, chunk) amplitude blocks.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     q = circuit.num_qubits
-    stochastic = noise is not None and (noise.has_prep_noise or noise.has_gate_noise)
-    if not stochastic:
-        ideal = apply_circuit(prepare_initial(q), circuit)
+    ideal = apply_circuit(prepare_initial(q), circuit)
+    if noise is None or not (noise.has_prep_noise or noise.has_gate_noise):
         return sample_shots(ideal, shots, noise, seed)
-    if not resample:
-        rng = np.random.default_rng([seed, 0])
-        state = apply_circuit(prepare_initial(q, noise, rng), circuit, noise, rng)
-        return sample_shots(state, shots, noise, seed)
 
-    master = np.random.default_rng(seed)
-    n_gates = len(circuit.gates)
+    rng = np.random.default_rng(seed)
     gate_probs = np.array([noise.p_depol_1q if len(g.qubits) == 1 else noise.p_depol_2q
                            for g in circuit.gates])
-    prep_coins = master.random((shots, q)) < noise.p_prep_flip
-    gate_coins = master.random((shots, n_gates)) < gate_probs
-    pauli_u = master.random((shots, n_gates))
-    meas_u = master.random((shots, q))
-    shot_u = master.random(shots)
+    prep_coins = rng.random((shots, q)) < noise.p_prep_flip
+    gate_coins = rng.random((shots, len(circuit.gates))) < gate_probs
+    pauli_u = rng.random((shots, len(circuit.gates)))
+    meas_u = rng.random((shots, q))
+    shot_u = rng.random(shots)
 
-    prefixes = _prefix_unitaries(circuit) if q <= _PREFIX_QUBIT_LIMIT else None
-    ideal = apply_circuit(prepare_initial(q), circuit)
-    ideal_cdf = np.cumsum(np.abs(ideal.amps) ** 2)
     bit_shift = np.arange(q - 1, -1, -1)
-    bits_out = np.empty((shots, q), dtype=int)
-    for s in range(shots):
-        dirty = prep_coins[s].any() or gate_coins[s].any()
-        if dirty:
-            init_bits = prep_coins[s].astype(int)
-            init_bits[0] ^= 1
-            init_index = int(init_bits @ (1 << bit_shift))
-            events = [(j + 1, _pauli_recipe(circuit.gates[j], pauli_u[s, j]))
-                      for j in np.flatnonzero(gate_coins[s])]
-            amps = _trajectory_amps(circuit, init_index, events, prefixes)
-            cdf = np.cumsum(np.abs(amps) ** 2)
-        else:
-            cdf = ideal_cdf
-        level = int(np.searchsorted(cdf, shot_u[s] * cdf[-1], side="right"))
-        level = min(level, 2 ** q - 1)
-        bits_out[s] = (level >> bit_shift) & 1
+    init = (prep_coins @ (1 << bit_shift)) ^ (1 << (q - 1))
+    # every shot is measured on the ideal state first; the dirty ones are
+    # then replayed and measured again on their own trajectories
+    levels = _levels(np.cumsum(np.abs(ideal.amps) ** 2)[:, None], shot_u)
+    dirty = np.flatnonzero(prep_coins.any(axis=1) | gate_coins.any(axis=1))
+    chunk = max(1, _BLOCK_BYTES // (16 << q))
+    kicks: dict = {}
+    for start in range(0, dirty.size, chunk):
+        block = dirty[start:start + chunk]
+        amps = _replay(circuit, block, init, gate_coins, pauli_u, kicks)
+        levels[block] = _levels(np.cumsum(np.abs(amps) ** 2, axis=0), shot_u[block])
+    bits = (levels[:, None] >> bit_shift) & 1
     if noise.has_readout_noise:
-        flip = np.where(bits_out == 0, meas_u < noise.eps01, meas_u < noise.eps10)
-        bits_out ^= flip.astype(int)
-    return ShotSet(counts=_counts_from_strings(_bits_to_strings(bits_out)),
+        bits = _readout_flip(bits, noise, meas_u)
+    return ShotSet(counts=_counts_from_strings(_bits_to_strings(bits)),
                    shots=shots, seed=seed)
 
 

@@ -112,16 +112,17 @@ def exact_number_stats(spec: ParaSpec, alpha: float) -> NumberStats:
 def mandel_q(stats: NumberStats) -> float:
     """(variance - mean)/mean of the number distribution; sign separates
     sub- from super-Poissonian statistics.  Undefined at zero mean."""
-    if stats.mean_n <= _MEAN_FLOOR:
+    value = _mandel_from_moments(stats.mean_n, stats.mean_n2)
+    if value is None:
         raise ValueError("Mandel Q is undefined at <N> = 0")
-    return (stats.mean_n2 - stats.mean_n ** 2) / stats.mean_n - 1.0
+    return value
 
 
 def uncertainty(shotset: ShotSet, statistic: str, resamples: int = 500,
                 seed: int = 0, pipeline=None) -> float:
     """Bootstrap standard deviation of mean_n or mandel_q over multinomially
     resampled histograms; `pipeline` optionally re-applies a mitigation step
-    (ShotSet -> NumberStats) to every resample."""
+    (ShotSet -> NumberStats) to every bootstrap draw."""
     if shotset.shots < 2:
         raise ValueError("bootstrap needs at least 2 shots")
     if resamples < 2:
@@ -154,10 +155,10 @@ def uncertainty(shotset: ShotSet, statistic: str, resamples: int = 500,
 def _shot_sources(circuit: Circuit, spec: ParaSpec, shots: int,
                   noise: NoiseModel | None, seed: int, spam: bool,
                   postselect_flag: bool, mitigation_order: str,
-                  resample: bool, resamples: int) -> dict:
+                  resamples: int) -> dict:
     """Raw, SPAM-corrected and post-selected series for one study point."""
     q = spec.num_qubits
-    raw = run_and_sample(circuit, shots, noise, seed, resample=resample)
+    raw = run_and_sample(circuit, shots, noise, seed)
     out = {SOURCE_RAW: number_stats(raw, q, SOURCE_RAW)}
     if spam:
         if noise is None:
@@ -227,8 +228,7 @@ def run_pf_evolution(p: int, g: float, times, shots: int = 5000,
                      noise: NoiseModel | None = None, seed: int = 0,
                      spam: bool = False, postselect_flag: bool = False,
                      mitigation_order: str = "spam-first",
-                     optimize: bool = False, resample: bool = True,
-                     resamples: int = 200) -> list[SeriesPoint]:
+                     optimize: bool = False, resamples: int = 200) -> list[SeriesPoint]:
     """Driven para-Fermi number evolution: one point per time, x = g t.
 
     Circuits are compiled from the same unoptimized template so the gate
@@ -253,7 +253,7 @@ def run_pf_evolution(p: int, g: float, times, shots: int = 5000,
         if shots > 0:
             stats.update(_shot_sources(circuit, spec, shots, noise, point_seed,
                                        spam, postselect_flag, mitigation_order,
-                                       resample, resamples))
+                                       resamples))
         points.append(SeriesPoint(x=float(g * t), stats=stats))
     return points
 
@@ -263,8 +263,7 @@ def run_pb_mandel_sweep(alpha: float, p_values, np_cutoff: int,
                         seed: int = 0, spam: bool = False,
                         postselect_flag: bool = False,
                         mitigation_order: str = "spam-first",
-                        optimize: bool = True, resample: bool = True,
-                        resamples: int = 200) -> list[SeriesPoint]:
+                        optimize: bool = True, resamples: int = 200) -> list[SeriesPoint]:
     """Mandel Q of the displaced para-Bose vacuum versus the order p."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -277,7 +276,7 @@ def run_pb_mandel_sweep(alpha: float, p_values, np_cutoff: int,
             circuit = _study_circuit(spec, alpha, point_seed, optimize)
             stats.update(_shot_sources(circuit, spec, shots, noise, point_seed,
                                        spam, postselect_flag, mitigation_order,
-                                       resample, resamples))
+                                       resamples))
         points.append(SeriesPoint(x=float(p), stats=stats))
     return points
 

@@ -157,6 +157,23 @@ class TestFactorizationFailure:
         assert err == "error: factorization residual 1e-03 exceeds tol 1e-09\n"
 
 
+class TestFileErrors:
+    @pytest.mark.parametrize("argv", [
+        ("compile", "--gammas", "{tmp}/missing.txt"),
+        ("simulate", "--kind", "pf", "--p", "2", "--alpha", "0.3", "--shots", "10",
+         "--noise", "{tmp}/missing.txt"),
+        ("simulate", "--kind", "pf", "--p", "2", "--alpha", "0.3", "--shots", "10",
+         "--out", "{tmp}/no/such/dir/x.csv"),
+    ], ids=["compile-gammas", "simulate-noise", "simulate-out"])
+    def test_missing_or_unwritable_file_is_one_line_and_exit_2(self, tmp_path, capsys,
+                                                               argv):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "No such file or directory" in err
+
+
 def test_importing_the_cli_does_not_load_scipy():
     src = Path(__file__).resolve().parent.parent / "src"
     code = "import sys, parasim.cli; sys.exit('scipy' in sys.modules)"

@@ -52,12 +52,10 @@ class TestPrepareInitial:
         assert np.allclose(state.amps, [0.0, 1.0])
 
     def test_certain_flips(self):
+        # every preparation bit flips, then X on qubit 0: |000> -> |111> -> |011>
         noise = NoiseModel(p_prep_flip=0.999999999)
-        rng = np.random.default_rng(0)
-        state = prepare_initial(3, noise, rng)
-        expected = np.zeros(8)
-        expected[int("011", 2)] = 1.0
-        assert np.allclose(state.amps, expected)
+        shots = run_and_sample(Circuit(3), 50, noise, seed=0)
+        assert shots.counts == {"011": 50}
 
     def test_needs_a_qubit(self):
         with pytest.raises(ValueError):
@@ -98,34 +96,26 @@ class TestApplyCircuit:
         assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-10
 
     def test_certain_two_qubit_depolarizing_is_a_pauli_kick(self):
+        # with a kick after the gate for certain, each shot is drawn from one
+        # of the 15 non-identity Pauli pairs applied to the clean state, picked
+        # uniformly: the histogram is their equal-weight mixture
         noise = NoiseModel(p_depol_2q=0.999999999)
         circuit = Circuit(2, [xx(0.4, 0, 1)])
         clean = apply_circuit(prepare_initial(2), circuit).amps
-        paulis = {
-            name: m for name, m in {
-                "X": np.array([[0, 1], [1, 0]], dtype=complex),
-                "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-                "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-                "I": np.eye(2, dtype=complex),
-            }.items()
-        }
-        kicked = {}
-        for a in "IXYZ":
-            for b in "IXYZ":
-                if a == b == "I":
-                    continue
-                kicked[a + b] = np.kron(paulis[a], paulis[b]) @ clean
-        seen = set()
-        for seed in range(40):
-            out = apply_circuit(prepare_initial(2), circuit, noise,
-                                np.random.default_rng(seed)).amps
-            hits = [name for name, vec in kicked.items()
-                    if np.max(np.abs(vec - out)) < 1e-12]
-            # degenerate kicks can coincide on this state, but at least one
-            # of the 15 non-identity pairs must reproduce the output exactly
-            assert hits, "noisy state is not a Pauli kick of the clean state"
-            seen.add(hits[0])
-        assert len(seen) > 5  # the kick is drawn from many of the 15 pairs
+        paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
+                  np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
+        kicked = [np.abs(np.kron(a, b) @ clean) ** 2
+                  for a in paulis for b in paulis][1:]
+        expected = np.mean(kicked, axis=0)
+        shots = 4000
+        counts = run_and_sample(circuit, shots, noise, seed=3).counts
+        observed = np.zeros(4)
+        for bstr, count in counts.items():
+            observed[int(bstr, 2)] = count
+        sigma = np.sqrt(shots * expected * (1 - expected))
+        assert np.all(np.abs(observed - shots * expected) <= 5 * sigma + 1e-9)
+        # the kicks move most of the weight off the clean distribution
+        assert np.max(np.abs(expected - np.abs(clean) ** 2)) > 0.1
 
 
 class TestSampleShots:
@@ -175,14 +165,6 @@ class TestRunAndSample:
         first = run_and_sample(circuit, 500, noise, seed=9)
         second = run_and_sample(circuit, 500, noise, seed=9)
         assert first.counts == second.counts
-
-    def test_fixed_state_mode(self):
-        spec = ParaSpec("pf", 2)
-        gv = solve_displacement(spec, 0.6)
-        circuit = compile_displacement(gv, generator_family(3))
-        noise = NoiseModel(p_depol_2q=0.05)
-        shots = run_and_sample(circuit, 300, noise, seed=1, resample=False)
-        assert shots.shots == 300
 
 
 class TestSpamCorrection:
