@@ -4,22 +4,29 @@ gate set: single-qubit rotations plus two-qubit XX entanglers.
 Conventions (pinned once): RX/RY/RZ(theta) = exp(-i theta P / 2) and
 XX(chi) = exp(-i chi X.X / 2), so exp(i gamma X.X) compiles to a single
 XX(-2 gamma).  CNOT and CZ exist internally as macros over that set.
+
+Every native gate is thus a rotation about a Pauli word P, and dense
+execution applies it in closed form, cos(theta/2) psi - i sin(theta/2) P psi,
+with P psi a phase times a reversed strided view of the amplitudes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .mapping import MAX_DENSE_QUBITS, GeneratorBasis, PauliString
+from .mapping import MAX_DENSE_QUBITS, GeneratorBasis, PauliString, apply_pauli
 
 _RX = "RX"
 _RY = "RY"
 _RZ = "RZ"
 _XP = "X"
 _XX = "XX"
-_ROTATIONS = (_RX, _RY, _RZ)
+# the Pauli word of each gate, one letter per gate qubit: the rotations are
+# exp(-i theta P / 2) and X is P itself
+_WORDS = {_RX: "X", _RY: "Y", _RZ: "Z", _XP: "X", _XX: "XX"}
 
 
 @dataclass(frozen=True)
@@ -31,14 +38,13 @@ class Gate:
     angle: float = 0.0
 
     def __post_init__(self):
-        if self.kind in _ROTATIONS or self.kind == _XP:
-            if len(self.qubits) != 1:
-                raise ValueError(f"{self.kind} acts on exactly one qubit")
-        elif self.kind == _XX:
-            if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
-                raise ValueError("XX needs two distinct qubits")
-        else:
+        if type(self.qubits) is not tuple:
+            object.__setattr__(self, "qubits", tuple(self.qubits))
+        if self.kind not in _WORDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        width = len(_WORDS[self.kind])
+        if len(self.qubits) != width or len(set(self.qubits)) != width:
+            raise ValueError(f"{self.kind} acts on exactly {width} distinct qubit(s)")
 
 
 def rx(theta: float, q: int) -> Gate:
@@ -228,44 +234,20 @@ def gate_counts(circuit: Circuit) -> dict:
 
 # --- dense execution of small circuits -------------------------------------
 
-def _gate_kernel(gate: Gate) -> np.ndarray:
-    half = gate.angle / 2
-    c, s = np.cos(half), np.sin(half)
-    if gate.kind == _RX:
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if gate.kind == _RY:
-        return np.array([[c, -s], [s, c]])
-    if gate.kind == _RZ:
-        return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]])
-    if gate.kind == _XP:
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    # XX(chi) = cos(chi/2) - i sin(chi/2) X.X on the pair
-    eye4 = np.eye(4, dtype=complex)
-    xxop = np.fliplr(np.eye(4)).astype(complex)
-    return c * eye4 - 1j * s * xxop
-
-
 def apply_gate_batch(amps: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
-    """Apply one gate to amplitudes of shape (2**Q,) or (2**Q, batch)."""
-    single = amps.ndim == 1
-    block = amps[:, None] if single else amps
-    batch = block.shape[1]
-    tensor = block.reshape([2] * num_qubits + [batch])
-    kernel = _gate_kernel(gate)
-    if len(gate.qubits) == 1:
-        qn = gate.qubits[0]
-        tensor = np.moveaxis(tensor, qn, 0)
-        tensor = np.tensordot(kernel, tensor, axes=([1], [0]))
-        tensor = np.moveaxis(tensor, 0, qn)
-    else:
-        q1, q2 = gate.qubits
-        tensor = np.moveaxis(tensor, (q1, q2), (0, 1))
-        shape = tensor.shape
-        tensor = np.tensordot(kernel.reshape(2, 2, 2, 2), tensor, axes=([2, 3], [0, 1]))
-        tensor = tensor.reshape(shape)
-        tensor = np.moveaxis(tensor, (0, 1), (q1, q2))
-    flat = tensor.reshape(2 ** num_qubits, batch)
-    return flat[:, 0] if single else flat
+    """Apply one gate to amplitudes of shape (2**Q,) or (2**Q, batch).
+
+    Every native gate is a Pauli-word rotation with the closed form
+    cos(theta/2) psi - i sin(theta/2) P psi (the X gate is P itself), with
+    P psi a phase times a reversed strided view of psi (mapping.pauli_view):
+    no gate matrix is built and nothing is gathered.  Returns a new array.
+    """
+    word = _WORDS[gate.kind]
+    if gate.kind == _XP:
+        return apply_pauli(amps, word, gate.qubits)
+    out = apply_pauli(amps, word, gate.qubits, -1j * math.sin(gate.angle / 2))
+    out += math.cos(gate.angle / 2) * amps
+    return out
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -301,16 +283,17 @@ def circuit_from_text(text: str) -> Circuit:
     q = int(lines[0].split()[1])
     gates = []
     for ln in lines[1:]:
-        parts = ln.split()
-        kind = parts[0]
-        if kind == "X":
-            gates.append(xpauli(int(parts[1])))
-        elif kind == "XX":
-            gates.append(xx(float(parts[3]), int(parts[1]), int(parts[2])))
-        elif kind in _ROTATIONS:
-            gates.append(Gate(kind, (int(parts[1]),), float(parts[2])))
-        else:
+        kind, *args = ln.split()
+        if kind not in _WORDS:
             raise ValueError(f"unknown gate line {ln!r}")
+        width = len(_WORDS[kind])  # the qubits, then an angle unless X
+        try:
+            if len(args) != width + (kind != _XP):
+                raise ValueError(f"{kind} takes {width + (kind != _XP)} fields")
+            angle = float(args[width]) if kind != _XP else 0.0
+            gates.append(Gate(kind, tuple(int(a) for a in args[:width]), angle))
+        except ValueError as exc:
+            raise ValueError(f"bad gate line {ln!r}: {exc}") from None
     return Circuit(q, gates)
 
 

@@ -6,18 +6,20 @@ non-identity Pauli after each gate with the depolarizing probability, and
 classical readout bit flips.  Shots whose preparation and gate coins all
 come up clean are drawn from the ideal state; the other trajectories are
 replayed together as the columns of (2^Q, chunk) amplitude blocks, one
-batched call per gate, with each Pauli kick applied to its column as a
-signed row permutation.
+closed-form Pauli rotation per gate, with each Pauli kick applied to the
+columns that drew it through the same strided view of its word.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .circuits import Circuit, apply_gate_batch
-from .mapping import pauli_word_permutation
+from .mapping import apply_pauli
 
 
 class EmptyShotSetError(ValueError):
@@ -126,15 +128,17 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     return StateVector(q, amps)
 
 
-def _bits_to_strings(bits: np.ndarray) -> list[str]:
-    return ["".join("1" if b else "0" for b in row) for row in bits]
-
-
-def _counts_from_strings(strings) -> dict:
-    counts: dict = {}
-    for s in strings:
-        counts[s] = counts.get(s, 0) + 1
-    return counts
+def _counts(bits: np.ndarray) -> dict:
+    """Bitstring counts of (shots, Q) read bits, keyed in first-seen order
+    so that sums over the counts add in shot order.  Nothing is sorted:
+    np.unique would page in about 0.4 MiB of numpy's sort code."""
+    q = bits.shape[1]
+    outcomes = bits @ (1 << np.arange(q - 1, -1, -1))
+    shot = np.arange(outcomes.size)
+    first = np.full(1 << q, outcomes.size)
+    np.minimum.at(first, outcomes, shot)
+    tally = np.bincount(outcomes).tolist()
+    return {format(v, f"0{q}b"): tally[v] for v in outcomes[first[outcomes] == shot].tolist()}
 
 
 def sample_shots(state: StateVector, shots: int, noise: NoiseModel | None = None,
@@ -152,8 +156,7 @@ def sample_shots(state: StateVector, shots: int, noise: NoiseModel | None = None
     bits = (levels[:, None] >> np.arange(q - 1, -1, -1)) & 1
     if noise is not None and noise.has_readout_noise:
         bits = _readout_flip(bits, noise, rng.random(bits.shape))
-    return ShotSet(counts=_counts_from_strings(_bits_to_strings(bits)),
-                   shots=shots, seed=seed)
+    return ShotSet(counts=_counts(bits), shots=shots, seed=seed)
 
 
 def _readout_flip(bits: np.ndarray, noise: NoiseModel, u: np.ndarray) -> np.ndarray:
@@ -172,29 +175,20 @@ def _levels(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum((cdf <= u * cdf[-1]).sum(axis=0), cdf.shape[0] - 1)
 
 
-def _kick_table(qubits: tuple[int, ...], num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 4^k - 1 non-identity Pauli words on a gate's k qubits, in the
-    order a uniform draw picks them (base-4 digits 'IXYZ', the gate's first
-    qubit most significant), as stacked signed row permutations."""
-    k = len(qubits)
-    words = []
-    for choice in range(1, 4 ** k):
-        letters = ["I"] * num_qubits
-        for pos, qubit in enumerate(qubits):
-            letters[qubit] = "IXYZ"[(choice >> 2 * (k - 1 - pos)) & 3]
-        words.append(pauli_word_permutation("".join(letters)))
-    rows, phase = zip(*words)
-    return np.stack(rows), np.stack(phase)
+# The 4^k - 1 non-identity Pauli words on a gate's k qubits, in the order a
+# uniform draw picks them (base-4 digits 'IXYZ', the gate's first qubit most
+# significant).
+_KICKS = {k: ["".join(w) for w in product("IXYZ", repeat=k)][1:] for k in (1, 2)}
 
 
 def _replay(circuit: Circuit, shots: np.ndarray, init: np.ndarray,
-            coins: np.ndarray, pauli_u: np.ndarray, kicks: dict) -> np.ndarray:
+            coins: np.ndarray, pauli_u: np.ndarray) -> np.ndarray:
     """Final amplitudes of a block of trajectories, column c replaying shot
     s = shots[c].
 
     The column starts on basis state init[s]; after gate j, where
     coins[s, j] is set, it takes the Pauli word that pauli_u[s, j] picks
-    uniformly.  `kicks` caches the word tables by gate support.
+    uniformly.
     """
     q = circuit.num_qubits
     amps = np.zeros((2 ** q, shots.size), dtype=complex)
@@ -206,12 +200,12 @@ def _replay(circuit: Circuit, shots: np.ndarray, init: np.ndarray,
         cols = hit_col[bounds[j]:bounds[j + 1]]
         if cols.size == 0:
             continue
-        if gate.qubits not in kicks:
-            kicks[gate.qubits] = _kick_table(gate.qubits, q)
-        rows, phase = kicks[gate.qubits]
+        words = _KICKS[len(gate.qubits)]
         u = pauli_u[shots[cols], j]
-        choice = np.minimum((u * len(rows)).astype(int), len(rows) - 1)
-        amps[:, cols] = phase[choice].T * amps[rows[choice].T, cols]
+        choice = np.minimum((u * len(words)).astype(int), len(words) - 1)
+        for pick in set(choice.tolist()):
+            hit = cols[choice == pick]
+            amps[:, hit] = apply_pauli(amps[:, hit], words[pick], gate.qubits)
     return amps
 
 
@@ -248,16 +242,14 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
     levels = _levels(np.cumsum(np.abs(ideal.amps) ** 2)[:, None], shot_u)
     dirty = np.flatnonzero(prep_coins.any(axis=1) | gate_coins.any(axis=1))
     chunk = max(1, _BLOCK_BYTES // (16 << q))
-    kicks: dict = {}
     for start in range(0, dirty.size, chunk):
         block = dirty[start:start + chunk]
-        amps = _replay(circuit, block, init, gate_coins, pauli_u, kicks)
+        amps = _replay(circuit, block, init, gate_coins, pauli_u)
         levels[block] = _levels(np.cumsum(np.abs(amps) ** 2, axis=0), shot_u[block])
     bits = (levels[:, None] >> bit_shift) & 1
     if noise.has_readout_noise:
         bits = _readout_flip(bits, noise, meas_u)
-    return ShotSet(counts=_counts_from_strings(_bits_to_strings(bits)),
-                   shots=shots, seed=seed)
+    return ShotSet(counts=_counts(bits), shots=shots, seed=seed)
 
 
 def _confusion(noise: NoiseModel) -> np.ndarray:
@@ -330,6 +322,9 @@ def write_shotset(path, shotset: ShotSet, noise: NoiseModel | None = None) -> No
     Path(path).write_text(shotset_to_text(shotset, noise))
 
 
+_SHOT_LINE = re.compile(r"([01]+)\s+([0-9]+)")
+
+
 def read_shotset(path) -> ShotSet:
     seed, retained = 0, 1.0
     counts: dict = {}
@@ -344,7 +339,10 @@ def read_shotset(path) -> ShotSet:
             elif len(parts) == 2 and parts[0] == "retained_fraction":
                 retained = float(parts[1])
             continue
-        bstr, count = line.split()
-        counts[bstr] = int(count)
+        match = _SHOT_LINE.fullmatch(line)
+        if match is None or len(match[1]) != len(next(iter(counts), match[1])):
+            raise ValueError(f"bad shot line {line!r}: want '<bits> <count>' with "
+                             "bits of 0/1, as many as on the first line")
+        counts[match[1]] = int(match[2])
     return ShotSet(counts=counts, shots=sum(counts.values()), seed=seed,
                    retained_fraction=retained)

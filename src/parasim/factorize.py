@@ -34,11 +34,11 @@ import numpy as np
 from .algebra import ParaSpec, expm_i_hermitian, ladder_amplitude, restricted_target
 from .mapping import (
     GeneratorBasis,
+    apply_pauli,
     build_xy_hamiltonian,
     generator_family,
     onehot_block,
     pauli_sum_to_matrix,
-    pauli_word_permutation,
 )
 
 
@@ -153,18 +153,16 @@ def full_space_residual(gammas, basis: GeneratorBasis, spec: ParaSpec,
 
     A generator's two Pauli words commute and square to one, so its
     exponential is prod_w (cos(c_w gamma) + i sin(c_w gamma) P_w), applied
-    to the product as signed row permutations.  The XY Hamiltonian's XX and
-    YY words are real, so the target's eigendecomposition is real.
+    to the product in place (mapping.apply_pauli).  The XY Hamiltonian's
+    XX and YY words are real, so the target's eigendecomposition is real.
     """
     q = basis.num_qubits
     hamiltonian = pauli_sum_to_matrix(build_xy_hamiltonian(spec, alpha)).real
     prod = np.eye(2 ** q, dtype=complex)
     for gamma, generator in zip(reversed(gammas), reversed(basis.generators)):
         for term in generator.terms:
-            rows, phase = pauli_word_permutation(term.letters)
             angle = term.coeff * gamma
-            turned = prod[rows]
-            turned *= (1j * np.sin(angle) * phase)[:, None]
+            turned = apply_pauli(prod, term.letters, scale=1j * np.sin(angle))
             prod *= np.cos(angle)
             prod += turned
     return float(np.linalg.norm(prod - expm_i_hermitian(hamiltonian)))

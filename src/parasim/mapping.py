@@ -5,11 +5,13 @@ Level n maps to the register basis state with qubit n flipped (qubit 0
 is the leftmost / most significant position).  The hopping Hamiltonian
 and the whole u/v/w/a generator family preserve that single-excitation
 subspace; `restrict_to_onehot` extracts the block that carries the Fock
-dynamics.
+dynamics.  A Pauli word acts on amplitudes as a phase times a reversed
+strided view (`pauli_view`), with no matrix and no gather.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,19 +39,35 @@ def _span_letter(k: int) -> str:
     return _SPAN_LETTER.get(k) or chr(ord("b") + k - 6)
 
 
-def pauli_word_permutation(letters: str) -> tuple[np.ndarray, np.ndarray]:
-    """A Pauli word as a signed permutation (qubit 0 most significant).
-
-    Row y of the word's 2^Q x 2^Q matrix has its single nonzero, phase[y],
-    in column rows[y] = y XOR (mask of the X/Y letters); so word @ M equals
-    phase[:, None] * M[rows].
+@lru_cache(maxsize=None)
+def pauli_view(letters: str, qubits: tuple[int, ...] | None = None
+               ) -> tuple[tuple[int, ...], tuple[slice, ...], np.ndarray]:
+    """The Pauli word P with letters[i] on qubit qubits[i] (by default on
+    qubit i), qubit 0 most significant, as (shape, flip, phase) with
+    P psi = phase * psi.reshape(shape)[flip] for psi of shape (2^Q,) or
+    (2^Q, batch).  Each non-identity letter gets a length-2 axis and the
+    qubits between them one axis (the batch folds into the last); flip
+    reverses the X/Y axes, and phase broadcasts the nonzero in each row of
+    each letter (_PAULI_ROWS).
     """
-    phase = np.ones(1, dtype=complex)
-    mask = 0
-    for c in letters:
-        mask = 2 * mask + (c in "XY")
-        phase = (phase[:, None] * _PAULI_ROWS[c]).ravel()
-    return np.arange(phase.size) ^ mask, phase
+    shape, flip, phase, edge = [], [], np.ones((), dtype=complex), 0
+    for qubit, c in sorted(zip(range(len(letters)) if qubits is None else qubits, letters)):
+        if c == "I":
+            continue
+        shape += [2 ** (qubit - edge), 2]
+        flip += [slice(None), slice(None, None, -1 if c in "XY" else 1)]
+        phase = np.multiply.outer(phase, _PAULI_ROWS[c])
+        edge = qubit + 1
+    phase = phase.reshape([1, 2] * phase.ndim + [1])
+    phase.flags.writeable = False  # cached and shared by every caller
+    return (*shape, -1), tuple(flip), phase
+
+
+def apply_pauli(amps: np.ndarray, letters: str, qubits: tuple[int, ...] | None = None,
+                scale: complex = 1.0) -> np.ndarray:
+    """scale * P amps for the Pauli word of pauli_view, as a new array."""
+    shape, flip, phase = pauli_view(letters, qubits)
+    return ((scale * phase) * amps.reshape(shape)[flip]).reshape(amps.shape)
 
 
 @dataclass(frozen=True)
@@ -73,9 +91,12 @@ class PauliString:
         return len(self.letters)
 
     def matrix(self) -> np.ndarray:
-        rows, phase = pauli_word_permutation(self.letters)
-        m = np.zeros((rows.size, rows.size), dtype=complex)
-        m[np.arange(rows.size), rows] = self.coeff * phase
+        n = 2 ** self.num_qubits
+        shape, flip, _ = pauli_view(self.letters)
+        m = np.zeros((n, n), dtype=complex)
+        # row y holds the word's one nonzero, in column y XOR (its X/Y mask)
+        m[np.arange(n), np.arange(n).reshape(shape)[flip].ravel()] = apply_pauli(
+            np.ones(n, dtype=complex), self.letters, scale=self.coeff)
         return m
 
 

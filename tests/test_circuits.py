@@ -3,11 +3,15 @@ cancellation optimization and the text format, all against dense unitary
 oracles assembled independently in the tests."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from parasim.algebra import ParaSpec
 from parasim.circuits import (
     Circuit,
+    Gate,
+    apply_gate_batch,
     circuit_from_text,
     circuit_to_text,
     circuit_unitary,
@@ -208,6 +212,55 @@ class TestCircuitUnitary:
         assert np.max(np.abs(unitary @ unitary.conj().T - np.eye(2 ** q))) < 1e-12
 
 
+_ANGLES = (0.0, 0.37, -1.1, np.pi, 2 * np.pi)
+
+
+def _word(q, letters):
+    """Kronecker product of the {qubit: letter} Pauli word on q qubits."""
+    return kron_oracle("".join(letters.get(i, "I") for i in range(q)))
+
+
+def _gates_with_oracles(q):
+    """Every native gate on q qubits, with its unitary from scipy expm."""
+    for qubit in range(q):
+        for kind, letter in (("RX", "X"), ("RY", "Y"), ("RZ", "Z")):
+            for theta in _ANGLES:
+                yield (Gate(kind, (qubit,), theta),
+                       expm(-0.5j * theta * _word(q, {qubit: letter})))
+        yield xpauli(qubit), _word(q, {qubit: "X"})
+    for a in range(q):
+        for b in range(q):
+            if a != b:
+                for theta in _ANGLES:
+                    yield xx(theta, a, b), expm(-0.5j * theta * _word(q, {a: "X", b: "X"}))
+
+
+class TestApplyGateBatch:
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_every_gate_matches_expm_oracle(self, q):
+        rng = np.random.default_rng(q)
+        for gate, oracle in _gates_with_oracles(q):
+            for shape in ((2 ** q,), (2 ** q, 1), (2 ** q, 3)):
+                amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                before = amps.copy()
+                out = apply_gate_batch(amps, gate, q)
+                assert out.shape == shape
+                np.testing.assert_allclose(out, oracle @ amps, rtol=0, atol=1e-12,
+                                           err_msg=f"{gate} on {shape}")
+                np.testing.assert_array_equal(amps, before)
+
+    def test_qubits_given_as_a_list(self):
+        gate = Gate("XX", [0, 2], 0.3)
+        assert gate == xx(0.3, 0, 2)
+        amps = np.arange(8, dtype=complex)
+        assert np.array_equal(apply_gate_batch(amps, gate, 3),
+                              apply_gate_batch(amps, xx(0.3, 0, 2), 3))
+
+    def test_x_is_the_literal_matrix(self):
+        amps = np.arange(8, dtype=complex)
+        assert apply_gate_batch(amps, xpauli(1), 3).tolist() == [2, 3, 0, 1, 6, 7, 4, 5]
+
+
 class TestGateCounts:
     def test_empty(self):
         assert gate_counts(Circuit(3)) == {"one_qubit": 0, "two_qubit": 0}
@@ -246,3 +299,61 @@ class TestCircuitText:
         assert lines[1] == "RX 0 0.5"
         assert lines[2] == "XX 0 1 1.25"
         assert lines[3] == "X 1"
+
+
+@st.composite
+def circuits(draw):
+    q = draw(st.integers(1, 4))
+    qubit = st.integers(0, q - 1)
+    angle = st.floats(-20, 20, allow_nan=False)
+    one = st.builds(lambda kind, a, t: Gate(kind, (a,), t),
+                    st.sampled_from(["RX", "RY", "RZ"]), qubit, angle)
+    options = [one, st.builds(xpauli, qubit)]
+    if q > 1:
+        pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+        options.append(st.builds(lambda ab, t: xx(t, *ab), pair, angle))
+    return Circuit(q, draw(st.lists(st.one_of(options), max_size=8)))
+
+
+# no int or float (not even inf/nan) can be spelled from these characters
+_GARBAGE = st.text(alphabet="bcdghjkmopqrsuvwz!?%@", min_size=1, max_size=4)
+
+
+@st.composite
+def garbled_gate_lines(draw):
+    """A valid gate line with fields dropped, one field garbled or a field
+    added; never a valid line."""
+    gate = draw(circuits().filter(lambda c: len(c) > 0)).gates[0]
+    kind, *fields = circuit_to_text(Circuit(4, [gate])).splitlines()[1].split()
+    damage = draw(st.sampled_from(["truncate", "garble", "extend"]))
+    if damage == "truncate":
+        fields = fields[:draw(st.integers(0, len(fields) - 1))]
+    elif damage == "garble":
+        at = draw(st.integers(0, len(fields) - 1))
+        is_qubit = kind == "X" or at < (2 if kind == "XX" else 1)
+        fields[at] = draw(st.one_of(_GARBAGE, st.just("0.5")) if is_qubit else _GARBAGE)
+    else:
+        fields.append(draw(st.sampled_from(["0", "1.5", "x"])))
+    return " ".join([kind, *fields])
+
+
+class TestCircuitTextProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(circuits())
+    def test_round_trip_preserves_gates_and_unitary(self, circuit):
+        loaded = circuit_from_text(circuit_to_text(circuit))
+        assert loaded.num_qubits == circuit.num_qubits
+        assert loaded.gates == circuit.gates
+        np.testing.assert_array_equal(circuit_unitary(loaded), circuit_unitary(circuit))
+
+    @settings(max_examples=100, deadline=None)
+    @given(garbled_gate_lines())
+    def test_garbled_gate_line_is_a_value_error_naming_it(self, line):
+        with pytest.raises(ValueError) as excinfo:
+            circuit_from_text(f"qubits 4\nRX 0 0.5\n{line}\n")
+        assert repr(line) in str(excinfo.value)
+
+    @pytest.mark.parametrize("line", ["XX 0", "RX 0", "XX 0 1", "X", "RZ", "X 0 0.5"])
+    def test_truncated_or_padded_lines(self, line):
+        with pytest.raises(ValueError, match="bad gate line"):
+            circuit_from_text(f"qubits 3\n{line}\n")

@@ -266,3 +266,32 @@ class TestShotSetText:
         write_shotset(path, shots)
         loaded = read_shotset(path)
         assert loaded == shots
+
+    @pytest.mark.parametrize("lines", [
+        ["0a0 3"],
+        ["010 3", "01 2"],
+        ["010"],
+        ["010 3 4"],
+        ["010 -3"],
+        ["010 2.5"],
+    ])
+    def test_malformed_lines_rejected(self, tmp_path, lines):
+        from parasim.engine import read_shotset
+        path = tmp_path / "shots.txt"
+        path.write_text("# seed 4\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_shotset(path)
+        assert repr(lines[-1]) in str(excinfo.value)
+
+
+class TestCounts:
+    def test_matches_a_loop_in_first_seen_order(self):
+        from parasim.engine import _counts
+        bits = np.random.default_rng(3).integers(0, 2, size=(500, 4))
+        expected: dict = {}
+        for row in bits:
+            key = "".join(str(b) for b in row)
+            expected[key] = expected.get(key, 0) + 1
+        counts = _counts(bits)
+        assert list(counts.items()) == list(expected.items())
+        assert all(type(n) is int for n in counts.values())

@@ -8,6 +8,7 @@ from parasim.mapping import (
     GeneratorBasis,
     PauliString,
     PauliSum,
+    apply_pauli,
     build_xy_hamiltonian,
     check_jacobi,
     commutator_table,
@@ -17,7 +18,6 @@ from parasim.mapping import (
     onehot_block,
     onehot_index,
     pauli_sum_to_matrix,
-    pauli_word_permutation,
     restrict_to_onehot,
 )
 
@@ -137,9 +137,13 @@ class TestDenseMatrices:
             for c in letters:
                 kron = np.kron(kron, single[c])
             assert np.array_equal(PauliString(-0.5, letters).matrix(), -0.5 * kron)
-            rows, phase = pauli_word_permutation(letters)
-            m = rng.normal(size=(2 ** q, 3))
-            assert np.array_equal(phase[:, None] * m[rows], kron @ m)
+            # the same word given letter by letter on shuffled qubits
+            qubits = tuple(int(k) for k in rng.permutation(q))
+            shuffled = "".join(letters[k] for k in qubits)
+            for shape in ((2 ** q,), (2 ** q, 3)):
+                m = rng.normal(size=shape)
+                assert np.array_equal(apply_pauli(m, letters), kron @ m)
+                assert np.array_equal(apply_pauli(m, shuffled, qubits), kron @ m)
 
 
 class TestOnehotRestriction:
