@@ -41,7 +41,7 @@ print(f"\nraw estimate:            <N> = {raw.mean_n:.4f} "
       f"(+/- {raw.stderr_mean:.4f})")
 
 marginals = spam_correct(shots, noise)
-corrected = number_stats(marginals, 3, source="shots_spam")
+corrected = number_stats(shots, 3, source="shots_spam", spam=noise)
 print(f"readout-corrected:       <N> = {corrected.mean_n:.4f} "
       f"(flagged outside [0,1]: {marginals.out_of_range})")
 

@@ -13,25 +13,22 @@ import numpy as np
 from . import svgplot
 from .algebra import ParaSpec, build_fock_ops, verify_truncation_identity
 from .circuits import compile_displacement, gate_counts, write_circuit
-from .engine import (
-    EmptyShotSetError,
-    NoiseModel,
-    postselect,
-    run_and_sample,
-    spam_correct,
-    write_shotset,
-)
+from .engine import EmptyShotSetError, NoiseModel, run_and_sample, write_shotset
 from .experiments import (
+    MITIGATION_ORDERS,
     SOURCE_EXACT,
     cutoff_study,
     exact_number_stats,
-    number_stats,
     run_pb_mandel_sweep,
     run_pf_evolution,
     series_to_csv,
+    shot_sources,
     write_atomic,
     SeriesPoint,
 )
+# not called here; bound for perfbench/spans.py, which wraps names where cli binds them
+from .engine import postselect, spam_correct  # noqa: F401
+from .experiments import number_stats  # noqa: F401
 from .factorize import (
     FactorizationError,
     read_gamma_document,
@@ -178,24 +175,17 @@ def cmd_compile(args) -> int:
 def cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
     noise = read_noise_file(args.noise) if args.noise else None
+    if args.spam_correct and noise is None:
+        raise ConfigError("--spam-correct requires --noise")
     gv = solve_displacement(spec, args.alpha, seed=args.seed)
     basis = generator_family(spec.num_qubits)
     circuit = compile_displacement(gv, basis, optimize=True)
-    q = spec.num_qubits
     raw = run_and_sample(circuit, args.shots, noise, args.seed)
+    # the studies' estimators in their default order; the CSV has no Mandel
+    # error column, so no bootstrap
     stats = {SOURCE_EXACT: exact_number_stats(spec, args.alpha),
-             "shots_raw": number_stats(raw, q, "shots_raw")}
-    if args.spam_correct:
-        if noise is None:
-            print("error: --spam-correct requires --noise", file=sys.stderr)
-            return EXIT_CONFIG
-        stats["shots_spam"] = number_stats(spam_correct(raw, noise), q, "shots_spam")
-    if args.postselect:
-        selected = postselect(raw)
-        if selected.shots == 0:
-            print("error: post-selection discarded every shot", file=sys.stderr)
-            return EXIT_FAIL
-        stats["shots_postselected"] = number_stats(selected, q, "shots_postselected")
+             **shot_sources(raw, spec.num_qubits, noise, args.spam_correct,
+                            args.postselect, resamples=0)}
     point = SeriesPoint(x=args.alpha, stats=stats)
     csv = series_to_csv([point], "simulate", args.shots, args.seed,
                         _provenance(sys.argv[1:], args.seed))
@@ -226,6 +216,8 @@ def _study_series(points, value: str):
 def cmd_study(args) -> int:
     noise = read_noise_file(args.noise) if args.noise else None
     if args.study == "pf-evolution":
+        if not np.isfinite(args.g) or args.g == 0:
+            raise ConfigError(f"--g must be finite and nonzero, not {args.g!r}")
         if args.times:
             times = parse_float_list(args.times)
         else:
@@ -331,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--noise", default=None)
     study.add_argument("--spam-correct", action="store_true")
     study.add_argument("--postselect", action="store_true")
-    study.add_argument("--mitigation-order", choices=("spam-first", "postselect-first"),
+    study.add_argument("--mitigation-order", choices=MITIGATION_ORDERS,
                        default="spam-first")
     study.add_argument("--svg", default=None, help="also write an SVG plot")
     study.add_argument("--out", default=None)

@@ -1,6 +1,10 @@
 """Dense state-vector execution with trajectory noise, seeded shot sampling,
 confusion-matrix SPAM correction and one-hot post-selection.
 
+Shot sets keep bitstring counts, as in their text format; analysis reads
+them as a (2^Q,) outcome array (`histogram`), and readout correction acts
+on the last axis of any (..., 2^Q) array of outcome weights.
+
 Noise is stochastic (quantum-jump style): preparation bit flips, a uniform
 non-identity Pauli after each gate with the depolarizing probability, and
 classical readout bit flips.  Shots whose preparation and gate coins all
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -85,7 +90,7 @@ class ShotSet:
 
 @dataclass(frozen=True)
 class Marginals:
-    """Per-qubit P(read 1) plus a (possibly quasi-) histogram.
+    """Per-qubit P(read 1) plus the (possibly quasi-) outcome distribution.
 
     After confusion-matrix inversion the values may leave [0, 1]; they are
     flagged, never clamped, since the number observables stay well-defined
@@ -93,19 +98,27 @@ class Marginals:
     """
 
     p1: np.ndarray
-    histogram: dict
+    histogram: np.ndarray  # (2^Q,) weights indexed by outcome
     shots: int
-    stderr_p1: np.ndarray
     out_of_range: bool
     retained_fraction: float = 1.0
 
-    @property
-    def num_qubits(self) -> int:
-        return len(self.p1)
+
+@lru_cache(maxsize=None)
+def outcome_bits(num_qubits: int) -> np.ndarray:
+    """(2^Q, Q) read-only bits of every outcome, qubit 0 the most significant."""
+    bits = (np.arange(1 << num_qubits)[:, None] >> np.arange(num_qubits - 1, -1, -1)) & 1
+    bits.flags.writeable = False
+    return bits
 
 
-def is_onehot(bitstring: str) -> bool:
-    return bitstring.count("1") == 1
+def histogram(shotset: ShotSet) -> np.ndarray:
+    """The counts as a (2^Q,) integer array indexed by outcome."""
+    if shotset.shots == 0:
+        raise EmptyShotSetError("no shots to analyze")
+    out = np.zeros(1 << len(next(iter(shotset.counts))), dtype=np.int64)
+    out[[int(b, 2) for b in shotset.counts]] = list(shotset.counts.values())
+    return out
 
 
 def prepare_initial(num_qubits: int) -> StateVector:
@@ -129,16 +142,11 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 
 
 def _counts(bits: np.ndarray) -> dict:
-    """Bitstring counts of (shots, Q) read bits, keyed in first-seen order
-    so that sums over the counts add in shot order.  Nothing is sorted:
-    np.unique would page in about 0.4 MiB of numpy's sort code."""
+    """Bitstring counts of (shots, Q) read bits, keyed in outcome order."""
     q = bits.shape[1]
-    outcomes = bits @ (1 << np.arange(q - 1, -1, -1))
-    shot = np.arange(outcomes.size)
-    first = np.full(1 << q, outcomes.size)
-    np.minimum.at(first, outcomes, shot)
-    tally = np.bincount(outcomes).tolist()
-    return {format(v, f"0{q}b"): tally[v] for v in outcomes[first[outcomes] == shot].tolist()}
+    tally = np.bincount(bits @ (1 << np.arange(q - 1, -1, -1)), minlength=1 << q)
+    seen = np.flatnonzero(tally)
+    return {format(v, f"0{q}b"): n for v, n in zip(seen.tolist(), tally[seen].tolist())}
 
 
 def sample_shots(state: StateVector, shots: int, noise: NoiseModel | None = None,
@@ -152,8 +160,7 @@ def sample_shots(state: StateVector, shots: int, noise: NoiseModel | None = None
     rng = np.random.default_rng(seed)
     probs = np.abs(state.amps) ** 2
     probs = probs / probs.sum()
-    levels = rng.choice(2 ** q, size=shots, p=probs)
-    bits = (levels[:, None] >> np.arange(q - 1, -1, -1)) & 1
+    bits = outcome_bits(q)[rng.choice(2 ** q, size=shots, p=probs)]
     if noise is not None and noise.has_readout_noise:
         bits = _readout_flip(bits, noise, rng.random(bits.shape))
     return ShotSet(counts=_counts(bits), shots=shots, seed=seed)
@@ -235,8 +242,7 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
     meas_u = rng.random((shots, q))
     shot_u = rng.random(shots)
 
-    bit_shift = np.arange(q - 1, -1, -1)
-    init = (prep_coins @ (1 << bit_shift)) ^ (1 << (q - 1))
+    init = (prep_coins @ (1 << np.arange(q - 1, -1, -1))) ^ (1 << (q - 1))
     # every shot is measured on the ideal state first; the dirty ones are
     # then replayed and measured again on their own trajectories
     levels = _levels(np.cumsum(np.abs(ideal.amps) ** 2)[:, None], shot_u)
@@ -246,53 +252,41 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
         block = dirty[start:start + chunk]
         amps = _replay(circuit, block, init, gate_coins, pauli_u)
         levels[block] = _levels(np.cumsum(np.abs(amps) ** 2, axis=0), shot_u[block])
-    bits = (levels[:, None] >> bit_shift) & 1
+    bits = outcome_bits(q)[levels]
     if noise.has_readout_noise:
         bits = _readout_flip(bits, noise, meas_u)
     return ShotSet(counts=_counts(bits), shots=shots, seed=seed)
 
 
-def _confusion(noise: NoiseModel) -> np.ndarray:
-    return np.array([[1 - noise.eps01, noise.eps10],
-                     [noise.eps01, 1 - noise.eps10]])
+def spam_correct(data, noise: NoiseModel):
+    """Invert the per-qubit readout confusion of `noise`.
 
-
-def spam_correct(shotset: ShotSet, noise: NoiseModel) -> Marginals:
-    """Invert the tensor product of per-qubit confusion matrices on the
-    empirical distribution.  Out-of-range values are flagged, not clamped."""
-    if not shotset.counts:
-        raise EmptyShotSetError("cannot correct an empty shot set")
-    q = len(next(iter(shotset.counts)))
-    conf = _confusion(noise)
-    if abs(np.linalg.det(conf)) < 1e-12:
+    An array of outcome weights (..., 2^Q) (counts, a distribution or a
+    matrix of bootstrap draws) is corrected along its last axis, one 2x2
+    inverse per qubit on a strided view, and returned as a new array of the
+    same shape; entries may turn negative.  A ShotSet gives its Marginals,
+    whose out-of-range values are flagged, not clamped.
+    """
+    if isinstance(data, ShotSet):
+        corrected = spam_correct(histogram(data) / data.shots, noise)
+        p1 = corrected @ outcome_bits(corrected.size.bit_length() - 1)
+        return Marginals(p1=p1, histogram=corrected, shots=data.shots,
+                         out_of_range=bool(np.any(p1 < -1e-12) or np.any(p1 > 1 + 1e-12)),
+                         retained_fraction=data.retained_fraction)
+    if abs(1.0 - noise.eps01 - noise.eps10) < 1e-12:
         raise ValueError("confusion matrix is singular")
-    inv = np.linalg.inv(conf)
-    probs = np.zeros(2 ** q)
-    for bstr, count in shotset.counts.items():
-        probs[int(bstr, 2)] = count / shotset.shots
-    tensor = probs.reshape([2] * q)
-    for axis in range(q):
-        tensor = np.tensordot(inv, np.moveaxis(tensor, axis, 0), axes=([1], [0]))
-        tensor = np.moveaxis(tensor, 0, axis)
-    corrected = tensor.reshape(-1)
-    hist = {format(i, f"0{q}b"): float(w) for i, w in enumerate(corrected)
-            if abs(w) > 1e-15}
-    masks = (np.arange(2 ** q)[:, None] >> np.arange(q - 1, -1, -1)) & 1
-    p1 = corrected @ masks
-    # raw marginal error, scaled by the per-qubit inversion factor
-    raw_p1 = probs @ masks
-    denom = 1.0 - noise.eps01 - noise.eps10
-    stderr = np.sqrt(np.clip(raw_p1 * (1 - raw_p1), 0.0, None) / shotset.shots) / abs(denom)
-    flagged = bool(np.any(p1 < -1e-12) or np.any(p1 > 1 + 1e-12))
-    return Marginals(p1=p1, histogram=hist, shots=shotset.shots,
-                     stderr_p1=stderr, out_of_range=flagged,
-                     retained_fraction=shotset.retained_fraction)
+    inv = np.linalg.inv([[1 - noise.eps01, noise.eps10], [noise.eps01, 1 - noise.eps10]])
+    out = np.asarray(data, dtype=float)
+    lead = out.shape[:-1]
+    for k in range(out.shape[-1].bit_length() - 1):
+        out = inv @ out.reshape(*lead, 1 << k, 2, -1)  # qubit k on the second last axis
+    return out.reshape(*lead, -1)
 
 
 def postselect(shotset: ShotSet) -> ShotSet:
     """Keep only one-hot bitstrings; retained counts stay raw and the kept
     fraction is recorded.  Zero retained shots yield an explicitly empty set."""
-    kept = {b: c for b, c in shotset.counts.items() if is_onehot(b)}
+    kept = {b: c for b, c in shotset.counts.items() if b.count("1") == 1}
     total = sum(kept.values())
     fraction = total / shotset.shots if shotset.shots else 0.0
     return ShotSet(counts=kept, shots=total, seed=shotset.seed,

@@ -5,6 +5,11 @@ sweep over the order p, and the cutoff study of the truncation error.
 The para-particle number is identified per shot from the one-hot readout:
 <N> = sum_m m P(bit m reads 1) and <N^2> = sum_m m^2 P(bit m reads 1),
 which are the exact moments on the one-hot subspace.
+
+Each shot series (raw, readout-corrected, post-selected) is one estimator,
+`mitigate`, on (..., 2^Q) outcome counts, applied alike to the histogram
+and to the bootstrap's matrix of resampled histograms; `simulate` and the
+studies share it through `shot_sources`.
 """
 from __future__ import annotations
 
@@ -18,9 +23,10 @@ from .algebra import ParaSpec, displaced_vacuum_exact
 from .circuits import Circuit, compile_displacement, gate_counts
 from .engine import (
     EmptyShotSetError,
-    Marginals,
     NoiseModel,
     ShotSet,
+    histogram,
+    outcome_bits,
     postselect,
     run_and_sample,
     spam_correct,
@@ -56,46 +62,95 @@ class SeriesPoint:
 
 
 _MEAN_FLOOR = 1e-12  # below this <N> the Mandel parameter is undefined
+MITIGATION_ORDERS = ("spam-first", "postselect-first")
 
 
-def _mandel_from_moments(mean_n: float, mean_n2: float) -> float | None:
-    if mean_n <= _MEAN_FLOOR:
-        return None
-    return (mean_n2 - mean_n * mean_n) / mean_n - 1.0
+def _mandel(mean, mean2):
+    """(variance - mean)/mean of the level distribution, elementwise; NaN
+    where <N> is at or below the floor."""
+    mean = np.asarray(mean, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mean > _MEAN_FLOOR, (mean2 - mean * mean) / mean - 1.0, np.nan)
 
 
-def number_stats(data: ShotSet | Marginals, num_qubits: int,
-                 source: str = SOURCE_RAW) -> NumberStats:
-    """Number moments from shot counts or (possibly corrected) marginals."""
-    weights = np.arange(num_qubits, dtype=float)
-    if isinstance(data, ShotSet):
-        if not data.counts or data.shots == 0:
-            raise EmptyShotSetError("no shots to analyze")
-        values, values2, counts = [], [], []
-        for bstr, count in data.counts.items():
-            bits = np.array([int(c) for c in bstr], dtype=float)
-            values.append(float(bits @ weights))
-            values2.append(float(bits @ weights ** 2))
-            counts.append(count)
-        values = np.array(values)
-        values2 = np.array(values2)
-        counts = np.array(counts, dtype=float)
-        total = counts.sum()
-        mean = float(values @ counts / total)
-        mean2 = float(values2 @ counts / total)
-        var_per_shot = float((values - mean) ** 2 @ counts / total)
-        stderr = float(np.sqrt(var_per_shot / total))
-        return NumberStats(mean_n=mean, mean_n2=mean2,
-                           mandel_q=_mandel_from_moments(mean, mean2),
-                           stderr_mean=stderr, source=source,
-                           retained_fraction=data.retained_fraction)
-    mean = float(weights @ data.p1)
-    mean2 = float(weights ** 2 @ data.p1)
-    stderr = float(np.sqrt(weights ** 2 @ data.stderr_p1 ** 2))
-    return NumberStats(mean_n=mean, mean_n2=mean2,
-                       mandel_q=_mandel_from_moments(mean, mean2),
-                       stderr_mean=stderr, source=source,
-                       retained_fraction=data.retained_fraction)
+def _mandel_from_moments(mean: float, mean2: float) -> float | None:
+    value = float(_mandel(mean, mean2))
+    return None if np.isnan(value) else value
+
+
+def _level_sums(num_qubits: int):
+    """Per outcome, the sum of the indices m of its set bits and the sum of
+    their squares m^2: the level and its square on one-hot outcomes."""
+    bits = outcome_bits(num_qubits)
+    levels = np.arange(num_qubits, dtype=float)
+    return bits @ levels, bits @ levels ** 2
+
+
+def mitigation_steps(source: str, spam: NoiseModel | None = None,
+                     order: str = "spam-first") -> tuple[str, ...]:
+    """The steps that build the shot series `source` from raw counts, in the
+    order they apply: "spam" inverts the readout confusion of `spam` and
+    "postselect" keeps the one-hot outcomes.  shots_spam needs `spam`;
+    shots_postselected also inverts the confusion when `spam` is given,
+    before or after post-selection as `order` says."""
+    steps = {SOURCE_RAW: (), SOURCE_SPAM: ("spam",), SOURCE_POST: ("postselect",)}
+    if source not in steps or order not in MITIGATION_ORDERS:
+        raise ValueError(f"unknown shot series {source!r} or mitigation order {order!r}")
+    if source == SOURCE_SPAM and spam is None:
+        raise ValueError("SPAM correction requires a noise model")
+    if source == SOURCE_POST and spam is not None:
+        return ("spam", "postselect") if order == "spam-first" else ("postselect", "spam")
+    return steps[source]
+
+
+def mitigate(counts: np.ndarray, steps, spam: NoiseModel | None = None):
+    """Outcome weights (..., 2^Q) of a shot series from outcome counts
+    (..., 2^Q), each row summing to one, and the share (...) of the counts
+    the series keeps; rows that keep nothing have NaN weights.
+
+    Point estimates pass one histogram and the bootstrap one matrix of
+    multinomial draws, so a value and its error bar share the estimator.
+    """
+    weights = counts / counts.sum(axis=-1, keepdims=True)
+    kept = np.ones(weights.shape[:-1])
+    for step in steps:
+        if step == "spam":
+            weights = spam_correct(weights, spam)
+        else:
+            onehot = outcome_bits(weights.shape[-1].bit_length() - 1).sum(axis=1) == 1
+            weights = np.where(onehot, weights, 0.0)
+            kept = weights.sum(axis=-1)
+            weights = weights / np.where(kept > 0, kept, np.nan)[..., None]
+    return weights, kept
+
+
+def number_stats(shots: ShotSet, num_qubits: int, source: str = SOURCE_RAW,
+                 spam: NoiseModel | None = None,
+                 order: str = "spam-first") -> NumberStats:
+    """Number moments of the shot series `source` (see mitigation_steps).
+
+    The standard error of <N> is the spread of the per-shot value over the
+    shots the series keeps.  Where the readout inversion is the last step it
+    is the binomial error of each bit marginal before the inversion, scaled
+    by the per-qubit inversion factor.
+    """
+    counts = histogram(shots)
+    steps = mitigation_steps(source, spam, order)
+    weights, kept = mitigate(counts, steps, spam)
+    kept = float(kept)
+    if not kept > 0:
+        raise EmptyShotSetError(f"no one-hot weight left in {source}")
+    level, level2 = _level_sums(num_qubits)
+    mean, mean2 = float(weights @ level), float(weights @ level2)
+    if steps[-1:] == ("spam",):
+        p1 = mitigate(counts, steps[:-1])[0] @ outcome_bits(num_qubits)
+        var = (np.arange(num_qubits) ** 2 @ np.clip(p1 * (1 - p1), 0.0, None)
+               / (1.0 - spam.eps01 - spam.eps10) ** 2)
+    else:
+        var = max(float(weights @ (level - mean) ** 2), 0.0)
+    return NumberStats(mean_n=mean, mean_n2=mean2, mandel_q=_mandel_from_moments(mean, mean2),
+                       stderr_mean=float(np.sqrt(var / max(kept * shots.shots, 1.0))),
+                       source=source, retained_fraction=shots.retained_fraction * kept)
 
 
 def exact_number_stats(spec: ParaSpec, alpha: float) -> NumberStats:
@@ -119,102 +174,56 @@ def mandel_q(stats: NumberStats) -> float:
 
 
 def uncertainty(shotset: ShotSet, statistic: str, resamples: int = 500,
-                seed: int = 0, pipeline=None) -> float:
-    """Bootstrap standard deviation of mean_n or mandel_q over multinomially
-    resampled histograms; `pipeline` optionally re-applies a mitigation step
-    (ShotSet -> NumberStats) to every bootstrap draw."""
+                seed: int = 0, source: str = SOURCE_RAW,
+                spam: NoiseModel | None = None, order: str = "spam-first") -> float:
+    """Bootstrap standard deviation of mean_n or mandel_q of the shot series
+    `source` (see number_stats).  One seeded multinomial call draws every
+    resampled histogram, and the matrix of draws goes through the same
+    estimator as the point value; resamples where the statistic is
+    undefined are dropped."""
     if shotset.shots < 2:
         raise ValueError("bootstrap needs at least 2 shots")
     if resamples < 2:
         raise ValueError("bootstrap needs at least 2 resamples")
     if statistic not in ("mean_n", "mandel_q"):
         raise ValueError(f"unknown statistic {statistic!r}")
-    rng = np.random.default_rng(seed)
-    keys = sorted(shotset.counts)
-    probs = np.array([shotset.counts[k] for k in keys], dtype=float)
-    probs /= probs.sum()
-    q = len(keys[0])
-    samples = []
-    for _ in range(resamples):
-        draw = rng.multinomial(shotset.shots, probs)
-        counts = {k: int(c) for k, c in zip(keys, draw) if c > 0}
-        resampled = ShotSet(counts=counts, shots=int(draw.sum()), seed=shotset.seed,
-                            retained_fraction=shotset.retained_fraction)
-        try:
-            stats = pipeline(resampled) if pipeline else number_stats(resampled, q)
-            value = getattr(stats, statistic)
-        except (EmptyShotSetError, ValueError):
-            continue
-        if value is not None and np.isfinite(value):
-            samples.append(value)
-    if len(samples) < 2:
+    steps = mitigation_steps(source, spam, order)
+    counts = histogram(shotset)
+    seen = np.flatnonzero(counts)
+    draws = np.zeros((resamples, counts.size))
+    draws[:, seen] = np.random.default_rng(seed).multinomial(
+        shotset.shots, counts[seen] / counts[seen].sum(), size=resamples)
+    weights, _ = mitigate(draws, steps, spam)
+    level, level2 = _level_sums(counts.size.bit_length() - 1)
+    mean = weights @ level
+    values = mean if statistic == "mean_n" else _mandel(mean, weights @ level2)
+    values = values[np.isfinite(values)]
+    if values.size < 2:
         raise ValueError("bootstrap produced fewer than 2 valid resamples")
-    return float(np.std(samples, ddof=1))
+    return float(np.std(values, ddof=1))
 
 
-def _shot_sources(circuit: Circuit, spec: ParaSpec, shots: int,
-                  noise: NoiseModel | None, seed: int, spam: bool,
-                  postselect_flag: bool, mitigation_order: str,
-                  resamples: int) -> dict:
-    """Raw, SPAM-corrected and post-selected series for one study point."""
-    q = spec.num_qubits
-    raw = run_and_sample(circuit, shots, noise, seed)
-    out = {SOURCE_RAW: number_stats(raw, q, SOURCE_RAW)}
-    if spam:
-        if noise is None:
-            raise ValueError("SPAM correction requires a noise model")
-        out[SOURCE_SPAM] = number_stats(spam_correct(raw, noise), q, SOURCE_SPAM)
-    if postselect_flag:
-        if spam and mitigation_order == "spam-first":
-            stats = _postselect_corrected(spam_correct(raw, noise), q)
-        elif spam:  # postselect-first
-            stats = number_stats(spam_correct(postselect(raw), noise), q, SOURCE_POST)
-        else:
-            selected = postselect(raw)
-            if selected.shots == 0:
-                raise EmptyShotSetError("post-selection discarded every shot")
-            stats = number_stats(selected, q, SOURCE_POST)
-        out[SOURCE_POST] = stats
-    # attach bootstrap spread on the Mandel parameter where it exists
-    for label, stats in list(out.items()):
-        if stats.mandel_q is None or shots < 2:
-            continue
-        try:
-            spread = uncertainty(raw, "mandel_q", resamples=resamples, seed=seed,
-                                 pipeline=_mandel_pipeline(label, noise, q))
-        except ValueError:
-            continue
-        out[label] = replace(stats, mandel_stderr=spread)
+def shot_sources(raw: ShotSet, num_qubits: int, noise: NoiseModel | None = None,
+                 spam: bool = False, postselect_flag: bool = False,
+                 mitigation_order: str = "spam-first", resamples: int = 200) -> dict:
+    """The raw series of one point's shots, plus the readout-corrected and
+    the post-selected series when asked (see mitigation_steps).  Each
+    defined Mandel Q carries the bootstrap spread of its own estimator,
+    seeded with the shot set's seed; resamples=0 skips the bootstrap."""
+    if postselect_flag and postselect(raw).shots == 0:
+        raise EmptyShotSetError("post-selection discarded every shot")
+    spam_noise = noise if spam else None
+    out = {}
+    for label in [SOURCE_RAW] + [SOURCE_SPAM] * spam + [SOURCE_POST] * postselect_flag:
+        stats = number_stats(raw, num_qubits, label, spam_noise, mitigation_order)
+        if resamples and raw.shots >= 2 and stats.mandel_q is not None:
+            try:
+                stats = replace(stats, mandel_stderr=uncertainty(
+                    raw, "mandel_q", resamples, raw.seed, label, spam_noise, mitigation_order))
+            except ValueError:  # too few resamples with a defined Q: no error bar
+                pass
+        out[label] = stats
     return out
-
-
-def _mandel_pipeline(label: str, noise: NoiseModel | None, q: int):
-    if label == SOURCE_SPAM:
-        return lambda s: number_stats(spam_correct(s, noise), q, label)
-    if label == SOURCE_POST:
-        return lambda s: number_stats(postselect(s), q, label)
-    return lambda s: number_stats(s, q, label)
-
-
-def _postselect_corrected(marg: Marginals, q: int) -> NumberStats:
-    """Post-selection applied to the corrected quasi-histogram: keep one-hot
-    weights, renormalize, and read the level distribution directly."""
-    weights = {b: w for b, w in marg.histogram.items() if b.count("1") == 1}
-    total = sum(weights.values())
-    if total <= 0:
-        raise EmptyShotSetError("no one-hot weight left after correction")
-    levels = np.arange(q, dtype=float)
-    p_level = np.zeros(q)
-    for bstr, w in weights.items():
-        p_level[bstr.index("1")] = w / total
-    mean = float(p_level @ levels)
-    mean2 = float(p_level @ levels ** 2)
-    kept = total * marg.shots / max(sum(marg.histogram.values()), 1e-300)
-    stderr = float(np.sqrt(max(mean2 - mean * mean, 0.0) / max(kept, 1.0)))
-    return NumberStats(mean_n=mean, mean_n2=mean2,
-                       mandel_q=_mandel_from_moments(mean, mean2),
-                       stderr_mean=stderr, source=SOURCE_POST,
-                       retained_fraction=float(total))
 
 
 def _study_circuit(spec: ParaSpec, alpha: float, seed: int,
@@ -251,9 +260,9 @@ def run_pf_evolution(p: int, g: float, times, shots: int = 5000,
             raise AssertionError("circuit gate counts changed across times")
         stats = {SOURCE_EXACT: exact_number_stats(spec, alpha)}
         if shots > 0:
-            stats.update(_shot_sources(circuit, spec, shots, noise, point_seed,
-                                       spam, postselect_flag, mitigation_order,
-                                       resamples))
+            raw = run_and_sample(circuit, shots, noise, point_seed)
+            stats.update(shot_sources(raw, spec.num_qubits, noise, spam,
+                                      postselect_flag, mitigation_order, resamples))
         points.append(SeriesPoint(x=float(g * t), stats=stats))
     return points
 
@@ -274,9 +283,9 @@ def run_pb_mandel_sweep(alpha: float, p_values, np_cutoff: int,
         stats = {SOURCE_EXACT: exact_number_stats(spec, alpha)}
         if shots > 0:
             circuit = _study_circuit(spec, alpha, point_seed, optimize)
-            stats.update(_shot_sources(circuit, spec, shots, noise, point_seed,
-                                       spam, postselect_flag, mitigation_order,
-                                       resamples))
+            raw = run_and_sample(circuit, shots, noise, point_seed)
+            stats.update(shot_sources(raw, spec.num_qubits, noise, spam,
+                                      postselect_flag, mitigation_order, resamples))
         points.append(SeriesPoint(x=float(p), stats=stats))
     return points
 

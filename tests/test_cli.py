@@ -1,7 +1,9 @@
 """Command-line front end tests: exit codes, artifact files, reproducibility
 and config validation."""
+import csv
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +254,35 @@ class TestStudy:
                        "--spam-correct", "--postselect", "--out", str(out)) == 0
         text = out.read_text()
         assert "shots_spam" in text and "shots_postselected" in text
+
+    @pytest.mark.parametrize("g", ["0", "-0", "nan", "inf"])
+    def test_pf_evolution_rejects_a_zero_or_non_finite_g(self, capsys, g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("study", "pf-evolution", "--p", "2", "--g", g,
+                           "--shots", "10") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: --g ")
+
+    def test_simulate_and_pb_mandel_share_the_estimators(self, tmp_path):
+        noise = tmp_path / "noise.txt"
+        noise.write_text("p_prep_flip 0.005\neps01 0.01\neps10 0.02\n"
+                         "p_depol_1q 0.001\np_depol_2q 0.01\n")
+        common = ("--alpha", "0.6", "--np", "2", "--p", "3", "--shots", "800",
+                  "--seed", "4", "--noise", str(noise), "--spam-correct", "--postselect")
+        sim, study = tmp_path / "sim.csv", tmp_path / "study.csv"
+        assert run_cli("simulate", "--kind", "pb", *common, "--out", str(sim)) == 0
+        assert run_cli("study", "pb-mandel", *common, "--mitigation-order", "spam-first",
+                       "--out", str(study)) == 0
+
+        def rows(path):
+            lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+            return {row["source"]: row for row in csv.DictReader(lines)}
+
+        got, want = rows(sim), rows(study)
+        for source in ("shots_raw", "shots_spam", "shots_postselected"):
+            for key in ("mean_n", "mean_n2", "mandel_q", "retained_fraction"):
+                assert got[source][key] == want[source][key], (source, key)
 
     def test_pf_evolution_needs_single_order(self):
         assert run_cli("study", "pf-evolution", "--p", "2..4",

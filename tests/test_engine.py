@@ -285,7 +285,7 @@ class TestShotSetText:
 
 
 class TestCounts:
-    def test_matches_a_loop_in_first_seen_order(self):
+    def test_matches_a_loop(self):
         from parasim.engine import _counts
         bits = np.random.default_rng(3).integers(0, 2, size=(500, 4))
         expected: dict = {}
@@ -293,5 +293,47 @@ class TestCounts:
             key = "".join(str(b) for b in row)
             expected[key] = expected.get(key, 0) + 1
         counts = _counts(bits)
-        assert list(counts.items()) == list(expected.items())
+        assert counts == expected
         assert all(type(n) is int for n in counts.values())
+
+    def test_histogram_indexes_counts_by_outcome(self):
+        from parasim.engine import histogram
+        hist = histogram(ShotSet({"011": 4, "100": 2, "000": 1}, 7, seed=0))
+        assert hist.tolist() == [1, 0, 0, 4, 2, 0, 0, 0]
+        with pytest.raises(EmptyShotSetError):
+            histogram(ShotSet({}, 0, seed=0))
+
+
+def dense_confusion(noise: NoiseModel, num_qubits: int) -> np.ndarray:
+    """Kronecker product of the per-qubit confusion P(read r | true t) at
+    [r, t]; qubit 0 is the most significant bit."""
+    one = np.array([[1 - noise.eps01, noise.eps10], [noise.eps01, 1 - noise.eps10]])
+    out = np.ones((1, 1))
+    for _ in range(num_qubits):
+        out = np.kron(out, one)
+    return out
+
+
+class TestSpamInversionOracle:
+    NOISE = NoiseModel(eps01=0.03, eps10=0.07)
+
+    @pytest.mark.parametrize("q", range(1, 8))
+    def test_undoes_the_dense_confusion(self, q):
+        rng = np.random.default_rng(q)
+        true = rng.dirichlet(np.ones(2 ** q), size=5)
+        read = true @ dense_confusion(self.NOISE, q).T
+        assert np.abs(spam_correct(read, self.NOISE) - true).max() < 1e-12
+        assert np.abs(spam_correct(read[2], self.NOISE) - true[2]).max() < 1e-12
+        counts = rng.integers(0, 50, size=(4, 2 ** q))   # integer counts, same map
+        want = counts @ np.linalg.inv(dense_confusion(self.NOISE, q)).T
+        assert np.abs(spam_correct(counts, self.NOISE) - want).max() < 1e-12 * counts.max()
+
+    def test_shot_set_marginals_use_the_same_inversion(self):
+        shots = ShotSet({"100": 30, "010": 50, "011": 20}, 100, seed=0)
+        marg = spam_correct(shots, self.NOISE)
+        probs = np.zeros(8)
+        probs[[4, 2, 3]] = [0.3, 0.5, 0.2]
+        corrected = np.linalg.solve(dense_confusion(self.NOISE, 3), probs)
+        assert np.abs(marg.histogram - corrected).max() < 1e-12
+        bits = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1
+        assert np.abs(marg.p1 - corrected @ bits).max() < 1e-12

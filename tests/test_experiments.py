@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from parasim.algebra import ParaSpec, build_fock_ops
-from parasim.engine import EmptyShotSetError, NoiseModel, ShotSet
+from parasim.engine import EmptyShotSetError, NoiseModel, ShotSet, postselect
 from parasim.experiments import (
     SOURCE_EXACT,
     SOURCE_POST,
@@ -104,6 +104,134 @@ class TestUncertainty:
         shots = ShotSet({"100": 10, "010": 10}, 20, seed=0)
         with pytest.raises(ValueError):
             uncertainty(shots, "variance")
+
+
+def reference_weights(counts, source, spam, order):
+    """One series' outcome weights from a (2^Q,) count vector, written out
+    with a dense Kronecker confusion matrix."""
+    q = counts.size.bit_length() - 1
+    probs = counts / counts.sum()
+    inv = None
+    if spam is not None:
+        one = np.array([[1 - spam.eps01, spam.eps10], [spam.eps01, 1 - spam.eps10]])
+        dense = np.ones((1, 1))
+        for _ in range(q):
+            dense = np.kron(dense, one)
+        inv = np.linalg.inv(dense)
+    if source == SOURCE_RAW:
+        return probs
+    if source == SOURCE_SPAM:
+        return inv @ probs
+    if inv is not None and order == "spam-first":
+        probs = inv @ probs
+    onehot = np.array([bin(i).count("1") == 1 for i in range(2 ** q)])
+    probs = np.where(onehot, probs, 0.0)
+    with np.errstate(invalid="ignore"):   # NaN when nothing is one-hot
+        probs = probs / probs.sum()
+    if inv is not None and order == "postselect-first":
+        probs = inv @ probs
+    return probs
+
+
+def reference_moments(weights):
+    q = weights.size.bit_length() - 1
+    bits = np.array([[(i >> (q - 1 - m)) & 1 for m in range(q)] for i in range(2 ** q)])
+    mean = weights @ bits @ np.arange(q)
+    mean2 = weights @ bits @ np.arange(q) ** 2
+    return mean, mean2
+
+
+def reference_bootstrap(shots, statistic, resamples, seed, source, spam, order):
+    """One multinomial draw per resample over the sorted observed bitstrings,
+    each pushed through the dense reference estimator."""
+    keys = sorted(shots.counts)
+    probs = np.array([shots.counts[k] for k in keys], dtype=float)
+    probs /= probs.sum()
+    rng = np.random.default_rng(seed)
+    values = []
+    for _ in range(resamples):
+        counts = np.zeros(2 ** len(keys[0]))
+        for key, count in zip(keys, rng.multinomial(shots.shots, probs)):
+            counts[int(key, 2)] = count
+        mean, mean2 = reference_moments(reference_weights(counts, source, spam, order))
+        value = mean if statistic == "mean_n" else (
+            (mean2 - mean ** 2) / mean - 1.0 if mean > 1e-12 else np.nan)
+        if np.isfinite(value):
+            values.append(value)
+    return float(np.std(values, ddof=1))
+
+
+SPAM = NoiseModel(eps01=0.04, eps10=0.06)
+SERIES = [
+    (SOURCE_RAW, None, "spam-first"),
+    (SOURCE_SPAM, SPAM, "spam-first"),
+    (SOURCE_POST, SPAM, "spam-first"),
+    (SOURCE_POST, SPAM, "postselect-first"),
+    (SOURCE_POST, None, "spam-first"),
+]
+SERIES_IDS = ["raw", "spam", "post-spam-first", "post-postselect-first", "post-only"]
+
+
+class TestOnePipeline:
+    SHOTS = ShotSet({"100": 310, "010": 420, "001": 150, "000": 40, "110": 50,
+                     "011": 20, "111": 10}, 1000, seed=3)
+
+    @pytest.mark.parametrize("source,spam,order", SERIES, ids=SERIES_IDS)
+    def test_point_estimate_matches_the_dense_reference(self, source, spam, order):
+        stats = number_stats(self.SHOTS, 3, source, spam, order)
+        counts = np.zeros(8)
+        for key, count in self.SHOTS.counts.items():
+            counts[int(key, 2)] = count
+        mean, mean2 = reference_moments(reference_weights(counts, source, spam, order))
+        assert stats.mean_n == pytest.approx(mean, rel=1e-12)
+        assert stats.mean_n2 == pytest.approx(mean2, rel=1e-12)
+
+    # stderr_mean and retained_fraction of each series of SHOTS, as the
+    # per-series code paths that the pipeline replaced computed them
+    PINNED = {
+        "raw": (0.024503061033266844, 1.0),
+        "spam": (0.03221072591851248, 1.0),
+        "post-spam-first": (0.022001913192126184, 1.0133168724279837),
+        "post-postselect-first": (0.03381559064031966, 0.88),
+        "post-only": (0.023589033986531345, 0.88),
+    }
+
+    @pytest.mark.parametrize("series", SERIES_IDS)
+    def test_standard_error_and_retained_fraction_are_unchanged(self, series):
+        stats = number_stats(self.SHOTS, 3, *SERIES[SERIES_IDS.index(series)])
+        stderr, retained = self.PINNED[series]
+        assert stats.stderr_mean == pytest.approx(stderr, rel=1e-12)
+        assert stats.retained_fraction == pytest.approx(retained, rel=1e-12)
+
+    @pytest.mark.parametrize("statistic", ["mean_n", "mandel_q"])
+    @pytest.mark.parametrize("source,spam,order", SERIES, ids=SERIES_IDS)
+    def test_bootstrap_matches_a_loop_of_single_draws(self, source, spam, order,
+                                                      statistic):
+        got = uncertainty(self.SHOTS, statistic, 200, 11, source, spam, order)
+        want = reference_bootstrap(self.SHOTS, statistic, 200, 11, source, spam, order)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_resamples_without_one_hot_shots_are_dropped(self):
+        # 2 of 3 shots leak, so some resamples keep no one-hot shot at all
+        shots = ShotSet({"100": 1, "010": 1, "110": 1}, 3, seed=0)
+        got = uncertainty(shots, "mean_n", 200, 5, SOURCE_POST)
+        want = reference_bootstrap(shots, "mean_n", 200, 5, SOURCE_POST, None,
+                                   "spam-first")
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_post_selection_keeps_the_retained_fraction(self):
+        stats = number_stats(self.SHOTS, 3, SOURCE_POST)
+        assert stats.retained_fraction == pytest.approx(0.88)
+        assert stats.mean_n == pytest.approx(number_stats(postselect(self.SHOTS), 3).mean_n,
+                                             rel=1e-12)
+
+    def test_unknown_series_or_order_rejected(self):
+        with pytest.raises(ValueError):
+            number_stats(self.SHOTS, 3, "shots_other")
+        with pytest.raises(ValueError):
+            number_stats(self.SHOTS, 3, SOURCE_POST, SPAM, "backwards")
+        with pytest.raises(ValueError):
+            number_stats(self.SHOTS, 3, SOURCE_SPAM)
 
 
 class TestPfEvolution:

@@ -7,6 +7,7 @@ non-identity Pauli channel, then per-qubit readout confusion.  Seeded
 run_and_sample histograms must pass a chi-square test against the exact
 bitstring distribution, and two seeded runs are pinned to literal counts.
 """
+import dataclasses
 import itertools
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy.stats import chi2
 
 from parasim.algebra import ParaSpec
 from parasim.circuits import Circuit, compile_displacement
-from parasim.engine import NoiseModel, run_and_sample
+from parasim.engine import NoiseModel, outcome_bits, run_and_sample, spam_correct
 from parasim.factorize import solve_displacement
 from parasim.mapping import generator_family
 
@@ -119,6 +120,15 @@ def test_seeded_histogram_passes_chi_square(spec, alpha, seed):
     shots = run_and_sample(circuit, SHOTS, NOISE, seed=seed)
     stat, dof = chi_square(shots.counts, probs, SHOTS)
     assert stat <= chi2.ppf(0.999, dof), (stat, dof)
+
+
+def test_spam_inversion_recovers_the_exact_pre_readout_distribution():
+    circuit = compiled(ParaSpec("pb", 2, np=2), 0.6)   # Q = 3
+    read = exact_distribution(circuit, NOISE)
+    true = exact_distribution(circuit, dataclasses.replace(NOISE, eps01=0.0, eps10=0.0))
+    corrected = spam_correct(read, NOISE)
+    assert np.abs(corrected - true).max() < 1e-12
+    assert np.abs(corrected @ outcome_bits(3) - true @ outcome_bits(3)).max() < 1e-12
 
 
 PIN_NOISE = NoiseModel(p_prep_flip=0.005, eps01=0.01, eps10=0.02,
