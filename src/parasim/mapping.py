@@ -198,9 +198,11 @@ def _generator(num_qubits: int, anchor: int, span: int) -> PauliSum:
     return PauliSum((first, second))
 
 
+@lru_cache(maxsize=None)
 def generator_family(num_qubits: int) -> GeneratorBasis:
     """All Q(Q-1)/2 span-k generators, ordered by their rightmost qubit and
-    then by growing span (u0, u1, v0, u2, v1, w0, ...)."""
+    then by growing span (u0, u1, v0, u2, v1, w0, ...); built once per width
+    and shared, as GeneratorBasis is immutable."""
     if num_qubits < 2:
         raise ValueError("generator family needs at least 2 qubits")
     gens, labels = [], []

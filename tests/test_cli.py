@@ -101,6 +101,14 @@ class TestFactorize:
         assert run_cli("factorize", "--kind", "pb", "--p", "3",
                        "--alpha", "0.5") == 2
 
+    def test_past_the_dense_width_limit(self, capsys):
+        # Q = 14 > MAX_DENSE_QUBITS: the full residual needs no 2^Q matrix
+        assert run_cli("factorize", "--kind", "pb", "--p", "2", "--np", "13",
+                       "--alpha", "0.5") == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 91 + 2
+        assert float(out.split("residual_full ")[1]) <= 1e-12
+
 
 class TestCompile:
     def test_from_gamma_document(self, tmp_path):

@@ -1,8 +1,12 @@
 """Displacement factorization tests: target coefficients, the closed-form
 Givens solve on every register width and product unitaries, all checked
 against dense matrix-exponential oracles built in the tests."""
+import tracemalloc
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
 from parasim.algebra import ParaSpec, build_fock_ops, displaced_vacuum_exact
@@ -185,6 +189,84 @@ class TestGivensSolve:
         for gammas in (rng.normal(size=len(basis)), solve_displacement(spec, 0.8).gammas):
             dense = np.linalg.norm(product_unitary(gammas, basis, space="full") - target)
             assert full_space_residual(gammas, basis, spec, 0.8) == pytest.approx(dense, abs=1e-10)
+
+
+@lru_cache(maxsize=None)
+def sparse_generators(q):
+    """(G, G^2) per generator of the width-q family, as sparse matrices."""
+    mats = [sparse.csr_matrix(pauli_sum_to_matrix(g)) for g in generator_family(q).generators]
+    return tuple((m, m @ m) for m in mats)
+
+
+def full_product(gammas, basis):
+    """prod_j exp(i gamma_j G_j) on the full register.  Every G_j has
+    eigenvalues in {-2, 0, 2}, so exp(i g G) = 1 + i sin(2g)/2 G +
+    (cos(2g) - 1)/4 G^2, a sparse factor; product_unitary(..., "full")
+    gives the same matrix by dense eigendecomposition, but takes seconds
+    per product at Q = 9."""
+    dim = 2 ** basis.num_qubits
+    one = sparse.identity(dim, format="csr")
+    out = np.eye(dim, dtype=complex)
+    for g, (m, m2) in zip(gammas, sparse_generators(basis.num_qubits)):
+        out = np.asarray(out @ (one + 1j * np.sin(2 * g) / 2 * m + (np.cos(2 * g) - 1) / 4 * m2))
+    return out
+
+
+ORACLE_SPECS = [
+    spec for q in range(3, 10)
+    for spec in ([ParaSpec("pf", q - 1)] if q % 2 else []) + [ParaSpec("pb", 2, np=q - 1)]
+]
+
+
+class TestFullSpaceResidual:
+    """The closed-form residual (a sum over the subsets of the eigenphases
+    of t^T u) against its dense definition, the Frobenius norm of the
+    full-register product minus scipy's expm of the 2^Q x 2^Q XY matrix."""
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 6, 7, 8])
+    def test_oracle_product_is_product_unitary(self, q):
+        basis = generator_family(q)
+        gammas = np.random.default_rng(q).uniform(-np.pi, np.pi, len(basis))
+        dense = product_unitary(gammas, basis, space="full")
+        assert np.max(np.abs(full_product(gammas, basis) - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"{s.kind}{s.p}-q{s.dim}")
+    def test_matches_the_dense_definition(self, spec):
+        basis = generator_family(spec.num_qubits)
+        rng = np.random.default_rng(spec.dim)
+        uniform = rng.uniform(-np.pi / 2, np.pi / 2, len(basis))
+        uniform_product = full_product(uniform, basis)
+        largest = 0.0
+        for alpha in (0.0, 0.3, 0.8, 2.0, -1.1):
+            target = expm(1j * pauli_sum_to_matrix(build_xy_hamiltonian(spec, alpha)))
+            solved = np.array(solve_displacement(spec, alpha).gammas)
+            noisy = solved + 1e-6 * rng.standard_normal(len(basis))
+            for gammas, product in ((solved, full_product(solved, basis)),
+                                    (noisy, full_product(noisy, basis)),
+                                    (uniform, uniform_product)):
+                dense = float(np.linalg.norm(product - target))
+                closed = full_space_residual(tuple(gammas), basis, spec, alpha)
+                assert closed == pytest.approx(dense, rel=0, abs=1e-12)
+                largest = max(largest, dense)
+        assert largest > 1.0  # the uniform gammas are far from the target
+
+    def test_gamma_count_must_match_the_basis(self):
+        spec = ParaSpec("pf", 2)
+        basis = generator_family(3)
+        for gammas in ([0.1], [0.1] * 7):
+            with pytest.raises(ValueError, match="gamma count"):
+                full_space_residual(gammas, basis, spec, 0.5)
+
+    def test_twelve_qubits_build_no_register_matrix(self):
+        # one 2^12 x 2^12 complex matrix alone is 256 MiB
+        tracemalloc.start()
+        try:
+            gv = solve_displacement(ParaSpec("pb", 2, np=11), 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert gv.residual_full <= 1e-12
 
 
 class TestProductUnitary:

@@ -95,6 +95,10 @@ class TestGeneratorFamily:
         with pytest.raises(ValueError):
             generator_family(1)
 
+    def test_built_once_per_width(self):
+        assert generator_family(7) is generator_family(7)
+        assert generator_family(7) == generator_family.__wrapped__(7)
+
     @pytest.mark.parametrize("q", [3, 4, 5, 6])
     def test_two_term_split_commutes(self, q):
         for gen in generator_family(q).generators:
