@@ -45,6 +45,8 @@ class Gate:
         width = len(_WORDS[self.kind])
         if len(self.qubits) != width or len(set(self.qubits)) != width:
             raise ValueError(f"{self.kind} acts on exactly {width} distinct qubit(s)")
+        if not math.isfinite(self.angle):
+            raise ValueError(f"{self.kind} angle must be finite, not {self.angle!r}")
 
 
 def rx(theta: float, q: int) -> Gate:
@@ -234,7 +236,7 @@ def gate_counts(circuit: Circuit) -> dict:
 
 # --- dense execution of small circuits -------------------------------------
 
-def apply_gate_batch(amps: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
+def apply_gate_batch(amps: np.ndarray, gate: Gate) -> np.ndarray:
     """Apply one gate to amplitudes of shape (2**Q,) or (2**Q, batch).
 
     Every native gate is a Pauli-word rotation with the closed form
@@ -257,7 +259,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
         raise ValueError(f"refusing dense unitary for {q} > {MAX_DENSE_QUBITS} qubits")
     u = np.eye(2 ** q, dtype=complex)
     for gate in circuit.gates:
-        u = apply_gate_batch(u, gate, q)
+        u = apply_gate_batch(u, gate)
     return u
 
 

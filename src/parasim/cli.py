@@ -40,8 +40,7 @@ from .mapping import (
     check_jacobi,
     commutator_table,
     generator_family,
-    pauli_sum_to_matrix,
-    restrict_to_onehot,
+    onehot_block,
 )
 
 EXIT_OK = 0
@@ -87,13 +86,13 @@ def read_noise_file(path) -> NoiseModel:
     return NoiseModel(**values)
 
 
-def _spec_from_args(args) -> ParaSpec:
+def _spec(kind: str, p: int, np_cutoff: int | None) -> ParaSpec:
     try:
-        if args.kind == "pf":
-            return ParaSpec(kind="pf", p=args.p)
-        if args.np is None:
+        if kind == "pf":
+            return ParaSpec(kind="pf", p=p)
+        if np_cutoff is None:
             raise ConfigError("--np is required for para-bosons")
-        return ParaSpec(kind="pb", p=args.p, np=args.np)
+        return ParaSpec(kind="pb", p=p, np=np_cutoff)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -108,31 +107,33 @@ def cmd_verify(args) -> int:
         p_values = [p for p in p_values if p % 2 == 0]
     lines = ["check,kind,p,np,value,pass"]
     ok = True
+    algebra = {}  # width -> (closure, jacobi): they depend on nothing else
     for p in p_values:
-        spec_args = argparse.Namespace(kind=args.kind, p=p, np=args.np)
-        spec = _spec_from_args(spec_args)
+        spec = _spec(args.kind, p, args.np)
         report = verify_truncation_identity(spec, tol=1e-12)
         lines.append(f"commutator_identity,{spec.kind},{spec.p},{spec.np},"
                      f"residual={report.residual_norm:.3e} beta={report.beta:.12g},"
                      f"{report.passes}")
         ok &= report.passes
         q = spec.num_qubits
-        ham = restrict_to_onehot(pauli_sum_to_matrix(build_xy_hamiltonian(spec, 1.0)), q)
+        ham = onehot_block(build_xy_hamiltonian(spec, 1.0))
         ops = build_fock_ops(spec)
         map_res = float(np.max(np.abs(ham - (ops.a + ops.adag))))
         lines.append(f"xy_mapping,{spec.kind},{spec.p},{spec.np},"
                      f"residual={map_res:.3e},{map_res <= 1e-12}")
         ok &= map_res <= 1e-12
         if q <= 6:
-            basis = generator_family(q)
-            try:
-                commutator_table(basis)
-                closure = True
-            except ValueError:
-                closure = False
+            if q not in algebra:
+                basis = generator_family(q)
+                try:
+                    commutator_table(basis)
+                    closure = True
+                except ValueError:
+                    closure = False
+                algebra[q] = closure, check_jacobi(basis)
+            closure, jacobi = algebra[q]
             lines.append(f"commutator_closure,{spec.kind},{spec.p},{spec.np},"
                          f"Q={q},{closure}")
-            jacobi = check_jacobi(basis)
             lines.append(f"jacobi,{spec.kind},{spec.p},{spec.np},Q={q},{jacobi}")
             ok &= closure and jacobi
     text = "\n".join(lines) + "\n"
@@ -144,8 +145,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    spec = _spec_from_args(args)
-    gv = solve_displacement(spec, args.alpha, seed=args.seed)
+    spec = _spec(args.kind, args.p, args.np)
+    gv = solve_displacement(spec, args.alpha)
     if args.out:
         write_gamma_document(args.out, gv, spec, args.alpha)
     else:
@@ -159,9 +160,11 @@ def cmd_factorize(args) -> int:
 def cmd_compile(args) -> int:
     if args.gammas:
         gv, spec, _alpha = read_gamma_document(args.gammas)
+    elif args.kind is None or args.p is None or args.alpha is None:
+        raise ConfigError("compile needs --gammas or --kind/--p/--alpha")
     else:
-        spec = _spec_from_args(args)
-        gv = solve_displacement(spec, args.alpha, seed=args.seed)
+        spec = _spec(args.kind, args.p, args.np)
+        gv = solve_displacement(spec, args.alpha)
     basis = generator_family(spec.num_qubits)
     circuit = compile_displacement(gv, basis, optimize=not args.no_optimize)
     counts = gate_counts(circuit)
@@ -173,11 +176,11 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec(args.kind, args.p, args.np)
     noise = read_noise_file(args.noise) if args.noise else None
     if args.spam_correct and noise is None:
         raise ConfigError("--spam-correct requires --noise")
-    gv = solve_displacement(spec, args.alpha, seed=args.seed)
+    gv = solve_displacement(spec, args.alpha)
     basis = generator_family(spec.num_qubits)
     circuit = compile_displacement(gv, basis, optimize=True)
     raw = run_and_sample(circuit, args.shots, noise, args.seed)
@@ -214,6 +217,9 @@ def _study_series(points, value: str):
 
 
 def cmd_study(args) -> int:
+    p_values = parse_int_range(args.p_range)
+    if args.study == "pf-evolution" and len(p_values) != 1:
+        raise ConfigError("pf-evolution takes a single order p")
     noise = read_noise_file(args.noise) if args.noise else None
     if args.study == "pf-evolution":
         if not np.isfinite(args.g) or args.g == 0:
@@ -222,14 +228,13 @@ def cmd_study(args) -> int:
             times = parse_float_list(args.times)
         else:
             times = list(np.linspace(0.0, np.pi, 25) / args.g)
-        points = run_pf_evolution(args.p, args.g, times, shots=args.shots,
+        points = run_pf_evolution(p_values[0], args.g, times, shots=args.shots,
                                   noise=noise, seed=args.seed,
                                   spam=args.spam_correct,
                                   postselect_flag=args.postselect,
                                   mitigation_order=args.mitigation_order)
         value, xlabel = "mean_n", "g t"
     elif args.study == "pb-mandel":
-        p_values = parse_int_range(args.p_range)
         if args.np is None:
             raise ConfigError("--np is required for pb-mandel")
         points = run_pb_mandel_sweep(args.alpha, p_values, args.np,
@@ -239,7 +244,6 @@ def cmd_study(args) -> int:
                                      mitigation_order=args.mitigation_order)
         value, xlabel = "mandel_q", "para-particle order p"
     else:  # cutoff
-        p_values = parse_int_range(args.p_range)
         np_values = parse_int_range(args.np_range)
         points = cutoff_study(args.alpha, p_values, np_values)
         value, xlabel = "mandel_q", "para-particle order p"
@@ -274,10 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="para-boson cutoff (ignored for pf)")
 
     ver = sub.add_parser("verify", help="run the algebra/mapping identity suite")
+    ver.set_defaults(run=cmd_verify)
     add_spec(ver, p_as_range=True)
     ver.add_argument("--out", default=None)
 
     fac = sub.add_parser("factorize", help="solve displacement product angles")
+    fac.set_defaults(run=cmd_factorize)
     add_spec(fac)
     fac.add_argument("--alpha", type=float, required=True)
     fac.add_argument("--seed", type=int, default=0,
@@ -286,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     fac.add_argument("--out", default=None)
 
     comp = sub.add_parser("compile", help="lower a displacement to native gates")
+    comp.set_defaults(run=cmd_compile)
     comp.add_argument("--gammas", default=None, help="gamma document to compile")
     comp.add_argument("--kind", choices=("pf", "pb"))
     comp.add_argument("--p", type=int)
@@ -298,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--out", default=None)
 
     sim = sub.add_parser("simulate", help="single displacement circuit run")
+    sim.set_defaults(run=cmd_simulate)
     add_spec(sim)
     sim.add_argument("--alpha", type=float, required=True)
     sim.add_argument("--shots", type=int, default=5000)
@@ -309,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--shotset-out", default=None)
 
     study = sub.add_parser("study", help="run a full study and emit CSV")
+    study.set_defaults(run=cmd_study)
     study.add_argument("study", choices=("pf-evolution", "pb-mandel", "cutoff"))
     study.add_argument("--p", dest="p_range", default="2",
                        help="order, or inclusive range a..b")
@@ -331,30 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "factorize":
-            return cmd_factorize(args)
-        if args.command == "compile":
-            if not args.gammas and (args.kind is None or args.p is None
-                                    or args.alpha is None):
-                print("error: compile needs --gammas or --kind/--p/--alpha",
-                      file=sys.stderr)
-                return EXIT_CONFIG
-            return cmd_compile(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "study":
-            if args.study == "pf-evolution":
-                p_values = parse_int_range(args.p_range)
-                if len(p_values) != 1:
-                    raise ConfigError("pf-evolution takes a single order p")
-                args.p = p_values[0]
-            return cmd_study(args)
-        raise ConfigError(f"unknown command {args.command}")
+        return args.run(args)
     except (FactorizationError, EmptyShotSetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

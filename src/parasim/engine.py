@@ -8,10 +8,11 @@ on the last axis of any (..., 2^Q) array of outcome weights.
 Noise is stochastic (quantum-jump style): preparation bit flips, a uniform
 non-identity Pauli after each gate with the depolarizing probability, and
 classical readout bit flips.  Shots whose preparation and gate coins all
-come up clean are drawn from the ideal state; the other trajectories are
+come up clean are measured on the ideal state; the other trajectories are
 replayed together as the columns of (2^Q, chunk) amplitude blocks, one
 closed-form Pauli rotation per gate, with each Pauli kick applied to the
-columns that drew it through the same strided view of its word.
+columns that drew it through the same strided view of its word.  Every
+shot, ideal or noisy, clean or dirty, is measured by one level rule.
 """
 from __future__ import annotations
 
@@ -99,9 +100,7 @@ class Marginals:
 
     p1: np.ndarray
     histogram: np.ndarray  # (2^Q,) weights indexed by outcome
-    shots: int
     out_of_range: bool
-    retained_fraction: float = 1.0
 
 
 @lru_cache(maxsize=None)
@@ -134,11 +133,10 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Run the noiseless circuit gate by gate."""
     if state.num_qubits != circuit.num_qubits:
         raise ValueError("state and circuit widths differ")
-    q = state.num_qubits
     amps = state.amps.copy()
     for gate in circuit.gates:
-        amps = apply_gate_batch(amps, gate, q)
-    return StateVector(q, amps)
+        amps = apply_gate_batch(amps, gate)
+    return StateVector(state.num_qubits, amps)
 
 
 def _counts(bits: np.ndarray) -> dict:
@@ -149,37 +147,40 @@ def _counts(bits: np.ndarray) -> dict:
     return {format(v, f"0{q}b"): n for v, n in zip(seen.tolist(), tally[seen].tolist())}
 
 
+def _levels(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Measured level of each column of a (2^Q, n) cumulative distribution
+    (or of one broadcast (2^Q, 1) column): the count of entries <= u cdf[-1],
+    as Generator.choice(2^Q, p=...) picks for the same uniform draw u."""
+    return np.minimum((cdf <= u * cdf[-1]).sum(axis=0), cdf.shape[0] - 1)
+
+
+def _read_out(levels: np.ndarray, num_qubits: int, noise: NoiseModel | None,
+              meas_u: np.ndarray, seed: int) -> ShotSet:
+    """Shot set of the measured levels, each read bit flipped where its
+    draw in meas_u (shots, Q) falls under its confusion rate."""
+    bits = outcome_bits(num_qubits)[levels]
+    if noise is not None and noise.has_readout_noise:
+        bits = bits ^ np.where(bits == 0, meas_u < noise.eps01, meas_u < noise.eps10)
+    return ShotSet(counts=_counts(bits), shots=levels.size, seed=seed)
+
+
 def sample_shots(state: StateVector, shots: int, noise: NoiseModel | None = None,
                  seed: int = 0) -> ShotSet:
-    """Sample bitstrings from |amps|^2, flipping each read bit with the
-    confusion rates when a noise model is given.  Fixed-state sampling; use
-    run_and_sample for per-shot trajectories under gate noise."""
+    """Measure a fixed state `shots` times by the level rule of every noisy
+    shot (one uniform draw each against the cumulative |amps|^2), flipping
+    each read bit with the confusion rates when a noise model is given.
+    Use run_and_sample for per-shot trajectories under gate noise."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    q = state.num_qubits
     rng = np.random.default_rng(seed)
-    probs = np.abs(state.amps) ** 2
-    probs = probs / probs.sum()
-    bits = outcome_bits(q)[rng.choice(2 ** q, size=shots, p=probs)]
-    if noise is not None and noise.has_readout_noise:
-        bits = _readout_flip(bits, noise, rng.random(bits.shape))
-    return ShotSet(counts=_counts(bits), shots=shots, seed=seed)
-
-
-def _readout_flip(bits: np.ndarray, noise: NoiseModel, u: np.ndarray) -> np.ndarray:
-    """Flip each read bit whose uniform draw falls under its confusion rate."""
-    return bits ^ np.where(bits == 0, u < noise.eps01, u < noise.eps10)
+    levels = _levels(np.cumsum(np.abs(state.amps) ** 2)[:, None], rng.random(shots))
+    return _read_out(levels, state.num_qubits, noise,
+                     rng.random((shots, state.num_qubits)), seed)
 
 
 # Amplitude bytes of one trajectory block: the dirty shots are replayed
 # together in chunks of as many (2^Q,) complex columns as fit.
 _BLOCK_BYTES = 1 << 24
-
-
-def _levels(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Measured level of each column of a (2^Q, n) cumulative distribution
-    (or of one broadcast (2^Q, 1) column): the count of entries <= u cdf[-1]."""
-    return np.minimum((cdf <= u * cdf[-1]).sum(axis=0), cdf.shape[0] - 1)
 
 
 # The 4^k - 1 non-identity Pauli words on a gate's k qubits, in the order a
@@ -203,7 +204,7 @@ def _replay(circuit: Circuit, shots: np.ndarray, init: np.ndarray,
     hit_gate, hit_col = np.nonzero(coins[shots].T)  # sorted by gate
     bounds = np.searchsorted(hit_gate, np.arange(len(circuit.gates) + 1))
     for j, gate in enumerate(circuit.gates):
-        amps = apply_gate_batch(amps, gate, q)
+        amps = apply_gate_batch(amps, gate)
         cols = hit_col[bounds[j]:bounds[j + 1]]
         if cols.size == 0:
             continue
@@ -223,8 +224,9 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
     With preparation or gate noise every shot is its own trajectory.  All
     stochastic decisions are drawn up front from one seeded generator, so
     results are reproducible.  Shots whose error coins all come up clean
-    sample the ideal state; the others are replayed together, gate by gate,
-    as the columns of (2^Q, chunk) amplitude blocks.
+    are measured on the ideal state; the others are replayed together, gate
+    by gate, as the columns of (2^Q, chunk) amplitude blocks and measured on
+    their own by the same level rule.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -252,10 +254,7 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
         block = dirty[start:start + chunk]
         amps = _replay(circuit, block, init, gate_coins, pauli_u)
         levels[block] = _levels(np.cumsum(np.abs(amps) ** 2, axis=0), shot_u[block])
-    bits = outcome_bits(q)[levels]
-    if noise.has_readout_noise:
-        bits = _readout_flip(bits, noise, meas_u)
-    return ShotSet(counts=_counts(bits), shots=shots, seed=seed)
+    return _read_out(levels, q, noise, meas_u, seed)
 
 
 def spam_correct(data, noise: NoiseModel):
@@ -270,9 +269,8 @@ def spam_correct(data, noise: NoiseModel):
     if isinstance(data, ShotSet):
         corrected = spam_correct(histogram(data) / data.shots, noise)
         p1 = corrected @ outcome_bits(corrected.size.bit_length() - 1)
-        return Marginals(p1=p1, histogram=corrected, shots=data.shots,
-                         out_of_range=bool(np.any(p1 < -1e-12) or np.any(p1 > 1 + 1e-12)),
-                         retained_fraction=data.retained_fraction)
+        return Marginals(p1=p1, histogram=corrected,
+                         out_of_range=bool(np.any(p1 < -1e-12) or np.any(p1 > 1 + 1e-12)))
     if abs(1.0 - noise.eps01 - noise.eps10) < 1e-12:
         raise ValueError("confusion matrix is singular")
     inv = np.linalg.inv([[1 - noise.eps01, noise.eps10], [noise.eps01, 1 - noise.eps10]])

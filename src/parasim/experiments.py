@@ -226,23 +226,21 @@ def shot_sources(raw: ShotSet, num_qubits: int, noise: NoiseModel | None = None,
     return out
 
 
-def _study_circuit(spec: ParaSpec, alpha: float, seed: int,
-                   optimize: bool) -> Circuit:
+def _study_circuit(spec: ParaSpec, alpha: float, optimize: bool) -> Circuit:
     basis = generator_family(spec.num_qubits)
-    gv = solve_displacement(spec, alpha, seed=seed)
-    return compile_displacement(gv, basis, optimize=optimize)
+    return compile_displacement(solve_displacement(spec, alpha), basis, optimize=optimize)
 
 
 def run_pf_evolution(p: int, g: float, times, shots: int = 5000,
                      noise: NoiseModel | None = None, seed: int = 0,
                      spam: bool = False, postselect_flag: bool = False,
-                     mitigation_order: str = "spam-first",
-                     optimize: bool = False, resamples: int = 200) -> list[SeriesPoint]:
+                     mitigation_order: str = "spam-first") -> list[SeriesPoint]:
     """Driven para-Fermi number evolution: one point per time, x = g t.
 
-    Circuits are compiled from the same unoptimized template so the gate
-    counts are identical at every evolution time (asserted); only the
-    rotation angles change.
+    Circuits are compiled from the same fixed template, without the
+    cancellation pass, so the gate counts are identical at every evolution
+    time (asserted); only the rotation angles change.  Defined Mandel Q
+    values carry a 200-resample bootstrap error.
     """
     spec = ParaSpec(kind="pf", p=p)
     points = []
@@ -252,7 +250,7 @@ def run_pf_evolution(p: int, g: float, times, shots: int = 5000,
             raise ValueError("evolution times must be nonnegative")
         alpha = g * t
         point_seed = seed + index
-        circuit = _study_circuit(spec, alpha, point_seed, optimize)
+        circuit = _study_circuit(spec, alpha, optimize=False)
         counts = gate_counts(circuit)
         if counts_seen is None:
             counts_seen = counts
@@ -262,7 +260,7 @@ def run_pf_evolution(p: int, g: float, times, shots: int = 5000,
         if shots > 0:
             raw = run_and_sample(circuit, shots, noise, point_seed)
             stats.update(shot_sources(raw, spec.num_qubits, noise, spam,
-                                      postselect_flag, mitigation_order, resamples))
+                                      postselect_flag, mitigation_order))
         points.append(SeriesPoint(x=float(g * t), stats=stats))
     return points
 
@@ -271,21 +269,22 @@ def run_pb_mandel_sweep(alpha: float, p_values, np_cutoff: int,
                         shots: int = 5000, noise: NoiseModel | None = None,
                         seed: int = 0, spam: bool = False,
                         postselect_flag: bool = False,
-                        mitigation_order: str = "spam-first",
-                        optimize: bool = True, resamples: int = 200) -> list[SeriesPoint]:
-    """Mandel Q of the displaced para-Bose vacuum versus the order p."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+                        mitigation_order: str = "spam-first") -> list[SeriesPoint]:
+    """Mandel Q of the displaced para-Bose vacuum versus the order p, from
+    cancelled circuits; defined Q values carry a 200-resample bootstrap
+    error."""
+    if not np.isfinite(alpha) or alpha < 0:
+        raise ValueError(f"alpha must be finite and nonnegative, not {alpha!r}")
     points = []
     for index, p in enumerate(p_values):
         spec = ParaSpec(kind="pb", p=p, np=np_cutoff)
         point_seed = seed + index
         stats = {SOURCE_EXACT: exact_number_stats(spec, alpha)}
         if shots > 0:
-            circuit = _study_circuit(spec, alpha, point_seed, optimize)
+            circuit = _study_circuit(spec, alpha, optimize=True)
             raw = run_and_sample(circuit, shots, noise, point_seed)
             stats.update(shot_sources(raw, spec.num_qubits, noise, spam,
-                                      postselect_flag, mitigation_order, resamples))
+                                      postselect_flag, mitigation_order))
         points.append(SeriesPoint(x=float(p), stats=stats))
     return points
 
@@ -294,6 +293,8 @@ def cutoff_study(alpha: float, p_values, np_values) -> list[SeriesPoint]:
     """Exact Mandel Q over (p, np) pairs plus a large-cutoff reference column
     (np_ref = max(np_values) + 6) standing in for the untruncated values.
     Undefined points (alpha = 0) are excluded."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, not {alpha!r}")
     if alpha <= 0:
         return []
     np_ref = max(np_values) + 6

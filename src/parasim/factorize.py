@@ -213,7 +213,8 @@ def _parse_bool(text: str) -> bool:
 
 def read_gamma_document(path):
     """Inverse of write_gamma_document; returns (GammaVector, ParaSpec, alpha).
-    A missing or unparsable key raises ValueError naming it."""
+    A missing or unparsable key, a non-finite gamma, or labels other than
+    the register's generator labels raise ValueError naming the document."""
     fields = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -242,4 +243,10 @@ def read_gamma_document(path):
         labels=field("labels", lambda text: tuple(text.split())),
         residual_full=field("residual_full", float),
     )
+    if not np.all(np.isfinite(gv.gammas)):
+        raise ValueError(f"gamma document {path}: gammas must be finite, "
+                         f"not {fields['gammas']!r}")
+    if gv.labels != generator_family(spec.num_qubits).labels:
+        raise ValueError(f"gamma document {path}: labels {fields['labels']!r} are not "
+                         f"the {spec.num_qubits}-qubit generator labels")
     return gv, spec, field("alpha", float)

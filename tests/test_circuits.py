@@ -243,7 +243,7 @@ class TestApplyGateBatch:
             for shape in ((2 ** q,), (2 ** q, 1), (2 ** q, 3)):
                 amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
                 before = amps.copy()
-                out = apply_gate_batch(amps, gate, q)
+                out = apply_gate_batch(amps, gate)
                 assert out.shape == shape
                 np.testing.assert_allclose(out, oracle @ amps, rtol=0, atol=1e-12,
                                            err_msg=f"{gate} on {shape}")
@@ -253,12 +253,12 @@ class TestApplyGateBatch:
         gate = Gate("XX", [0, 2], 0.3)
         assert gate == xx(0.3, 0, 2)
         amps = np.arange(8, dtype=complex)
-        assert np.array_equal(apply_gate_batch(amps, gate, 3),
-                              apply_gate_batch(amps, xx(0.3, 0, 2), 3))
+        assert np.array_equal(apply_gate_batch(amps, gate),
+                              apply_gate_batch(amps, xx(0.3, 0, 2)))
 
     def test_x_is_the_literal_matrix(self):
         amps = np.arange(8, dtype=complex)
-        assert apply_gate_batch(amps, xpauli(1), 3).tolist() == [2, 3, 0, 1, 6, 7, 4, 5]
+        assert apply_gate_batch(amps, xpauli(1)).tolist() == [2, 3, 0, 1, 6, 7, 4, 5]
 
 
 class TestGateCounts:
@@ -299,6 +299,14 @@ class TestCircuitText:
         assert lines[1] == "RX 0 0.5"
         assert lines[2] == "XX 0 1 1.25"
         assert lines[3] == "X 1"
+
+    @pytest.mark.parametrize("line", ["RX 0 nan", "RY 1 inf", "XX 0 2 -inf"])
+    def test_non_finite_angle_rejected(self, line):
+        with pytest.raises(ValueError, match="bad gate line.*angle must be finite"):
+            circuit_from_text(f"qubits 3\n{line}\n")
+        kind, *fields = line.split()
+        with pytest.raises(ValueError, match="angle must be finite"):
+            Gate(kind, tuple(int(f) for f in fields[:-1]), float(fields[-1]))
 
 
 @st.composite

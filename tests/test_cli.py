@@ -70,6 +70,22 @@ class TestVerify:
         for p in (2, 4, 6):
             assert f"commutator_identity,pf,{p}," in text
 
+    def test_past_the_dense_width_limit(self, capsys):
+        # Q = 13 > MAX_DENSE_QUBITS: the mapping check reads the one-hot block
+        assert run_cli("verify", "--kind", "pb", "--p", "1", "--np", "12") == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[2].startswith("xy_mapping,pb,1,12,")
+        assert out.splitlines()[2].endswith(",True")
+
+    def test_generator_algebra_checked_once_per_width(self, monkeypatch, capsys):
+        calls = []
+        table = parasim.cli.commutator_table
+        monkeypatch.setattr(parasim.cli, "commutator_table",
+                            lambda basis: calls.append(basis) or table(basis))
+        assert run_cli("verify", "--kind", "pb", "--p", "1..7", "--np", "5") == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.count("commutator_closure,pb,") == 7
+
 
 class TestFactorize:
     def test_writes_three_gammas(self, tmp_path):
@@ -135,6 +151,8 @@ class TestCompile:
     @pytest.mark.parametrize("key,replacement,named", [
         ("np", None, "missing key 'np'"),
         ("gammas", "gammas 0.1 abc 0.3", "cannot parse gammas"),
+        ("gammas", "gammas nan 0 0", "gammas must be finite"),
+        ("labels", "labels zz yy xx", "labels 'zz yy xx' are not"),
     ])
     def test_malformed_gamma_document_exits_2(self, tmp_path, capsys, key,
                                               replacement, named):
@@ -305,6 +323,8 @@ class TestStudy:
         ("verify", "--kind", "pb", "--p", "0", "--np", "2"),
         ("study", "pb-mandel", "--alpha", "-0.5", "--np", "2", "--p", "1..2",
          "--shots", "10"),
+        ("study", "pb-mandel", "--alpha", "inf", "--np", "2", "--p", "1", "--shots", "10"),
+        ("study", "cutoff", "--alpha", "nan", "--p", "1", "--np-range", "1..2"),
     ])
     def test_invalid_configs_exit_2(self, argv):
         assert run_cli(*argv) == 2

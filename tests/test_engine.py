@@ -148,6 +148,38 @@ class TestSampleShots:
         with pytest.raises(ValueError):
             sample_shots(prepare_initial(2), 0)
 
+    @staticmethod
+    def choice_counts(amps, shots, seed, noise=None):
+        """Reference sampler: Generator.choice over the normalized |amps|^2,
+        then one uniform per read bit against the confusion rates."""
+        q = int(np.log2(amps.size))
+        rng = np.random.default_rng(seed)
+        probs = np.abs(amps) ** 2
+        picks = rng.choice(2 ** q, size=shots, p=probs / probs.sum())
+        bits = (picks[:, None] >> np.arange(q - 1, -1, -1)) & 1
+        if noise is not None:
+            u = rng.random(bits.shape)
+            bits = bits ^ np.where(bits == 0, u < noise.eps01, u < noise.eps10)
+        values, counts = np.unique(bits @ (1 << np.arange(q - 1, -1, -1)), return_counts=True)
+        return {format(v, f"0{q}b"): n for v, n in zip(values.tolist(), counts.tolist())}
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_level_rule_draws_what_generator_choice_draws(self, q):
+        rng = np.random.default_rng(100 + q)
+        noise = NoiseModel(eps01=0.1, eps10=0.2)
+        for trial in range(4):
+            amps = rng.normal(size=2 ** q) + 1j * rng.normal(size=2 ** q)
+            if trial % 2:  # many exactly-zero outcomes: ties in the cumulative sum
+                amps[rng.random(2 ** q) < 0.7] = 0.0
+                amps[rng.integers(2 ** q)] = 1.0
+            amps /= np.linalg.norm(amps)
+            state = StateVector(q, amps)
+            for seed in (0, 1, 7, 12345):
+                assert sample_shots(state, 3000, seed=seed).counts == \
+                    self.choice_counts(amps, 3000, seed)
+                assert sample_shots(state, 3000, noise, seed=seed).counts == \
+                    self.choice_counts(amps, 3000, seed, noise)
+
 
 class TestRunAndSample:
     def test_ideal_compiled_sampling_stays_onehot(self):
