@@ -28,7 +28,6 @@ from .factorize import (
     GammaVector,
     product_unitary,
     solve_displacement,
-    target_coefficients,
 )
 from .circuits import (
     Circuit,

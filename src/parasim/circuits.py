@@ -22,20 +22,19 @@ from .mapping import MAX_DENSE_QUBITS, GeneratorBasis, PauliString, apply_pauli
 _RX = "RX"
 _RY = "RY"
 _RZ = "RZ"
-_XP = "X"
 _XX = "XX"
-# the Pauli word of each gate, one letter per gate qubit: the rotations are
-# exp(-i theta P / 2) and X is P itself
-_WORDS = {_RX: "X", _RY: "Y", _RZ: "Z", _XP: "X", _XX: "XX"}
+# the Pauli word of each gate, one letter per gate qubit: the gate is
+# exp(-i theta P / 2)
+_WORDS = {_RX: "X", _RY: "Y", _RZ: "Z", _XX: "XX"}
 
 
 @dataclass(frozen=True)
 class Gate:
-    """One native gate: RX/RY/RZ(theta, q), X(q) or XX(chi, q1, q2)."""
+    """One native gate: RX/RY/RZ(theta, q) or XX(chi, q1, q2)."""
 
     kind: str
     qubits: tuple[int, ...]
-    angle: float = 0.0
+    angle: float
 
     def __post_init__(self):
         if type(self.qubits) is not tuple:
@@ -61,10 +60,6 @@ def rz(theta: float, q: int) -> Gate:
     return Gate(_RZ, (q,), theta)
 
 
-def xpauli(q: int) -> Gate:
-    return Gate(_XP, (q,))
-
-
 def xx(chi: float, q1: int, q2: int) -> Gate:
     return Gate(_XX, (q1, q2), chi)
 
@@ -85,8 +80,6 @@ class Circuit:
 
 
 def _inverse(gate: Gate) -> Gate:
-    if gate.kind == _XP:
-        return gate
     return Gate(gate.kind, gate.qubits, -gate.angle)
 
 
@@ -184,15 +177,13 @@ def _same_axis(a: Gate, b: Gate) -> bool:
 
 def _is_zero_angle(g: Gate, tol: float = 1e-12) -> bool:
     """Zero mod 2 pi; dropping such a gate changes at most the global phase."""
-    if g.kind == _XP:
-        return False
     r = abs(g.angle) % (2 * np.pi)
     return min(r, 2 * np.pi - r) < tol
 
 
 def optimize_cancel(circuit: Circuit) -> Circuit:
-    """Merge same-axis same-qubit rotations (summing angles), cancel X pairs
-    and drop zero-angle gates (mod 2 pi, valid up to global phase), iterated
+    """Merge same-axis same-qubit rotations (summing angles) and drop
+    zero-angle gates (mod 2 pi, valid up to global phase), iterated
     to a fixed point.  A merge partner may sit behind gates with disjoint
     support, which commute trivially, so conjugation scaffolding around
     zero-angle centers telescopes away completely."""
@@ -217,8 +208,6 @@ def optimize_cancel(circuit: Circuit) -> Circuit:
             if partner is not None:
                 prev = out.pop(partner)
                 changed = True
-                if g.kind == _XP:
-                    continue  # X X = identity
                 merged = Gate(g.kind, prev.qubits, prev.angle + g.angle)
                 if not _is_zero_angle(merged):
                     out.insert(partner, merged)
@@ -240,14 +229,11 @@ def apply_gate_batch(amps: np.ndarray, gate: Gate) -> np.ndarray:
     """Apply one gate to amplitudes of shape (2**Q,) or (2**Q, batch).
 
     Every native gate is a Pauli-word rotation with the closed form
-    cos(theta/2) psi - i sin(theta/2) P psi (the X gate is P itself), with
-    P psi a phase times a reversed strided view of psi (mapping.pauli_view):
-    no gate matrix is built and nothing is gathered.  Returns a new array.
+    cos(theta/2) psi - i sin(theta/2) P psi, with P psi a phase times a
+    reversed strided view of psi (mapping.pauli_view): no gate matrix is
+    built and nothing is gathered.  Returns a new array.
     """
-    word = _WORDS[gate.kind]
-    if gate.kind == _XP:
-        return apply_pauli(amps, word, gate.qubits)
-    out = apply_pauli(amps, word, gate.qubits, -1j * math.sin(gate.angle / 2))
+    out = apply_pauli(amps, _WORDS[gate.kind], gate.qubits, -1j * math.sin(gate.angle / 2))
     out += math.cos(gate.angle / 2) * amps
     return out
 
@@ -268,12 +254,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 def circuit_to_text(circuit: Circuit) -> str:
     lines = [f"qubits {circuit.num_qubits}"]
     for g in circuit.gates:
-        if g.kind == _XP:
-            lines.append(f"X {g.qubits[0]}")
-        elif g.kind == _XX:
-            lines.append(f"XX {g.qubits[0]} {g.qubits[1]} {g.angle:.17g}")
-        else:
-            lines.append(f"{g.kind} {g.qubits[0]} {g.angle:.17g}")
+        lines.append(f"{g.kind} {' '.join(map(str, g.qubits))} {g.angle:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -286,14 +267,13 @@ def circuit_from_text(text: str) -> Circuit:
     gates = []
     for ln in lines[1:]:
         kind, *args = ln.split()
-        if kind not in _WORDS:
-            raise ValueError(f"unknown gate line {ln!r}")
-        width = len(_WORDS[kind])  # the qubits, then an angle unless X
         try:
-            if len(args) != width + (kind != _XP):
-                raise ValueError(f"{kind} takes {width + (kind != _XP)} fields")
-            angle = float(args[width]) if kind != _XP else 0.0
-            gates.append(Gate(kind, tuple(int(a) for a in args[:width]), angle))
+            if kind not in _WORDS:
+                raise ValueError(f"unknown gate kind {kind!r}")
+            width = len(_WORDS[kind])  # the qubits, then the angle
+            if len(args) != width + 1:
+                raise ValueError(f"{kind} takes {width + 1} fields")
+            gates.append(Gate(kind, tuple(int(a) for a in args[:width]), float(args[width])))
         except ValueError as exc:
             raise ValueError(f"bad gate line {ln!r}: {exc}") from None
     return Circuit(q, gates)

@@ -87,14 +87,16 @@ def read_noise_file(path) -> NoiseModel:
 
 
 def _spec(kind: str, p: int, np_cutoff: int | None) -> ParaSpec:
+    """The spec of --kind/--p/--np; a para-Fermi --np must be p/2."""
+    if kind == "pb" and np_cutoff is None:
+        raise ConfigError("--np is required for para-bosons")
     try:
-        if kind == "pf":
-            return ParaSpec(kind="pf", p=p)
-        if np_cutoff is None:
-            raise ConfigError("--np is required for para-bosons")
-        return ParaSpec(kind="pb", p=p, np=np_cutoff)
+        spec = ParaSpec(kind=kind, p=p, np=np_cutoff or 0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if np_cutoff not in (None, spec.np):
+        raise ConfigError(f"para-fermion cutoff must be p/2 = {spec.np}")
+    return spec
 
 
 def _provenance(argv, seed) -> list[str]:
@@ -158,6 +160,9 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    spec_flags = (args.kind, args.p, args.np, args.alpha)
+    if args.gammas and any(flag is not None for flag in spec_flags):
+        raise ConfigError("compile takes --gammas or --kind/--p/--np/--alpha, not both")
     if args.gammas:
         gv, spec, _alpha = read_gamma_document(args.gammas)
     elif args.kind is None or args.p is None or args.alpha is None:
@@ -216,38 +221,46 @@ def _study_series(points, value: str):
     return {k: tuple(v) for k, v in series.items()}
 
 
-def cmd_study(args) -> int:
+def _shot_options(args) -> dict:
+    """Keyword arguments of a study that takes shots."""
+    return dict(shots=args.shots, seed=args.seed,
+                noise=read_noise_file(args.noise) if args.noise else None,
+                spam=args.spam_correct, postselect_flag=args.postselect,
+                mitigation_order=args.mitigation_order)
+
+
+def study_pf_evolution(args):
     p_values = parse_int_range(args.p_range)
-    if args.study == "pf-evolution" and len(p_values) != 1:
+    if len(p_values) != 1:
         raise ConfigError("pf-evolution takes a single order p")
-    noise = read_noise_file(args.noise) if args.noise else None
-    if args.study == "pf-evolution":
-        if not np.isfinite(args.g) or args.g == 0:
-            raise ConfigError(f"--g must be finite and nonzero, not {args.g!r}")
-        if args.times:
-            times = parse_float_list(args.times)
-        else:
-            times = list(np.linspace(0.0, np.pi, 25) / args.g)
-        points = run_pf_evolution(p_values[0], args.g, times, shots=args.shots,
-                                  noise=noise, seed=args.seed,
-                                  spam=args.spam_correct,
-                                  postselect_flag=args.postselect,
-                                  mitigation_order=args.mitigation_order)
-        value, xlabel = "mean_n", "g t"
-    elif args.study == "pb-mandel":
-        if args.np is None:
-            raise ConfigError("--np is required for pb-mandel")
-        points = run_pb_mandel_sweep(args.alpha, p_values, args.np,
-                                     shots=args.shots, noise=noise,
-                                     seed=args.seed, spam=args.spam_correct,
-                                     postselect_flag=args.postselect,
-                                     mitigation_order=args.mitigation_order)
-        value, xlabel = "mandel_q", "para-particle order p"
-    else:  # cutoff
-        np_values = parse_int_range(args.np_range)
-        points = cutoff_study(args.alpha, p_values, np_values)
-        value, xlabel = "mandel_q", "para-particle order p"
-    csv = series_to_csv(points, args.study, args.shots, args.seed,
+    if not np.isfinite(args.g) or args.g == 0:
+        raise ConfigError(f"--g must be finite and nonzero, not {args.g!r}")
+    if args.times:
+        times = parse_float_list(args.times)
+    else:
+        times = list(np.linspace(0.0, np.pi, 25) / args.g)
+    points = run_pf_evolution(p_values[0], args.g, times, **_shot_options(args))
+    return points, "mean_n", "g t"
+
+
+def study_pb_mandel(args):
+    p_values = parse_int_range(args.p_range)
+    if args.np is None:
+        raise ConfigError("--np is required for pb-mandel")
+    points = run_pb_mandel_sweep(args.alpha, p_values, args.np, **_shot_options(args))
+    return points, "mandel_q", "para-particle order p"
+
+
+def study_cutoff(args):
+    points = cutoff_study(args.alpha, parse_int_range(args.p_range),
+                          parse_int_range(args.np_range))
+    return points, "mandel_q", "para-particle order p"
+
+
+def cmd_study(args) -> int:
+    points, value, xlabel = args.compute(args)
+    shots = getattr(args, "shots", 0)  # the cutoff study is exact: no shots
+    csv = series_to_csv(points, args.study, shots, args.seed,
                         _provenance(sys.argv[1:], args.seed))
     if args.out:
         write_atomic(args.out, csv)
@@ -262,10 +275,18 @@ def cmd_study(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One sub-parser per command, and per study under `study`, each
+    accepting only the flags its command reads, each spelled in full."""
     parser = argparse.ArgumentParser(
-        prog="parasim",
+        prog="parasim", allow_abbrev=False,
         description="digital para-particle oscillator simulation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(subparsers, name, help, parents=(), **defaults):
+        cmd = subparsers.add_parser(name, help=help, parents=list(parents),
+                                    allow_abbrev=False)
+        cmd.set_defaults(**defaults)
+        return cmd
 
     def add_spec(p, p_as_range=False):
         p.add_argument("--kind", choices=("pf", "pb"), required=True)
@@ -275,15 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--p", type=int, required=True)
         p.add_argument("--np", type=int, default=None,
-                       help="para-boson cutoff (ignored for pf)")
+                       help="para-boson cutoff; for pf it must be p/2")
 
-    ver = sub.add_parser("verify", help="run the algebra/mapping identity suite")
-    ver.set_defaults(run=cmd_verify)
+    ver = command(sub, "verify", "run the algebra/mapping identity suite", run=cmd_verify)
     add_spec(ver, p_as_range=True)
     ver.add_argument("--out", default=None)
 
-    fac = sub.add_parser("factorize", help="solve displacement product angles")
-    fac.set_defaults(run=cmd_factorize)
+    fac = command(sub, "factorize", "solve displacement product angles", run=cmd_factorize)
     add_spec(fac)
     fac.add_argument("--alpha", type=float, required=True)
     fac.add_argument("--seed", type=int, default=0,
@@ -291,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "factorization is deterministic")
     fac.add_argument("--out", default=None)
 
-    comp = sub.add_parser("compile", help="lower a displacement to native gates")
-    comp.set_defaults(run=cmd_compile)
-    comp.add_argument("--gammas", default=None, help="gamma document to compile")
+    comp = command(sub, "compile", "lower a displacement to native gates", run=cmd_compile)
+    comp.add_argument("--gammas", default=None,
+                      help="gamma document to compile, instead of --kind/--p/--np/--alpha")
     comp.add_argument("--kind", choices=("pf", "pb"))
     comp.add_argument("--p", type=int)
     comp.add_argument("--np", type=int, default=None)
@@ -304,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--no-optimize", action="store_true")
     comp.add_argument("--out", default=None)
 
-    sim = sub.add_parser("simulate", help="single displacement circuit run")
-    sim.set_defaults(run=cmd_simulate)
+    sim = command(sub, "simulate", "single displacement circuit run", run=cmd_simulate)
     add_spec(sim)
     sim.add_argument("--alpha", type=float, required=True)
     sim.add_argument("--shots", type=int, default=5000)
@@ -316,26 +334,35 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=None)
     sim.add_argument("--shotset-out", default=None)
 
-    study = sub.add_parser("study", help="run a full study and emit CSV")
-    study.set_defaults(run=cmd_study)
-    study.add_argument("study", choices=("pf-evolution", "pb-mandel", "cutoff"))
-    study.add_argument("--p", dest="p_range", default="2",
+    # the studies: flags every study reads, and flags of the studies that take shots
+    every = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    every.add_argument("--p", dest="p_range", default="2",
                        help="order, or inclusive range a..b")
-    study.add_argument("--np", type=int, default=None)
-    study.add_argument("--np-range", default="1..5",
-                       help="cutoff range for the cutoff study")
-    study.add_argument("--alpha", type=float, default=0.3)
-    study.add_argument("--g", type=float, default=0.02)
-    study.add_argument("--times", default=None, help="comma-separated times")
-    study.add_argument("--shots", type=int, default=5000)
-    study.add_argument("--seed", type=int, default=0)
-    study.add_argument("--noise", default=None)
-    study.add_argument("--spam-correct", action="store_true")
-    study.add_argument("--postselect", action="store_true")
-    study.add_argument("--mitigation-order", choices=MITIGATION_ORDERS,
+    every.add_argument("--seed", type=int, default=0)
+    every.add_argument("--svg", default=None, help="also write an SVG plot")
+    every.add_argument("--out", default=None)
+    shots = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    shots.add_argument("--shots", type=int, default=5000)
+    shots.add_argument("--noise", default=None, help="noise parameter file")
+    shots.add_argument("--spam-correct", action="store_true")
+    shots.add_argument("--postselect", action="store_true")
+    shots.add_argument("--mitigation-order", choices=MITIGATION_ORDERS,
                        default="spam-first")
-    study.add_argument("--svg", default=None, help="also write an SVG plot")
-    study.add_argument("--out", default=None)
+
+    study = command(sub, "study", "run a full study and emit CSV", run=cmd_study)
+    studies = study.add_subparsers(dest="study", required=True)
+    pfe = command(studies, "pf-evolution", "driven para-Fermi <N> evolution",
+                  [every, shots], compute=study_pf_evolution)
+    pfe.add_argument("--g", type=float, default=0.02)
+    pfe.add_argument("--times", default=None, help="comma-separated times")
+    pbm = command(studies, "pb-mandel", "para-Bose Mandel Q versus the order p",
+                  [every, shots], compute=study_pb_mandel)
+    pbm.add_argument("--np", type=int, default=None, help="para-boson cutoff")
+    pbm.add_argument("--alpha", type=float, default=0.3)
+    cut = command(studies, "cutoff", "exact Mandel Q versus the cutoff np",
+                  [every], compute=study_cutoff)
+    cut.add_argument("--np-range", default="1..5", help="cutoff range a..b")
+    cut.add_argument("--alpha", type=float, default=0.3)
     return parser
 
 

@@ -46,7 +46,6 @@ class NumberStats:
     mean_n2: float
     mandel_q: float | None
     stderr_mean: float
-    source: str
     mandel_stderr: float = float("nan")
     retained_fraction: float = 1.0
 
@@ -106,21 +105,25 @@ def mitigation_steps(source: str, spam: NoiseModel | None = None,
 def mitigate(counts: np.ndarray, steps, spam: NoiseModel | None = None):
     """Outcome weights (..., 2^Q) of a shot series from outcome counts
     (..., 2^Q), each row summing to one, and the share (...) of the counts
-    the series keeps; rows that keep nothing have NaN weights.
+    the series keeps: the one-hot share of the counts when it post-selects,
+    in either order.  Rows with no positive one-hot weight left have NaN
+    weights.
 
     Point estimates pass one histogram and the bootstrap one matrix of
     multinomial draws, so a value and its error bar share the estimator.
     """
     weights = counts / counts.sum(axis=-1, keepdims=True)
-    kept = np.ones(weights.shape[:-1])
+    onehot = outcome_bits(counts.shape[-1].bit_length() - 1).sum(axis=1) == 1
+    kept = weights[..., onehot].sum(axis=-1)
+    if "postselect" not in steps:
+        kept = np.ones_like(kept)
     for step in steps:
         if step == "spam":
             weights = spam_correct(weights, spam)
         else:
-            onehot = outcome_bits(weights.shape[-1].bit_length() - 1).sum(axis=1) == 1
             weights = np.where(onehot, weights, 0.0)
-            kept = weights.sum(axis=-1)
-            weights = weights / np.where(kept > 0, kept, np.nan)[..., None]
+            total = weights.sum(axis=-1)
+            weights = weights / np.where(total > 0, total, np.nan)[..., None]
     return weights, kept
 
 
@@ -138,7 +141,7 @@ def number_stats(shots: ShotSet, num_qubits: int, source: str = SOURCE_RAW,
     steps = mitigation_steps(source, spam, order)
     weights, kept = mitigate(counts, steps, spam)
     kept = float(kept)
-    if not kept > 0:
+    if np.isnan(weights).any():
         raise EmptyShotSetError(f"no one-hot weight left in {source}")
     level, level2 = _level_sums(num_qubits)
     mean, mean2 = float(weights @ level), float(weights @ level2)
@@ -150,7 +153,7 @@ def number_stats(shots: ShotSet, num_qubits: int, source: str = SOURCE_RAW,
         var = max(float(weights @ (level - mean) ** 2), 0.0)
     return NumberStats(mean_n=mean, mean_n2=mean2, mandel_q=_mandel_from_moments(mean, mean2),
                        stderr_mean=float(np.sqrt(var / max(kept * shots.shots, 1.0))),
-                       source=source, retained_fraction=shots.retained_fraction * kept)
+                       retained_fraction=shots.retained_fraction * kept)
 
 
 def exact_number_stats(spec: ParaSpec, alpha: float) -> NumberStats:
@@ -161,7 +164,7 @@ def exact_number_stats(spec: ParaSpec, alpha: float) -> NumberStats:
     mean2 = float(probs @ levels ** 2)
     return NumberStats(mean_n=mean, mean_n2=mean2,
                        mandel_q=_mandel_from_moments(mean, mean2),
-                       stderr_mean=0.0, source=SOURCE_EXACT)
+                       stderr_mean=0.0)
 
 
 def mandel_q(stats: NumberStats) -> float:
@@ -293,9 +296,9 @@ def cutoff_study(alpha: float, p_values, np_values) -> list[SeriesPoint]:
     """Exact Mandel Q over (p, np) pairs plus a large-cutoff reference column
     (np_ref = max(np_values) + 6) standing in for the untruncated values.
     Undefined points (alpha = 0) are excluded."""
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, not {alpha!r}")
-    if alpha <= 0:
+    if not np.isfinite(alpha) or alpha < 0:
+        raise ValueError(f"alpha must be finite and nonnegative, not {alpha!r}")
+    if alpha == 0:
         return []
     np_ref = max(np_values) + 6
     points = []

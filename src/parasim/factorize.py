@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import ParaSpec, expm_i_hermitian, ladder_amplitude, restricted_target
+from .algebra import ParaSpec, expm_i_hermitian, restricted_target
 from .mapping import GeneratorBasis, generator_family, onehot_block, pauli_sum_to_matrix
 
 
@@ -60,13 +60,6 @@ class GammaVector:
             raise ValueError("one gamma per product factor required")
         if self.residual < 0:
             raise ValueError("residual must be nonnegative")
-
-
-def target_coefficients(spec: ParaSpec, alpha: float) -> list[float]:
-    """Per-bond weights c(m) = alpha * ladder_amplitude(spec, m+1), so that
-    exp(i sum_m c(m)/2 (XX + YY)_m) matches exp(i alpha (a + adag)) on the
-    one-hot block."""
-    return [alpha * ladder_amplitude(spec, m + 1) for m in range(spec.dim - 1)]
 
 
 def restricted_generators(basis: GeneratorBasis) -> list[np.ndarray]:

@@ -168,17 +168,6 @@ def build_xy_hamiltonian(spec: ParaSpec, g: float) -> PauliSum:
     return PauliSum(tuple(terms))
 
 
-def number_operator_pauli(num_qubits: int) -> PauliSum:
-    """Diagonal number observable sum_m m/2 (1 - Z_m), under the convention
-    that a flipped qubit reads 1; restricts to diag(0..Q-1) on one-hot states."""
-    q = num_qubits
-    total = sum(m / 2 for m in range(q))
-    terms = [PauliString(total, "I" * q)]
-    for m in range(1, q):
-        terms.append(PauliString(-m / 2, "I" * m + "Z" + "I" * (q - m - 1)))
-    return PauliSum(tuple(terms))
-
-
 def _generator(num_qubits: int, anchor: int, span: int) -> PauliSum:
     """Two-term generator with X/Y ends and interior Z letters.
 

@@ -20,8 +20,8 @@ from parasim.circuits import (
     gate_counts,
     optimize_cancel,
     rx,
+    ry,
     rz,
-    xpauli,
     xx,
 )
 from parasim.factorize import product_unitary, solve_displacement
@@ -148,10 +148,6 @@ class TestOptimizeCancel:
         assert len(out) == 1
         assert out.gates[0].angle == pytest.approx(0.75)
 
-    def test_x_pairs_cancel(self):
-        circuit = Circuit(1, [xpauli(0), xpauli(0)])
-        assert len(optimize_cancel(circuit)) == 0
-
     def test_xx_same_pair_merges(self):
         circuit = Circuit(2, [xx(0.3, 0, 1), xx(-0.3, 1, 0)])
         assert len(optimize_cancel(circuit)) == 0
@@ -182,17 +178,13 @@ class TestCircuitUnitary:
     def test_empty_is_identity(self):
         assert np.allclose(circuit_unitary(Circuit(2)), np.eye(4))
 
-    def test_x_gate(self):
-        unitary = circuit_unitary(Circuit(1, [xpauli(0)]))
-        assert np.allclose(unitary, [[0, 1], [1, 0]])
-
     def test_xx_pi_is_xkronx_up_to_phase(self):
         unitary = circuit_unitary(Circuit(2, [xx(np.pi, 0, 1)]))
         assert phase_distance(unitary, kron_oracle("XX")) <= 1e-12
 
     def test_gate_order_is_application_order(self):
-        circuit = Circuit(1, [xpauli(0), rz(np.pi / 2, 0)])
-        oracle = expm(-1j * np.pi / 4 * _P1["Z"]) @ _P1["X"]
+        circuit = Circuit(1, [ry(np.pi / 2, 0), rz(np.pi / 2, 0)])
+        oracle = expm(-1j * np.pi / 4 * _P1["Z"]) @ expm(-1j * np.pi / 4 * _P1["Y"])
         assert np.max(np.abs(circuit_unitary(circuit) - oracle)) < 1e-12
 
     @pytest.mark.parametrize("q", [2, 3, 5])
@@ -227,7 +219,6 @@ def _gates_with_oracles(q):
             for theta in _ANGLES:
                 yield (Gate(kind, (qubit,), theta),
                        expm(-0.5j * theta * _word(q, {qubit: letter})))
-        yield xpauli(qubit), _word(q, {qubit: "X"})
     for a in range(q):
         for b in range(q):
             if a != b:
@@ -255,10 +246,6 @@ class TestApplyGateBatch:
         amps = np.arange(8, dtype=complex)
         assert np.array_equal(apply_gate_batch(amps, gate),
                               apply_gate_batch(amps, xx(0.3, 0, 2)))
-
-    def test_x_is_the_literal_matrix(self):
-        amps = np.arange(8, dtype=complex)
-        assert apply_gate_batch(amps, xpauli(1)).tolist() == [2, 3, 0, 1, 6, 7, 4, 5]
 
 
 class TestGateCounts:
@@ -293,12 +280,11 @@ class TestCircuitText:
             circuit_from_text("RX 0 0.5\n")
 
     def test_format_shape(self):
-        text = circuit_to_text(Circuit(2, [rx(0.5, 0), xx(1.25, 0, 1), xpauli(1)]))
+        text = circuit_to_text(Circuit(2, [rx(0.5, 0), xx(1.25, 0, 1)]))
         lines = text.splitlines()
         assert lines[0] == "qubits 2"
         assert lines[1] == "RX 0 0.5"
         assert lines[2] == "XX 0 1 1.25"
-        assert lines[3] == "X 1"
 
     @pytest.mark.parametrize("line", ["RX 0 nan", "RY 1 inf", "XX 0 2 -inf"])
     def test_non_finite_angle_rejected(self, line):
@@ -316,7 +302,7 @@ def circuits(draw):
     angle = st.floats(-20, 20, allow_nan=False)
     one = st.builds(lambda kind, a, t: Gate(kind, (a,), t),
                     st.sampled_from(["RX", "RY", "RZ"]), qubit, angle)
-    options = [one, st.builds(xpauli, qubit)]
+    options = [one]
     if q > 1:
         pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
         options.append(st.builds(lambda ab, t: xx(t, *ab), pair, angle))
@@ -338,7 +324,7 @@ def garbled_gate_lines(draw):
         fields = fields[:draw(st.integers(0, len(fields) - 1))]
     elif damage == "garble":
         at = draw(st.integers(0, len(fields) - 1))
-        is_qubit = kind == "X" or at < (2 if kind == "XX" else 1)
+        is_qubit = at < (2 if kind == "XX" else 1)
         fields[at] = draw(st.one_of(_GARBAGE, st.just("0.5")) if is_qubit else _GARBAGE)
     else:
         fields.append(draw(st.sampled_from(["0", "1.5", "x"])))

@@ -325,6 +325,87 @@ class TestStudy:
          "--shots", "10"),
         ("study", "pb-mandel", "--alpha", "inf", "--np", "2", "--p", "1", "--shots", "10"),
         ("study", "cutoff", "--alpha", "nan", "--p", "1", "--np-range", "1..2"),
+        ("study", "cutoff", "--alpha=-0.3", "--p", "1..2", "--np-range", "1..2"),
     ])
     def test_invalid_configs_exit_2(self, argv):
         assert run_cli(*argv) == 2
+
+    def test_cutoff_takes_no_shots(self, tmp_path):
+        out = tmp_path / "cut.csv"
+        assert run_cli("study", "cutoff", "--alpha", "0.3", "--p", "1..2",
+                       "--np-range", "1..2", "--out", str(out)) == 0
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        rows = list(csv.DictReader(lines))
+        assert len(rows) == 6 and {row["shots"] for row in rows} == {"0"}
+
+    def test_cutoff_np_is_not_read_as_np_range(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("study", "cutoff", "--alpha", "0.3", "--p", "1", "--np", "2")
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --np 2" in capsys.readouterr().err
+
+
+def exit_code(*argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+# One valid command line per command, and each flag the command does not
+# read or cannot combine with that line.
+BASES = {
+    "pf-evolution": ("study", "pf-evolution", "--p", "2", "--times", "0", "--shots", "10"),
+    "pb-mandel": ("study", "pb-mandel", "--alpha", "0.3", "--np", "2", "--p", "1",
+                  "--shots", "10"),
+    "cutoff": ("study", "cutoff", "--alpha", "0.3", "--p", "1", "--np-range", "1..2"),
+    "verify": ("verify", "--kind", "pf", "--p", "2"),
+    "factorize": ("factorize", "--kind", "pf", "--p", "2", "--alpha", "0.5"),
+    "compile": ("compile", "--kind", "pf", "--p", "2", "--alpha", "0.5"),
+    "simulate": ("simulate", "--kind", "pf", "--p", "2", "--alpha", "0.5", "--shots", "10"),
+    "compile-gammas": ("compile", "--gammas", "{tmp}/gammas.txt"),
+}
+UNREAD = [
+    ("pf-evolution", ("--np", "2")),
+    ("pf-evolution", ("--np-range", "1..2")),
+    ("pf-evolution", ("--alpha", "0.3")),
+    ("pb-mandel", ("--np-range", "1..2")),
+    ("pb-mandel", ("--g", "0.02")),
+    ("pb-mandel", ("--times", "0")),
+    ("cutoff", ("--np", "2")),
+    ("cutoff", ("--g", "5")),
+    ("cutoff", ("--times", "0")),
+    ("cutoff", ("--shots", "123")),
+    ("cutoff", ("--noise", "{tmp}/noise.txt")),
+    ("cutoff", ("--spam-correct",)),
+    ("cutoff", ("--postselect",)),
+    ("cutoff", ("--mitigation-order", "spam-first")),
+    ("verify", ("--np", "7")),
+    ("factorize", ("--np", "7")),
+    ("compile", ("--np", "7")),
+    ("simulate", ("--np", "7")),
+    ("compile-gammas", ("--kind", "pf")),
+    ("compile-gammas", ("--p", "2")),
+    ("compile-gammas", ("--np", "1")),
+    ("compile-gammas", ("--alpha", "0.5")),
+]
+
+
+class TestEveryFlagIsRead:
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        (tmp_path / "noise.txt").write_text("eps01 0.02\neps10 0.03\n")
+        assert run_cli("factorize", "--kind", "pf", "--p", "2", "--alpha", "0.5",
+                       "--out", str(tmp_path / "gammas.txt")) == 0
+        return tmp_path
+
+    @pytest.mark.parametrize("command", BASES)
+    def test_base_command_runs(self, inputs, command, capsys):
+        assert exit_code(*[a.format(tmp=inputs) for a in BASES[command]]) == 0
+
+    @pytest.mark.parametrize("command,flag", UNREAD,
+                             ids=[f"{c}{' '.join(('',) + f)}" for c, f in UNREAD])
+    def test_unread_flag_exits_2(self, inputs, command, flag, capsys):
+        argv = [a.format(tmp=inputs) for a in BASES[command] + flag]
+        assert exit_code(*argv) == 2

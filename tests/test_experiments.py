@@ -5,7 +5,14 @@ import pytest
 from scipy.linalg import expm
 
 from parasim.algebra import ParaSpec, build_fock_ops
-from parasim.engine import EmptyShotSetError, NoiseModel, ShotSet, postselect
+from parasim.engine import (
+    EmptyShotSetError,
+    NoiseModel,
+    ShotSet,
+    histogram,
+    postselect,
+    spam_correct,
+)
 from parasim.experiments import (
     SOURCE_EXACT,
     SOURCE_POST,
@@ -187,11 +194,14 @@ class TestOnePipeline:
         assert stats.mean_n2 == pytest.approx(mean2, rel=1e-12)
 
     # stderr_mean and retained_fraction of each series of SHOTS, as the
-    # per-series code paths that the pipeline replaced computed them
+    # per-series code paths that the pipeline replaced computed them, except
+    # post-spam-first: its retained fraction is the one-hot share of the raw
+    # counts, as in the other post-selected series, and its standard error
+    # scales with that share
     PINNED = {
         "raw": (0.024503061033266844, 1.0),
         "spam": (0.03221072591851248, 1.0),
-        "post-spam-first": (0.022001913192126184, 1.0133168724279837),
+        "post-spam-first": (0.023609769536005666, 0.88),
         "post-postselect-first": (0.03381559064031966, 0.88),
         "post-only": (0.023589033986531345, 0.88),
     }
@@ -218,6 +228,16 @@ class TestOnePipeline:
         want = reference_bootstrap(shots, "mean_n", 200, 5, SOURCE_POST, None,
                                    "spam-first")
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("order", ["spam-first", "postselect-first"])
+    def test_retained_fraction_is_the_raw_one_hot_share(self, order):
+        # readout inversion can move more than all the weight onto one-hot
+        # outcomes; the share of shots kept is still that of the raw counts
+        spam = NoiseModel(eps01=0.02, eps10=0.03)
+        shots = ShotSet({"100": 950, "000": 20, "110": 30}, 1000, seed=0)
+        assert spam_correct(histogram(shots) / 1000, spam)[[1, 2, 4]].sum() > 1
+        stats = number_stats(shots, 3, SOURCE_POST, spam, order)
+        assert stats.retained_fraction == pytest.approx(0.95, rel=1e-12)
 
     def test_post_selection_keeps_the_retained_fraction(self):
         stats = number_stats(self.SHOTS, 3, SOURCE_POST)

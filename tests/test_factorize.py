@@ -19,7 +19,6 @@ from parasim.factorize import (
     restricted_generators,
     restricted_target,
     solve_displacement,
-    target_coefficients,
 )
 from parasim.mapping import (
     build_xy_hamiltonian,
@@ -54,6 +53,12 @@ def assert_factors(target, tol=1e-10):
     assert gv.residual <= tol and gv.converged
     assert all(-np.pi / 2 < g <= np.pi / 2 for g in gv.gammas)
     return gv
+
+
+def target_coefficients(spec, alpha):
+    """Per-bond weights c(m) of the displacement target: twice the XX
+    coefficient of bond m in build_xy_hamiltonian(spec, alpha)."""
+    return [2 * term.coeff for term in build_xy_hamiltonian(spec, alpha).terms[::2]]
 
 
 class TestTargetCoefficients:

@@ -14,7 +14,6 @@ from parasim.mapping import (
     commutator_table,
     encode_fock,
     generator_family,
-    number_operator_pauli,
     onehot_block,
     onehot_index,
     pauli_sum_to_matrix,
@@ -22,6 +21,14 @@ from parasim.mapping import (
 )
 
 from reference_tables import FIVE_QUBIT_TABLE
+
+
+def number_words(q):
+    """The diagonal number observable sum_m m/2 (1 - Z_m) as Pauli words,
+    with a flipped qubit reading 1."""
+    terms = [PauliString(sum(m / 2 for m in range(q)), "I" * q)]
+    terms += [PauliString(-m / 2, "I" * m + "Z" + "I" * (q - m - 1)) for m in range(1, q)]
+    return PauliSum(tuple(terms))
 
 
 class TestEncodeFock:
@@ -174,7 +181,7 @@ class TestOnehotRestriction:
     def test_onehot_block_matches_dense_restriction(self, q):
         sums = list(generator_family(q).generators)
         sums += [build_xy_hamiltonian(ParaSpec("pb", 3, np=q - 1), 0.7),
-                 number_operator_pauli(q)]
+                 number_words(q)]
         for h in sums:
             assert np.array_equal(onehot_block(h), restrict_to_onehot(pauli_sum_to_matrix(h), q))
 
@@ -192,7 +199,7 @@ class TestOnehotRestriction:
 
     def test_number_operator_restricts_to_level_index(self):
         for q in (2, 3, 5):
-            mat = pauli_sum_to_matrix(number_operator_pauli(q))
+            mat = pauli_sum_to_matrix(number_words(q))
             block = restrict_to_onehot(mat, q)
             assert np.allclose(block, np.diag(np.arange(q)), atol=1e-12)
 
