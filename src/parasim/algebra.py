@@ -152,7 +152,10 @@ def expm_i_hermitian(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
 
 def restricted_target(spec: ParaSpec, alpha: float) -> np.ndarray:
     """exp(i alpha (a + adag)) as a dense dim x dim unitary: the one-hot block
-    a displacement factorization must reproduce."""
+    a displacement factorization must reproduce; at alpha = 0 exactly 1,
+    free of the eigh round-off that would leave entries of order 1e-17."""
+    if alpha == 0:
+        return np.eye(spec.dim, dtype=complex)
     ops = build_fock_ops(spec)
     return expm_i_hermitian(ops.a + ops.adag, alpha)
 

@@ -183,38 +183,33 @@ def _is_zero_angle(g: Gate, tol: float = 1e-12) -> bool:
 
 def optimize_cancel(circuit: Circuit) -> Circuit:
     """Merge same-axis same-qubit rotations (summing angles) and drop
-    zero-angle gates (mod 2 pi, valid up to global phase), iterated
-    to a fixed point.  A merge partner may sit behind gates with disjoint
-    support, which commute trivially, so conjugation scaffolding around
-    zero-angle centers telescopes away completely."""
-    gates = list(circuit.gates)
-    changed = True
-    while changed:
-        changed = False
-        out: list[Gate] = []
-        for g in gates:
-            if _is_zero_angle(g):
-                changed = True
-                continue
-            support = set(g.qubits)
-            partner = None
-            for k in range(len(out) - 1, -1, -1):
-                prev = out[k]
-                if _same_axis(prev, g):
-                    partner = k
-                    break
-                if support & set(prev.qubits):
-                    break
-            if partner is not None:
-                prev = out.pop(partner)
-                changed = True
-                merged = Gate(g.kind, prev.qubits, prev.angle + g.angle)
-                if not _is_zero_angle(merged):
-                    out.insert(partner, merged)
-                continue
-            out.append(g)
-        gates = out
-    return Circuit(circuit.num_qubits, gates)
+    zero-angle gates (mod 2 pi, valid up to global phase).  A merge partner
+    may sit behind gates with disjoint support, which commute trivially, so
+    conjugation scaffolding around zero-angle centers telescopes away
+    completely.  One pass reaches the fixed point: every gate kept after a
+    partner shares no qubit with it, so removing or replacing the partner
+    opens no new merge."""
+    out: list[Gate] = []
+    for g in circuit.gates:
+        if _is_zero_angle(g):
+            continue
+        support = set(g.qubits)
+        partner = None
+        for k in range(len(out) - 1, -1, -1):
+            prev = out[k]
+            if _same_axis(prev, g):
+                partner = k
+                break
+            if support & set(prev.qubits):
+                break
+        if partner is not None:
+            prev = out.pop(partner)
+            merged = Gate(g.kind, prev.qubits, prev.angle + g.angle)
+            if not _is_zero_angle(merged):
+                out.insert(partner, merged)
+            continue
+        out.append(g)
+    return Circuit(circuit.num_qubits, out)
 
 
 def gate_counts(circuit: Circuit) -> dict:

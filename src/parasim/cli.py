@@ -192,7 +192,7 @@ def cmd_simulate(args) -> int:
     # the studies' estimators in their default order; the CSV has no Mandel
     # error column, so no bootstrap
     stats = {SOURCE_EXACT: exact_number_stats(spec, args.alpha),
-             **shot_sources(raw, spec.num_qubits, noise, args.spam_correct,
+             **shot_sources(raw, spec.num_qubits, noise if args.spam_correct else None,
                             args.postselect, resamples=0)}
     point = SeriesPoint(x=args.alpha, stats=stats)
     csv = series_to_csv([point], "simulate", args.shots, args.seed,
@@ -211,18 +211,20 @@ def _study_series(points, value: str):
     for point in points:
         for label, stats in point.stats.items():
             y = getattr(stats, value)
-            if y is None:
+            if np.isnan(y):
                 continue
             xs, ys, errs = series.setdefault(label, ([], [], []))
             xs.append(point.x)
             ys.append(y)
             err = stats.mandel_stderr if value == "mandel_q" else stats.stderr_mean
-            errs.append(0.0 if err is None or not np.isfinite(err) else err)
+            errs.append(0.0 if np.isnan(err) else err)  # a zero error draws no bar
     return {k: tuple(v) for k, v in series.items()}
 
 
 def _shot_options(args) -> dict:
     """Keyword arguments of a study that takes shots."""
+    if args.shots < 0:
+        raise ConfigError(f"--shots must be nonnegative, not {args.shots}")
     return dict(shots=args.shots, seed=args.seed,
                 noise=read_noise_file(args.noise) if args.noise else None,
                 spam=args.spam_correct, postselect_flag=args.postselect,
@@ -235,10 +237,10 @@ def study_pf_evolution(args):
         raise ConfigError("pf-evolution takes a single order p")
     if not np.isfinite(args.g) or args.g == 0:
         raise ConfigError(f"--g must be finite and nonzero, not {args.g!r}")
-    if args.times:
-        times = parse_float_list(args.times)
-    else:
-        times = list(np.linspace(0.0, np.pi, 25) / args.g)
+    times = (parse_float_list(args.times) if args.times is not None
+             else list(np.linspace(0.0, np.pi, 25) / args.g))
+    if not times:
+        raise ConfigError(f"--times {args.times!r} lists no time")
     points = run_pf_evolution(p_values[0], args.g, times, **_shot_options(args))
     return points, "mean_n", "g t"
 
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(subparsers, name, help, parents=(), **defaults):
         cmd = subparsers.add_parser(name, help=help, parents=list(parents),
                                     allow_abbrev=False)
-        cmd.set_defaults(**defaults)
+        cmd.set_defaults(parser=cmd, **defaults)  # the innermost command's wins
         return cmd
 
     def add_spec(p, p_as_range=False):
@@ -367,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # reported with the usage of the command that did not read them
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.run(args)
     except (FactorizationError, EmptyShotSetError) as exc:

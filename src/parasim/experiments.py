@@ -44,7 +44,7 @@ SOURCE_POST = "shots_postselected"
 class NumberStats:
     mean_n: float
     mean_n2: float
-    mandel_q: float | None
+    mandel_q: float  # NaN where undefined, as are the errors
     stderr_mean: float
     mandel_stderr: float = float("nan")
     retained_fraction: float = 1.0
@@ -70,11 +70,6 @@ def _mandel(mean, mean2):
     mean = np.asarray(mean, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(mean > _MEAN_FLOOR, (mean2 - mean * mean) / mean - 1.0, np.nan)
-
-
-def _mandel_from_moments(mean: float, mean2: float) -> float | None:
-    value = float(_mandel(mean, mean2))
-    return None if np.isnan(value) else value
 
 
 def _level_sums(num_qubits: int):
@@ -151,27 +146,27 @@ def number_stats(shots: ShotSet, num_qubits: int, source: str = SOURCE_RAW,
                / (1.0 - spam.eps01 - spam.eps10) ** 2)
     else:
         var = max(float(weights @ (level - mean) ** 2), 0.0)
-    return NumberStats(mean_n=mean, mean_n2=mean2, mandel_q=_mandel_from_moments(mean, mean2),
+    return NumberStats(mean_n=mean, mean_n2=mean2, mandel_q=float(_mandel(mean, mean2)),
                        stderr_mean=float(np.sqrt(var / max(kept * shots.shots, 1.0))),
                        retained_fraction=shots.retained_fraction * kept)
 
 
 def exact_number_stats(spec: ParaSpec, alpha: float) -> NumberStats:
-    """Moments of the dense displaced vacuum; the reference for every study."""
+    """Moments of the dense displaced vacuum, with no error: every study's reference."""
     probs = np.abs(displaced_vacuum_exact(spec, alpha)) ** 2
     levels = np.arange(spec.dim, dtype=float)
     mean = float(probs @ levels)
     mean2 = float(probs @ levels ** 2)
     return NumberStats(mean_n=mean, mean_n2=mean2,
-                       mandel_q=_mandel_from_moments(mean, mean2),
-                       stderr_mean=0.0)
+                       mandel_q=float(_mandel(mean, mean2)),
+                       stderr_mean=0.0, mandel_stderr=0.0)
 
 
 def mandel_q(stats: NumberStats) -> float:
     """(variance - mean)/mean of the number distribution; sign separates
     sub- from super-Poissonian statistics.  Undefined at zero mean."""
-    value = _mandel_from_moments(stats.mean_n, stats.mean_n2)
-    if value is None:
+    value = float(_mandel(stats.mean_n, stats.mean_n2))
+    if np.isnan(value):
         raise ValueError("Mandel Q is undefined at <N> = 0")
     return value
 
@@ -183,7 +178,7 @@ def uncertainty(shotset: ShotSet, statistic: str, resamples: int = 500,
     `source` (see number_stats).  One seeded multinomial call draws every
     resampled histogram, and the matrix of draws goes through the same
     estimator as the point value; resamples where the statistic is
-    undefined are dropped."""
+    undefined are dropped, and NaN is returned when fewer than 2 remain."""
     if shotset.shots < 2:
         raise ValueError("bootstrap needs at least 2 shots")
     if resamples < 2:
@@ -201,30 +196,26 @@ def uncertainty(shotset: ShotSet, statistic: str, resamples: int = 500,
     mean = weights @ level
     values = mean if statistic == "mean_n" else _mandel(mean, weights @ level2)
     values = values[np.isfinite(values)]
-    if values.size < 2:
-        raise ValueError("bootstrap produced fewer than 2 valid resamples")
-    return float(np.std(values, ddof=1))
+    return float(np.std(values, ddof=1)) if values.size >= 2 else float("nan")
 
 
-def shot_sources(raw: ShotSet, num_qubits: int, noise: NoiseModel | None = None,
-                 spam: bool = False, postselect_flag: bool = False,
-                 mitigation_order: str = "spam-first", resamples: int = 200) -> dict:
-    """The raw series of one point's shots, plus the readout-corrected and
-    the post-selected series when asked (see mitigation_steps).  Each
-    defined Mandel Q carries the bootstrap spread of its own estimator,
-    seeded with the shot set's seed; resamples=0 skips the bootstrap."""
+def shot_sources(raw: ShotSet, num_qubits: int, spam: NoiseModel | None = None,
+                 postselect_flag: bool = False, mitigation_order: str = "spam-first",
+                 resamples: int = 200) -> dict:
+    """The raw series of one point's shots, plus the series corrected for
+    the readout confusion of `spam` when it is given and the post-selected
+    series when asked (see mitigation_steps).  Each defined Mandel Q carries
+    the bootstrap spread of its own estimator, seeded with the shot set's
+    seed; resamples=0 skips the bootstrap."""
     if postselect_flag and postselect(raw).shots == 0:
         raise EmptyShotSetError("post-selection discarded every shot")
-    spam_noise = noise if spam else None
     out = {}
-    for label in [SOURCE_RAW] + [SOURCE_SPAM] * spam + [SOURCE_POST] * postselect_flag:
-        stats = number_stats(raw, num_qubits, label, spam_noise, mitigation_order)
-        if resamples and raw.shots >= 2 and stats.mandel_q is not None:
-            try:
-                stats = replace(stats, mandel_stderr=uncertainty(
-                    raw, "mandel_q", resamples, raw.seed, label, spam_noise, mitigation_order))
-            except ValueError:  # too few resamples with a defined Q: no error bar
-                pass
+    labels = [SOURCE_RAW] + [SOURCE_SPAM] * (spam is not None) + [SOURCE_POST] * postselect_flag
+    for label in labels:
+        stats = number_stats(raw, num_qubits, label, spam, mitigation_order)
+        if resamples and raw.shots >= 2 and not np.isnan(stats.mandel_q):
+            stats = replace(stats, mandel_stderr=uncertainty(
+                raw, "mandel_q", resamples, raw.seed, label, spam, mitigation_order))
         out[label] = stats
     return out
 
@@ -262,7 +253,7 @@ def run_pf_evolution(p: int, g: float, times, shots: int = 5000,
         stats = {SOURCE_EXACT: exact_number_stats(spec, alpha)}
         if shots > 0:
             raw = run_and_sample(circuit, shots, noise, point_seed)
-            stats.update(shot_sources(raw, spec.num_qubits, noise, spam,
+            stats.update(shot_sources(raw, spec.num_qubits, noise if spam else None,
                                       postselect_flag, mitigation_order))
         points.append(SeriesPoint(x=float(g * t), stats=stats))
     return points
@@ -286,7 +277,7 @@ def run_pb_mandel_sweep(alpha: float, p_values, np_cutoff: int,
         if shots > 0:
             circuit = _study_circuit(spec, alpha, optimize=True)
             raw = run_and_sample(circuit, shots, noise, point_seed)
-            stats.update(shot_sources(raw, spec.num_qubits, noise, spam,
+            stats.update(shot_sources(raw, spec.num_qubits, noise if spam else None,
                                       postselect_flag, mitigation_order))
         points.append(SeriesPoint(x=float(p), stats=stats))
     return points
@@ -318,23 +309,25 @@ CSV_COLUMNS = ("study", "x", "source", "mean_n", "mean_n2", "mandel_q",
                "stderr", "retained_fraction", "shots", "seed")
 
 
+def _field(value: float) -> str:
+    return "" if np.isnan(value) else f"{value:.17g}"
+
+
 def series_to_csv(points, study: str, shots: int, seed: int,
                   provenance=()) -> str:
     """Deterministic CSV (rows sorted by x then source) with provenance
-    comment lines, so identical invocations yield identical bytes."""
+    comment lines, so identical invocations yield identical bytes.  stderr is
+    Mandel Q's error in pb-mandel, else <N>'s; undefined values are empty."""
     lines = [f"# {line}" for line in provenance]
     lines.append(",".join(CSV_COLUMNS))
     rows = []
     for point in points:
         for label in sorted(point.stats):
             s = point.stats[label]
-            mandel = "" if s.mandel_q is None else f"{s.mandel_q:.17g}"
-            stderr = s.stderr_mean
-            if study == "pb-mandel" and not np.isnan(s.mandel_stderr):
-                stderr = s.mandel_stderr
+            stderr = s.mandel_stderr if study == "pb-mandel" else s.stderr_mean
             rows.append((point.x, label,
                          f"{study},{point.x:.17g},{label},{s.mean_n:.17g},"
-                         f"{s.mean_n2:.17g},{mandel},{stderr:.17g},"
+                         f"{s.mean_n2:.17g},{_field(s.mandel_q)},{_field(stderr)},"
                          f"{s.retained_fraction:.17g},{shots},{seed}"))
     rows.sort(key=lambda r: (r[0], r[1]))
     lines.extend(r[2] for r in rows)

@@ -37,8 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import ParaSpec, expm_i_hermitian, restricted_target
-from .mapping import GeneratorBasis, generator_family, onehot_block, pauli_sum_to_matrix
+from .algebra import ParaSpec, restricted_target
+from .mapping import (MAX_DENSE_QUBITS, GeneratorBasis, apply_pauli, generator_family,
+                      onehot_block)
 
 
 class FactorizationError(RuntimeError):
@@ -124,8 +125,10 @@ def factor_onehot(target: np.ndarray, basis: GeneratorBasis,
 
 def product_unitary(gammas, basis: GeneratorBasis, space: str = "onehot") -> np.ndarray:
     """Ordered product prod_j exp(i gamma_j G_j) on the one-hot block or the
-    full register (leftmost factor applied last), by dense eigendecomposition:
-    the reference the closed-form solve is checked against."""
+    full register (leftmost factor applied last), the reference the Givens
+    solve is checked against.  G_j has eigenvalues {-2, 0, 2} on both, so a
+    factor is 1 + i sin(2 gamma)/2 G + (cos(2 gamma) - 1)/4 G^2; on the full
+    register G acts on the partial product word by word (apply_pauli)."""
     gam = np.asarray(gammas.gammas if isinstance(gammas, GammaVector) else gammas,
                      dtype=float)
     if len(gam) != len(basis):
@@ -134,20 +137,18 @@ def product_unitary(gammas, basis: GeneratorBasis, space: str = "onehot") -> np.
         raise ValueError(f"unknown space {space!r}")
     q = basis.num_qubits
     if space == "onehot":
-        mats = restricted_generators(basis)
+        actions = [lambda m, b=b: b @ m for b in restricted_generators(basis)]
         out = np.eye(q, dtype=complex)
     else:
-        mats = [pauli_sum_to_matrix(g) for g in basis.generators]
+        if q > MAX_DENSE_QUBITS:
+            raise ValueError(f"refusing dense matrix for {q} > {MAX_DENSE_QUBITS} qubits")
+        actions = [lambda m, h=h: sum(apply_pauli(m, t.letters, scale=t.coeff) for t in h.terms)
+                   for h in basis.generators]
         out = np.eye(2 ** q, dtype=complex)
-    for g, m in zip(gam, mats):
-        out = out @ expm_i_hermitian(m, g)
+    for g, act in zip(gam[::-1], actions[::-1]):
+        once = act(out)
+        out = out + 1j * np.sin(2 * g) / 2 * once + (np.cos(2 * g) - 1) / 4 * act(once)
     return out
-
-
-def _target(spec: ParaSpec, alpha: float) -> np.ndarray:
-    # exp(0) is exactly 1; the eigh round-off in restricted_target would
-    # leave gammas of order 1e-17 instead of zeros
-    return restricted_target(spec, alpha) if alpha else np.eye(spec.dim)
 
 
 def full_space_residual(gammas, basis: GeneratorBasis, spec: ParaSpec,
@@ -159,7 +160,7 @@ def full_space_residual(gammas, basis: GeneratorBasis, spec: ParaSpec,
     because 2^(Q+1) - 2 Re det(I + t^T u) loses all below 1e-7 at Q = 7."""
     if len(gammas) != len(basis):
         raise ValueError("gamma count does not match the basis")
-    target = _gauge(_target(spec, alpha)).real
+    target = _gauge(restricted_target(spec, alpha)).real
     phases = np.angle(np.linalg.eigvals(target.T @ _givens_product(gammas, basis)))
     subset_sums = np.zeros(1)
     for phi in phases:
@@ -176,7 +177,7 @@ def solve_displacement(spec: ParaSpec, alpha: float, tol: float = 1e-9,
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
     basis = generator_family(spec.num_qubits)
-    gv = factor_onehot(_target(spec, alpha), basis, tol)
+    gv = factor_onehot(restricted_target(spec, alpha), basis, tol)
     return replace(gv, residual_full=full_space_residual(gv.gammas, basis, spec, alpha))
 
 

@@ -165,13 +165,33 @@ class TestOptimizeCancel:
         assert len(slim) <= len(raw)
         assert phase_distance(circuit_unitary(slim), circuit_unitary(raw)) <= 1e-12
 
-    def test_idempotent(self):
-        spec = ParaSpec("pf", 2)
-        basis = generator_family(3)
-        gv = solve_displacement(spec, 0.8)
-        once = optimize_cancel(compile_displacement(gv, basis, optimize=False))
-        twice = optimize_cancel(once)
-        assert twice.gates == once.gates
+    @pytest.mark.parametrize("q", range(2, 10))
+    def test_idempotent(self, q):
+        """One pass reaches the fixed point: on the compiled templates of
+        width q and on a seeded batch of random 1-3 qubit gate lists whose
+        angles merge to zero, quarter and full turns."""
+        basis = generator_family(q)
+        specs = [ParaSpec("pb", 2, np=q - 1)] + ([ParaSpec("pf", q - 1)] if q % 2 else [])
+        circuits = [compile_displacement(solve_displacement(spec, 0.8), basis, optimize=False)
+                    for spec in specs]
+        rng = np.random.default_rng(q)
+        angles = (np.pi / 2, -np.pi / 2, np.pi, 0.3, -0.3, 2 * np.pi, 0.0)
+        for _ in range(200):
+            width = int(rng.integers(1, 4))
+            gates = []
+            for _ in range(int(rng.integers(1, 16))):
+                angle = angles[rng.integers(len(angles))]
+                kind = int(rng.integers(4 if width > 1 else 3))
+                if kind == 3:
+                    a, b = rng.choice(width, 2, replace=False)
+                    gates.append(xx(angle, int(a), int(b)))
+                else:
+                    gates.append((rx, ry, rz)[kind](angle, int(rng.integers(width))))
+            circuits.append(Circuit(width, gates))
+        for circuit in circuits:
+            once = optimize_cancel(circuit)
+            twice = optimize_cancel(once)
+            assert twice.gates == once.gates
 
 
 class TestCircuitUnitary:

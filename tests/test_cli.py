@@ -326,6 +326,10 @@ class TestStudy:
         ("study", "pb-mandel", "--alpha", "inf", "--np", "2", "--p", "1", "--shots", "10"),
         ("study", "cutoff", "--alpha", "nan", "--p", "1", "--np-range", "1..2"),
         ("study", "cutoff", "--alpha=-0.3", "--p", "1..2", "--np-range", "1..2"),
+        ("study", "pf-evolution", "--p", "2", "--shots", "-5", "--times", "0.1"),
+        ("study", "pb-mandel", "--alpha", "0.3", "--np", "2", "--p", "1", "--shots", "-1"),
+        ("study", "pf-evolution", "--p", "2", "--times", ",", "--shots", "10"),
+        ("factorize", "--kind", "pf", "--p", "2", "--np", "0", "--alpha", "0.1"),
     ])
     def test_invalid_configs_exit_2(self, argv):
         assert run_cli(*argv) == 2
@@ -343,6 +347,43 @@ class TestStudy:
             run_cli("study", "cutoff", "--alpha", "0.3", "--p", "1", "--np", "2")
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --np 2" in capsys.readouterr().err
+
+    def test_unknown_study_flag_prints_the_study_usage(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("study", "cutoff", "--np-r", "1..2")
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: parasim study cutoff ")
+        assert "unrecognized arguments: --np-r 1..2" in err
+
+    def test_empty_times_write_no_artifact(self, tmp_path, capsys):
+        out, svg = tmp_path / "pf.csv", tmp_path / "pf.svg"
+        assert run_cli("study", "pf-evolution", "--p", "2", "--times", ",", "--shots", "10",
+                       "--out", str(out), "--svg", str(svg)) == 2
+        assert capsys.readouterr().err == "error: --times ',' lists no time\n"
+        assert not out.exists() and not svg.exists()
+
+    def test_zero_shots_give_exact_rows_only(self, tmp_path):
+        out = tmp_path / "pf.csv"
+        assert run_cli("study", "pf-evolution", "--p", "2", "--times", "0.1",
+                       "--shots", "0", "--out", str(out)) == 0
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert [row["source"] for row in csv.DictReader(lines)] == ["exact"]
+
+    def test_pb_mandel_stderr_is_mandel_q_error_or_empty(self, tmp_path):
+        # readout inversion drives the corrected <N> below zero, where Mandel
+        # Q is undefined: its stderr is empty, not the error of <N>
+        noise = tmp_path / "n.txt"
+        noise.write_text("eps01 0.05\neps10 0.05\n")
+        out = tmp_path / "pb.csv"
+        assert run_cli("study", "pb-mandel", "--alpha", "0", "--np", "2", "--p", "1",
+                       "--shots", "2000", "--seed", "1", "--noise", str(noise),
+                       "--spam-correct", "--out", str(out)) == 0
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        rows = {row["source"]: row for row in csv.DictReader(lines)}
+        assert rows["shots_spam"]["mandel_q"] == "" and rows["shots_spam"]["stderr"] == ""
+        assert rows["exact"]["mandel_q"] == "" and rows["exact"]["stderr"] == "0"
+        assert float(rows["shots_raw"]["stderr"]) > 0
 
 
 def exit_code(*argv):

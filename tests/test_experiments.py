@@ -25,6 +25,7 @@ from parasim.experiments import (
     run_pb_mandel_sweep,
     run_pf_evolution,
     series_to_csv,
+    shot_sources,
     uncertainty,
     write_atomic,
 )
@@ -88,7 +89,7 @@ class TestMandelQ:
         stats = number_stats(ShotSet({"100": 100}, 100, seed=0), 3)
         with pytest.raises(ValueError):
             mandel_q(stats)
-        assert stats.mandel_q is None
+        assert np.isnan(stats.mandel_q)
 
 
 class TestUncertainty:
@@ -111,6 +112,10 @@ class TestUncertainty:
         shots = ShotSet({"100": 10, "010": 10}, 20, seed=0)
         with pytest.raises(ValueError):
             uncertainty(shots, "variance")
+
+    def test_no_defined_resample_gives_nan(self):
+        # every resample has <N> = 0, so none defines Mandel Q
+        assert np.isnan(uncertainty(ShotSet({"100": 5}, 5, seed=0), "mandel_q", 50))
 
 
 def reference_weights(counts, source, spam, order):
@@ -245,6 +250,15 @@ class TestOnePipeline:
         assert stats.mean_n == pytest.approx(number_stats(postselect(self.SHOTS), 3).mean_n,
                                              rel=1e-12)
 
+    def test_no_one_hot_weight_left_rejected(self):
+        with pytest.raises(EmptyShotSetError, match="no one-hot weight left"):
+            number_stats(ShotSet({"110": 10}, 10, seed=0), 3, SOURCE_POST)
+
+    def test_shot_sources_reject_a_post_selection_that_keeps_nothing(self):
+        shots = ShotSet({"110": 10, "011": 5}, 15, seed=0)
+        with pytest.raises(EmptyShotSetError, match="discarded every shot"):
+            shot_sources(shots, 3, postselect_flag=True)
+
     def test_unknown_series_or_order_rejected(self):
         with pytest.raises(ValueError):
             number_stats(self.SHOTS, 3, "shots_other")
@@ -313,7 +327,7 @@ class TestPbMandelSweep:
     def test_zero_alpha_leaves_mandel_undefined(self):
         points = run_pb_mandel_sweep(0.0, [1, 2], 2, shots=0)
         for point in points:
-            assert point.stats[SOURCE_EXACT].mandel_q is None
+            assert np.isnan(point.stats[SOURCE_EXACT].mandel_q)
 
     def test_sampled_mandel_close_to_exact(self):
         points = run_pb_mandel_sweep(0.3, [4], 2, shots=5000, seed=11)

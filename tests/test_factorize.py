@@ -206,9 +206,8 @@ def sparse_generators(q):
 def full_product(gammas, basis):
     """prod_j exp(i gamma_j G_j) on the full register.  Every G_j has
     eigenvalues in {-2, 0, 2}, so exp(i g G) = 1 + i sin(2g)/2 G +
-    (cos(2g) - 1)/4 G^2, a sparse factor; product_unitary(..., "full")
-    gives the same matrix by dense eigendecomposition, but takes seconds
-    per product at Q = 9."""
+    (cos(2g) - 1)/4 G^2, a sparse factor built here from the dense Pauli
+    matrices, independently of product_unitary's word-by-word action."""
     dim = 2 ** basis.num_qubits
     one = sparse.identity(dim, format="csr")
     out = np.eye(dim, dtype=complex)
@@ -228,7 +227,7 @@ class TestFullSpaceResidual:
     of t^T u) against its dense definition, the Frobenius norm of the
     full-register product minus scipy's expm of the 2^Q x 2^Q XY matrix."""
 
-    @pytest.mark.parametrize("q", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("q", [3, 4, 5, 6, 7, 8, 9])
     def test_oracle_product_is_product_unitary(self, q):
         basis = generator_family(q)
         gammas = np.random.default_rng(q).uniform(-np.pi, np.pi, len(basis))
