@@ -182,9 +182,7 @@ def cmd_compile(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec = _spec(args.kind, args.p, args.np)
-    noise = read_noise_file(args.noise) if args.noise else None
-    if args.spam_correct and noise is None:
-        raise ConfigError("--spam-correct requires --noise")
+    noise, spam = _readout(args)
     gv = solve_displacement(spec, args.alpha)
     basis = generator_family(spec.num_qubits)
     circuit = compile_displacement(gv, basis, optimize=True)
@@ -192,8 +190,7 @@ def cmd_simulate(args) -> int:
     # the studies' estimators in their default order; the CSV has no Mandel
     # error column, so no bootstrap
     stats = {SOURCE_EXACT: exact_number_stats(spec, args.alpha),
-             **shot_sources(raw, spec.num_qubits, noise if args.spam_correct else None,
-                            args.postselect, resamples=0)}
+             **shot_sources(raw, spec.num_qubits, spam, args.postselect, resamples=0)}
     point = SeriesPoint(x=args.alpha, stats=stats)
     csv = series_to_csv([point], "simulate", args.shots, args.seed,
                         _provenance(sys.argv[1:], args.seed))
@@ -221,14 +218,20 @@ def _study_series(points, value: str):
     return {k: tuple(v) for k, v in series.items()}
 
 
+def _readout(args):
+    noise = read_noise_file(args.noise) if args.noise else None
+    if args.spam_correct and noise is None:
+        raise ConfigError("--spam-correct requires --noise")
+    return noise, noise if args.spam_correct else None
+
+
 def _shot_options(args) -> dict:
     """Keyword arguments of a study that takes shots."""
     if args.shots < 0:
         raise ConfigError(f"--shots must be nonnegative, not {args.shots}")
-    return dict(shots=args.shots, seed=args.seed,
-                noise=read_noise_file(args.noise) if args.noise else None,
-                spam=args.spam_correct, postselect_flag=args.postselect,
-                mitigation_order=args.mitigation_order)
+    noise, spam = _readout(args)
+    return dict(shots=args.shots, seed=args.seed, noise=noise, spam=spam,
+                postselect_flag=args.postselect, mitigation_order=args.mitigation_order)
 
 
 def study_pf_evolution(args):

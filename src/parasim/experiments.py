@@ -155,11 +155,10 @@ def exact_number_stats(spec: ParaSpec, alpha: float) -> NumberStats:
     """Moments of the dense displaced vacuum, with no error: every study's reference."""
     probs = np.abs(displaced_vacuum_exact(spec, alpha)) ** 2
     levels = np.arange(spec.dim, dtype=float)
-    mean = float(probs @ levels)
-    mean2 = float(probs @ levels ** 2)
-    return NumberStats(mean_n=mean, mean_n2=mean2,
-                       mandel_q=float(_mandel(mean, mean2)),
-                       stderr_mean=0.0, mandel_stderr=0.0)
+    mean, mean2 = float(probs @ levels), float(probs @ levels ** 2)
+    q = float(_mandel(mean, mean2))
+    return NumberStats(mean_n=mean, mean_n2=mean2, mandel_q=q, stderr_mean=0.0,
+                       mandel_stderr=0.0 if np.isfinite(q) else float("nan"))
 
 
 def mandel_q(stats: NumberStats) -> float:
@@ -227,14 +226,15 @@ def _study_circuit(spec: ParaSpec, alpha: float, optimize: bool) -> Circuit:
 
 def run_pf_evolution(p: int, g: float, times, shots: int = 5000,
                      noise: NoiseModel | None = None, seed: int = 0,
-                     spam: bool = False, postselect_flag: bool = False,
+                     spam: NoiseModel | None = None, postselect_flag: bool = False,
                      mitigation_order: str = "spam-first") -> list[SeriesPoint]:
     """Driven para-Fermi number evolution: one point per time, x = g t.
 
     Circuits are compiled from the same fixed template, without the
     cancellation pass, so the gate counts are identical at every evolution
     time (asserted); only the rotation angles change.  Defined Mandel Q
-    values carry a 200-resample bootstrap error.
+    values carry a 200-resample bootstrap error.  `spam` is the readout
+    model to invert, or None.
     """
     spec = ParaSpec(kind="pf", p=p)
     points = []
@@ -253,15 +253,15 @@ def run_pf_evolution(p: int, g: float, times, shots: int = 5000,
         stats = {SOURCE_EXACT: exact_number_stats(spec, alpha)}
         if shots > 0:
             raw = run_and_sample(circuit, shots, noise, point_seed)
-            stats.update(shot_sources(raw, spec.num_qubits, noise if spam else None,
-                                      postselect_flag, mitigation_order))
+            stats.update(shot_sources(raw, spec.num_qubits, spam, postselect_flag,
+                                      mitigation_order))
         points.append(SeriesPoint(x=float(g * t), stats=stats))
     return points
 
 
 def run_pb_mandel_sweep(alpha: float, p_values, np_cutoff: int,
                         shots: int = 5000, noise: NoiseModel | None = None,
-                        seed: int = 0, spam: bool = False,
+                        seed: int = 0, spam: NoiseModel | None = None,
                         postselect_flag: bool = False,
                         mitigation_order: str = "spam-first") -> list[SeriesPoint]:
     """Mandel Q of the displaced para-Bose vacuum versus the order p, from
@@ -277,8 +277,8 @@ def run_pb_mandel_sweep(alpha: float, p_values, np_cutoff: int,
         if shots > 0:
             circuit = _study_circuit(spec, alpha, optimize=True)
             raw = run_and_sample(circuit, shots, noise, point_seed)
-            stats.update(shot_sources(raw, spec.num_qubits, noise if spam else None,
-                                      postselect_flag, mitigation_order))
+            stats.update(shot_sources(raw, spec.num_qubits, spam, postselect_flag,
+                                      mitigation_order))
         points.append(SeriesPoint(x=float(p), stats=stats))
     return points
 

@@ -330,6 +330,10 @@ class TestStudy:
         ("study", "pb-mandel", "--alpha", "0.3", "--np", "2", "--p", "1", "--shots", "-1"),
         ("study", "pf-evolution", "--p", "2", "--times", ",", "--shots", "10"),
         ("factorize", "--kind", "pf", "--p", "2", "--np", "0", "--alpha", "0.1"),
+        ("study", "pb-mandel", "--alpha", "0.3", "--np", "2", "--p", "1", "--shots", "10",
+         "--spam-correct"),
+        ("study", "pf-evolution", "--p", "2", "--times", "0.1", "--shots", "10",
+         "--spam-correct"),
     ])
     def test_invalid_configs_exit_2(self, argv):
         assert run_cli(*argv) == 2
@@ -382,7 +386,7 @@ class TestStudy:
         lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         rows = {row["source"]: row for row in csv.DictReader(lines)}
         assert rows["shots_spam"]["mandel_q"] == "" and rows["shots_spam"]["stderr"] == ""
-        assert rows["exact"]["mandel_q"] == "" and rows["exact"]["stderr"] == "0"
+        assert rows["exact"]["mandel_q"] == "" and rows["exact"]["stderr"] == ""
         assert float(rows["shots_raw"]["stderr"]) > 0
 
 

@@ -298,7 +298,7 @@ class TestPfEvolution:
     def test_mitigated_sources_present(self):
         noise = NoiseModel(eps01=0.02, eps10=0.03, p_depol_2q=0.005)
         points = run_pf_evolution(2, 0.02, [20.0], shots=300, seed=5,
-                                  noise=noise, spam=True, postselect_flag=True)
+                                  noise=noise, spam=noise, postselect_flag=True)
         stats = points[0].stats
         assert {SOURCE_EXACT, SOURCE_RAW, SOURCE_SPAM, SOURCE_POST} <= set(stats)
 
