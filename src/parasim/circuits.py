@@ -8,12 +8,17 @@ XX(-2 gamma).  CNOT and CZ exist internally as macros over that set.
 Every native gate is thus a rotation about a Pauli word P, and dense
 execution applies it in closed form, cos(theta/2) psi - i sin(theta/2) P psi,
 with P psi a phase times a reversed strided view of the amplitudes.
+`decompose` reads any gate list as Givens rotations of the Jordan-Wigner
+Majoranas on a Clifford frame, the form in which the engine runs noisy
+trajectories.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -242,6 +247,114 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     for gate in circuit.gates:
         u = apply_gate_batch(u, gate)
     return u
+
+
+# --- Clifford frame and Majorana rotation centres --------------------------
+#
+# Under Jordan-Wigner, c_{2q} = Z_0..Z_{q-1} X_q and c_{2q+1} = Z_0..Z_{q-1} Y_q,
+# so Z_q = -i c_{2q} c_{2q+1}.  A Pauli word is kept as (x, z, r, m): the
+# operator i^r X^x Z^z, with bit q of x and z for qubit q, and m the set of
+# Majoranas whose product it is up to phase (bit a for c_a).
+
+# The 4^k - 1 non-identity Pauli kicks on a gate's k qubits, in the order a
+# uniform draw picks them (base-4 digits 'IXYZ', the gate's first qubit most
+# significant).
+KICK_WORDS = {k: ["".join(w) for w in product("IXYZ", repeat=k)][1:] for k in (1, 2)}
+# each two-qubit kick as a GF(2) sum of the frame images of X and Z on the
+# gate's first and second qubit; a one-qubit gate's qubit sits second, so
+# its kicks are the first three rows
+_KICK_SUMS = np.array([[c in "XY", c in "YZ", d in "XY", d in "YZ"]
+                       for c, d in KICK_WORDS[2]], dtype=np.uint8)
+_PHASE_I = (0, 0, 1, 0)
+_IDENTITY = (0, 0, 0, 0)
+
+
+def _times(p: tuple, q: tuple) -> tuple:
+    """The product p q of two words (x, z, r, m)."""
+    return (p[0] ^ q[0], p[1] ^ q[1], (p[2] + q[2] + 2 * (p[1] & q[0]).bit_count()) % 4,
+            p[3] ^ q[3])
+
+
+def _majorana(a: int) -> tuple:
+    q, y = divmod(a, 2)
+    return (1 << q, (1 << q) - 1 | y << q, y, 1 << a)
+
+
+def _pair(word: tuple, what: str) -> tuple[int, int]:
+    """(a, b) with word = i c_a c_b, or ValueError if it is not quadratic."""
+    m = word[3]
+    if m.bit_count() != 2:
+        raise ValueError(f"circuit is not fermionic-Gaussian: {what} pulls back to a "
+                         f"product of {m.bit_count()} Majoranas, not 2")
+    a, b = (m & -m).bit_length() - 1, m.bit_length() - 1
+    same = _times(_PHASE_I, _times(_majorana(a), _majorana(b)))[2] == word[2]
+    return (a, b) if same else (b, a)
+
+
+class Decomposition(NamedTuple):
+    """A circuit as rotation centres on a Clifford frame (see `decompose`)."""
+
+    gates: np.ndarray    # (n,) gate index of each centre
+    planes: np.ndarray   # (n, 2) its Majorana plane a < b
+    angles: np.ndarray   # (n,) its signed angle theta: the centre is exp(theta/2 c_a c_b)
+    kicks: np.ndarray    # (gates, 15, 2Q) bool Majorana set of each kick word;
+                         # a one-qubit gate's three kicks are its first rows
+    readout: np.ndarray  # (Q, 2) pairs (a, b): Z_k pulls back to i c_a c_b
+
+
+def decompose(circuit: Circuit) -> Decomposition:
+    """The circuit as C prod_k exp(-i delta_k W_k / 2), read from its gate
+    list in one forward tableau pass.
+
+    Each gate angle splits at its nearest multiple of pi/2 into a Clifford
+    part, which joins the frame C, and a centre delta != 0, whose word W is
+    the gate's Pauli pulled back through the frame before it: W = +-i c_a c_b,
+    a Givens rotation of the Majorana covariance.  `kicks[j, w]` is the
+    Majorana set of kick word KICK_WORDS[k][w] of gate j pulled back through
+    the frame after gate j, and `readout[k]` the pulled-back Z_k.  Raises
+    ValueError when a centre or a Z_k does not pull back to a quadratic
+    word, i.e. the circuit is not fermionic linear optics.
+    """
+    q = circuit.num_qubits
+    xs = [(1 << k, 0, 0, (2 << 2 * k) - 1) for k in range(q)]  # images of X_k
+    zs = [(0, 1 << k, 0, 3 << 2 * k) for k in range(q)]        # images of Z_k
+    centres, frames = [], []
+    for j, gate in enumerate(circuit.gates):
+        k = gate.qubits[0]
+        if gate.kind == _XX:
+            word, flipped = _times(xs[k], xs[gate.qubits[1]]), ((zs, k), (zs, gate.qubits[1]))
+        elif gate.kind == _RX:
+            word, flipped = xs[k], ((zs, k),)
+        elif gate.kind == _RZ:
+            word, flipped = zs[k], ((xs, k),)
+        else:
+            word, flipped = _times(_PHASE_I, _times(xs[k], zs[k])), ((xs, k), (zs, k))
+        turns = round(gate.angle / (np.pi / 2))
+        delta = gate.angle - turns * (np.pi / 2)
+        if delta != 0.0:
+            a, b = _pair(word, f"gate {j} ({gate.kind} {' '.join(map(str, gate.qubits))})")
+            centres.append((j, min(a, b), max(a, b), delta if a < b else -delta))
+        # the images of the generators the gate's Pauli P anticommutes with
+        # become -g (half turn) or +-i P g (quarter turn)
+        turns %= 4
+        for images, i in flipped if turns else ():
+            images[i] = _times((0, 0, turns, 0),
+                               images[i] if turns == 2 else _times(word, images[i]))
+        last = gate.qubits[-1]
+        frames += [xs[k], zs[k]] if gate.kind == _XX else [_IDENTITY, _IDENTITY]
+        frames += [xs[last], zs[last]]
+    nbytes = (2 * q + 7) // 8
+    raw = b"".join(w[3].to_bytes(nbytes, "little") for w in frames)
+    sets = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, 4, nbytes),
+                         axis=-1, count=2 * q, bitorder="little")
+    readout = [_pair(zs[k], f"Z on qubit {k}") for k in range(q)]
+    gates, a, b, angles = zip(*centres) if centres else ((), (), (), ())
+    return Decomposition(
+        gates=np.array(gates, dtype=int),
+        planes=np.array([a, b], dtype=int).reshape(2, -1).T,
+        angles=np.array(angles, dtype=float),
+        kicks=(_KICK_SUMS @ sets & 1).astype(bool),
+        readout=np.array(readout, dtype=int).reshape(q, 2))
 
 
 # --- plain-text circuit format ----------------------------------------------

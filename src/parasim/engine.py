@@ -1,4 +1,4 @@
-"""Dense state-vector execution with trajectory noise, seeded shot sampling,
+"""State-vector execution with trajectory noise, seeded shot sampling,
 confusion-matrix SPAM correction and one-hot post-selection.
 
 Shot sets keep bitstring counts, as in their text format; analysis reads
@@ -8,24 +8,26 @@ on the last axis of any (..., 2^Q) array of outcome weights.
 Noise is stochastic (quantum-jump style): preparation bit flips, a uniform
 non-identity Pauli after each gate with the depolarizing probability, and
 classical readout bit flips.  Shots whose preparation and gate coins all
-come up clean are measured on the ideal state; the other trajectories are
-replayed together as the columns of (2^Q, chunk) amplitude blocks, one
-closed-form Pauli rotation per gate, with each Pauli kick applied to the
-columns that drew it through the same strided view of its word.  Every
-shot, ideal or noisy, clean or dirty, is measured by one level rule.
+come up clean share one state, so they are measured on the dense ideal
+state vector, one binary search per shot.  Every compiled circuit is
+fermionic linear optics: `circuits.decompose` reads it as Givens rotations
+of the Jordan-Wigner Majoranas on a Clifford frame.  A Pauli kick passes
+through the frame as a Pauli, so each dirty trajectory is the same
+rotations with some angles negated and some read bits flipped, and is
+measured from its own 2Q x 2Q Majorana covariance, with no 2^Q array.
+Every shot is measured by the inverse CDF of one uniform draw, qubit 0 the
+most significant bit.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .circuits import Circuit, apply_gate_batch
-from .mapping import apply_pauli
+from .circuits import Circuit, Decomposition, apply_gate_batch, decompose
 
 
 class EmptyShotSetError(ValueError):
@@ -148,20 +150,19 @@ def _counts(bits: np.ndarray) -> dict:
 
 
 def _levels(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Measured level of each column of a (2^Q, n) cumulative distribution
-    (or of one broadcast (2^Q, 1) column): the count of entries <= u cdf[-1],
-    as Generator.choice(2^Q, p=...) picks for the same uniform draw u."""
-    return np.minimum((cdf <= u * cdf[-1]).sum(axis=0), cdf.shape[0] - 1)
+    """Measured level of each uniform draw u against a (2^Q,) cumulative
+    distribution: the count of entries <= u cdf[-1], as
+    Generator.choice(2^Q, p=...) picks for the same draw."""
+    return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), cdf.size - 1)
 
 
-def _read_out(levels: np.ndarray, num_qubits: int, noise: NoiseModel | None,
-              meas_u: np.ndarray, seed: int) -> ShotSet:
-    """Shot set of the measured levels, each read bit flipped where its
-    draw in meas_u (shots, Q) falls under its confusion rate."""
-    bits = outcome_bits(num_qubits)[levels]
+def _read_out(bits: np.ndarray, noise: NoiseModel | None, meas_u: np.ndarray,
+              seed: int) -> ShotSet:
+    """Shot set of the measured bits (shots, Q), each flipped where its
+    draw in meas_u falls under its confusion rate."""
     if noise is not None and noise.has_readout_noise:
         bits = bits ^ np.where(bits == 0, meas_u < noise.eps01, meas_u < noise.eps10)
-    return ShotSet(counts=_counts(bits), shots=levels.size, seed=seed)
+    return ShotSet(counts=_counts(bits), shots=len(bits), seed=seed)
 
 
 def sample_shots(state: StateVector, shots: int, noise: NoiseModel | None = None,
@@ -173,48 +174,63 @@ def sample_shots(state: StateVector, shots: int, noise: NoiseModel | None = None
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
-    levels = _levels(np.cumsum(np.abs(state.amps) ** 2)[:, None], rng.random(shots))
-    return _read_out(levels, state.num_qubits, noise,
+    levels = _levels(np.cumsum(np.abs(state.amps) ** 2), rng.random(shots))
+    return _read_out(outcome_bits(state.num_qubits)[levels], noise,
                      rng.random((shots, state.num_qubits)), seed)
 
 
-# Amplitude bytes of one trajectory block: the dirty shots are replayed
-# together in chunks of as many (2^Q,) complex columns as fit.
-_BLOCK_BYTES = 1 << 24
+def _gaussian_shots(dec: Decomposition, init: np.ndarray, shot_ev: np.ndarray,
+                    gate_ev: np.ndarray, word_ev: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Read bits (n, Q) of n trajectories on a fermionic-Gaussian circuit.
 
-
-# The 4^k - 1 non-identity Pauli words on a gate's k qubits, in the order a
-# uniform draw picks them (base-4 digits 'IXYZ', the gate's first qubit most
-# significant).
-_KICKS = {k: ["".join(w) for w in product("IXYZ", repeat=k)][1:] for k in (1, 2)}
-
-
-def _replay(circuit: Circuit, shots: np.ndarray, init: np.ndarray,
-            coins: np.ndarray, pauli_u: np.ndarray) -> np.ndarray:
-    """Final amplitudes of a block of trajectories, column c replaying shot
-    s = shots[c].
-
-    The column starts on basis state init[s]; after gate j, where
-    coins[s, j] is set, it takes the Pauli word that pauli_u[s, j] picks
-    uniformly.
+    Trajectory s starts on basis state init[s] (n, Q) and takes kick word
+    word_ev[e] after gate gate_ev[e] for each event e with shot_ev[e] = s
+    (sorted).  Pushed to the end of the circuit, a kick negates every later
+    centre whose plane its Majorana set meets in one index and flips the
+    read of every qubit whose pulled-back Z it meets in one index.  The
+    Majorana covariance Gamma_ab = i<c_a c_b> of each trajectory then goes
+    through one Givens rotation per centre and is measured qubit by qubit,
+    qubit 0 first, by the inverse CDF of the shot's uniform u.
     """
-    q = circuit.num_qubits
-    amps = np.zeros((2 ** q, shots.size), dtype=complex)
-    amps[init[shots], np.arange(shots.size)] = 1.0
-    hit_gate, hit_col = np.nonzero(coins[shots].T)  # sorted by gate
-    bounds = np.searchsorted(hit_gate, np.arange(len(circuit.gates) + 1))
-    for j, gate in enumerate(circuit.gates):
-        amps = apply_gate_batch(amps, gate)
-        cols = hit_col[bounds[j]:bounds[j + 1]]
-        if cols.size == 0:
-            continue
-        words = _KICKS[len(gate.qubits)]
-        u = pauli_u[shots[cols], j]
-        choice = np.minimum((u * len(words)).astype(int), len(words) - 1)
-        for pick in set(choice.tolist()):
-            hit = cols[choice == pick]
-            amps[:, hit] = apply_pauli(amps[:, hit], words[pick], gate.qubits)
-    return amps
+    n, q = init.shape
+    # relabel the Majoranas so that qubit k reads i c_2k c_2k+1
+    order = dec.readout.ravel()
+    label = np.argsort(order)
+    sets = dec.kicks[gate_ev, word_ev][:, order]         # (events, 2Q)
+    a, b = label[dec.planes.T]
+    hits = (sets[:, a] ^ sets[:, b]) & (dec.gates > gate_ev[:, None])
+    shot, first = np.unique(shot_ev, return_index=True)
+    negated = np.zeros((n, a.size), dtype=bool)
+    negated[shot] = np.bitwise_xor.reduceat(hits, first)
+    total = np.zeros((n, 2 * q), dtype=bool)
+    total[shot] = np.bitwise_xor.reduceat(sets, first)
+    flips = total[:, 0::2] ^ total[:, 1::2]              # (n, Q)
+    # the initial basis state, Gamma = +-1 on each qubit's Majorana pair
+    gamma = np.zeros((2 * q, 2 * q, n))
+    gamma[label[0::2], label[1::2]] = np.where(init.T, 1.0, -1.0)
+    gamma[label[1::2], label[0::2]] = np.where(init.T, -1.0, 1.0)
+    sines = np.where(negated, -1.0, 1.0).T * np.sin(dec.angles)[:, None]
+    for i, j, c, s in zip(a, b, np.cos(dec.angles), sines):
+        for rows in (gamma, gamma.transpose(1, 0, 2)):  # rows, then columns
+            gi, gj = rows[i], rows[j]
+            gi_s = s * gi
+            gi *= c
+            gi += s * gj
+            gj *= c
+            gj -= gi_s
+    bits = np.empty((n, q), dtype=int)
+    for k in range(q):
+        i, rest = 2 * k, slice(2 * k + 2, None)
+        p0 = (1.0 + gamma[i, i + 1]) / 2                 # P(Z_k = +1)
+        p0 = np.where(flips[:, k], 1.0 - p0, p0)
+        bit = u >= p0
+        u = np.where(bit, u - p0, u) / np.where(bit, 1.0 - p0, p0)
+        lam = np.where(bit ^ flips[:, k], -1.0, 1.0)     # the measured i c_2k c_2k+1
+        ga, gb = gamma[i, rest], gamma[i + 1, rest]
+        gamma[rest, rest] += lam / (1.0 + lam * gamma[i, i + 1]) * (
+            gb[:, None] * ga[None] - ga[:, None] * gb[None])
+        bits[:, k] = bit
+    return bits
 
 
 def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None,
@@ -224,9 +240,8 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
     With preparation or gate noise every shot is its own trajectory.  All
     stochastic decisions are drawn up front from one seeded generator, so
     results are reproducible.  Shots whose error coins all come up clean
-    are measured on the ideal state; the others are replayed together, gate
-    by gate, as the columns of (2^Q, chunk) amplitude blocks and measured on
-    their own by the same level rule.
+    are measured on the ideal state; the others are measured on their own
+    Majorana covariances (`_gaussian_shots`) by the same inverse CDF.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -235,26 +250,30 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
     if noise is None or not (noise.has_prep_noise or noise.has_gate_noise):
         return sample_shots(ideal, shots, noise, seed)
 
+    dec = decompose(circuit)
     rng = np.random.default_rng(seed)
-    gate_probs = np.array([noise.p_depol_1q if len(g.qubits) == 1 else noise.p_depol_2q
-                           for g in circuit.gates])
+    width = np.array([len(g.qubits) for g in circuit.gates], dtype=int)
+    gate_probs = np.where(width == 1, noise.p_depol_1q, noise.p_depol_2q)
+    words = 4 ** width - 1  # kick words per gate, circuits.KICK_WORDS
     prep_coins = rng.random((shots, q)) < noise.p_prep_flip
-    gate_coins = rng.random((shots, len(circuit.gates))) < gate_probs
-    pauli_u = rng.random((shots, len(circuit.gates)))
+    shot_ev, gate_ev = np.nonzero(rng.random((shots, len(circuit.gates))) < gate_probs)
+    # each kick's word, picked by the uniform of its shot and gate
+    word_ev = rng.random((shots, len(circuit.gates)))[shot_ev, gate_ev] * words[gate_ev]
+    word_ev = np.minimum(word_ev.astype(int), words[gate_ev] - 1)
     meas_u = rng.random((shots, q))
     shot_u = rng.random(shots)
 
-    init = (prep_coins @ (1 << np.arange(q - 1, -1, -1))) ^ (1 << (q - 1))
-    # every shot is measured on the ideal state first; the dirty ones are
-    # then replayed and measured again on their own trajectories
-    levels = _levels(np.cumsum(np.abs(ideal.amps) ** 2)[:, None], shot_u)
-    dirty = np.flatnonzero(prep_coins.any(axis=1) | gate_coins.any(axis=1))
-    chunk = max(1, _BLOCK_BYTES // (16 << q))
-    for start in range(0, dirty.size, chunk):
-        block = dirty[start:start + chunk]
-        amps = _replay(circuit, block, init, gate_coins, pauli_u)
-        levels[block] = _levels(np.cumsum(np.abs(amps) ** 2, axis=0), shot_u[block])
-    return _read_out(levels, q, noise, meas_u, seed)
+    # every shot reads the ideal state; the dirty ones are then read again
+    # on their own trajectories, from the prepared |10..0> with its flips
+    bits = outcome_bits(q)[_levels(np.cumsum(np.abs(ideal.amps) ** 2), shot_u)]
+    dirty = prep_coins.any(axis=1)
+    dirty[shot_ev] = True
+    rows = np.flatnonzero(dirty)
+    init = prep_coins[rows]
+    init[:, 0] ^= True
+    bits[rows] = _gaussian_shots(dec, init, np.searchsorted(rows, shot_ev), gate_ev,
+                                 word_ev, shot_u[rows])
+    return _read_out(bits, noise, meas_u, seed)
 
 
 def spam_correct(data, noise: NoiseModel):

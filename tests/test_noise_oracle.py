@@ -46,8 +46,6 @@ def embed(ops: dict, num_qubits: int) -> np.ndarray:
 
 def gate_unitary(gate, num_qubits: int) -> np.ndarray:
     """RX/RY/RZ(theta) = exp(-i theta P / 2), XX(chi) = exp(-i chi X.X / 2)."""
-    if gate.kind == "X":
-        return embed({gate.qubits[0]: PAULIS["X"]}, num_qubits)
     if gate.kind == "XX":
         generator = embed(dict.fromkeys(gate.qubits, PAULIS["X"]), num_qubits)
     else:
