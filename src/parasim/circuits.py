@@ -173,11 +173,7 @@ def compile_displacement(gammas, basis: GeneratorBasis, optimize: bool = True) -
 
 
 def _same_axis(a: Gate, b: Gate) -> bool:
-    if a.kind != b.kind:
-        return False
-    if a.kind == _XX:
-        return set(a.qubits) == set(b.qubits)
-    return a.qubits == b.qubits
+    return a.kind == b.kind and set(a.qubits) == set(b.qubits)
 
 
 def _is_zero_angle(g: Gate, tol: float = 1e-12) -> bool:
@@ -194,27 +190,26 @@ def optimize_cancel(circuit: Circuit) -> Circuit:
     completely.  One pass reaches the fixed point: every gate kept after a
     partner shares no qubit with it, so removing or replacing the partner
     opens no new merge."""
-    out: list[Gate] = []
-    for g in circuit.gates:
+    kept: dict[int, Gate] = {}  # input index -> gate, in circuit order
+    stacks: list[list[int]] = [[] for _ in range(circuit.num_qubits)]  # keys per qubit
+    for i, g in enumerate(circuit.gates):
         if _is_zero_angle(g):
             continue
-        support = set(g.qubits)
-        partner = None
-        for k in range(len(out) - 1, -1, -1):
-            prev = out[k]
-            if _same_axis(prev, g):
-                partner = k
-                break
-            if support & set(prev.qubits):
-                break
-        if partner is not None:
-            prev = out.pop(partner)
-            merged = Gate(g.kind, prev.qubits, prev.angle + g.angle)
-            if not _is_zero_angle(merged):
-                out.insert(partner, merged)
+        # the only possible partner: the latest kept gate on any of g's qubits
+        last = max((stacks[q][-1] for q in g.qubits if stacks[q]), default=None)
+        if last is not None and _same_axis(kept[last], g):
+            merged = Gate(g.kind, kept[last].qubits, kept[last].angle + g.angle)
+            if _is_zero_angle(merged):
+                del kept[last]
+                for q in g.qubits:
+                    stacks[q].pop()
+            else:
+                kept[last] = merged
             continue
-        out.append(g)
-    return Circuit(circuit.num_qubits, out)
+        kept[i] = g
+        for q in g.qubits:
+            stacks[q].append(i)
+    return Circuit(circuit.num_qubits, list(kept.values()))
 
 
 def gate_counts(circuit: Circuit) -> dict:

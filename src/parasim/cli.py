@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -49,63 +50,72 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 
-class ConfigError(ValueError):
-    pass
+def parse_int_range(text: str, flag: str) -> list[int]:
+    """'3' -> [3]; '1..5' -> [1, 2, 3, 4, 5] (inclusive); errors name `flag`."""
+    lo, dots, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise ValueError(f"{flag} takes an integer or a range a..b, not {text!r}") from None
+    if hi < lo:
+        raise ValueError(f"{flag} {text!r} is an empty range")
+    return list(range(lo, hi + 1))
 
 
-def parse_int_range(text: str) -> list[int]:
-    """'3' -> [3]; '1..5' -> [1, 2, 3, 4, 5] (inclusive)."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ConfigError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
-
-
-def parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def parse_float_list(text: str, flag: str) -> list[float]:
+    """'0.5,1,2' -> [0.5, 1.0, 2.0], finite numbers only; errors name `flag`."""
+    try:
+        values = [float(x) for x in text.split(",") if x.strip()]
+        if np.all(np.isfinite(values)):
+            return values
+    except ValueError:
+        pass
+    raise ValueError(f"{flag} takes comma-separated finite numbers, not {text!r}")
 
 
 def read_noise_file(path) -> NoiseModel:
-    """Key-value text: p_prep_flip, eps01, eps10, p_depol_1q, p_depol_2q."""
+    """Lines `key value` or `key=value`, each key of NoiseModel at most once;
+    a ValueError names the file."""
+    known = {"p_prep_flip", "eps01", "eps10", "p_depol_1q", "p_depol_2q"}
     values = {}
-    with open(path) as handle:
-        for line in handle:
+    try:
+        for line in Path(path).read_text().splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition(" ")
             if not value:
                 key, _, value = line.partition("=")
-            values[key.strip()] = float(value)
-    known = {"p_prep_flip", "eps01", "eps10", "p_depol_1q", "p_depol_2q"}
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(f"unknown noise keys {sorted(unknown)}")
-    return NoiseModel(**values)
+            key = key.strip()
+            if key not in known:
+                raise ValueError(f"unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"key {key!r} given twice")
+            try:
+                values[key] = float(value)
+            except ValueError:
+                raise ValueError(f"cannot parse {line!r}: want '<key> <number>'") from None
+        return NoiseModel(**values)
+    except ValueError as exc:
+        raise ValueError(f"noise file {path}: {exc}") from None
 
 
 def _spec(kind: str, p: int, np_cutoff: int | None) -> ParaSpec:
     """The spec of --kind/--p/--np; a para-Fermi --np must be p/2."""
     if kind == "pb" and np_cutoff is None:
-        raise ConfigError("--np is required for para-bosons")
-    try:
-        spec = ParaSpec(kind=kind, p=p, np=np_cutoff or 0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError("--np is required for para-bosons")
+    spec = ParaSpec(kind=kind, p=p, np=np_cutoff or 0)
     if np_cutoff not in (None, spec.np):
-        raise ConfigError(f"para-fermion cutoff must be p/2 = {spec.np}")
+        raise ValueError(f"para-fermion cutoff must be p/2 = {spec.np}")
     return spec
 
 
-def _provenance(argv, seed) -> list[str]:
-    return [f"parasim {' '.join(argv)}", f"seed {seed}"]
+def _provenance(args) -> list[str]:
+    return [f"parasim {' '.join(args.argv)}", f"seed {args.seed}"]
 
 
 def cmd_verify(args) -> int:
-    p_values = parse_int_range(args.p_range)
+    p_values = parse_int_range(args.p_range, "--p")
     if args.kind == "pf" and len(p_values) > 1:
         p_values = [p for p in p_values if p % 2 == 0]
     lines = ["check,kind,p,np,value,pass"]
@@ -163,11 +173,11 @@ def cmd_factorize(args) -> int:
 def cmd_compile(args) -> int:
     spec_flags = (args.kind, args.p, args.np, args.alpha)
     if args.gammas and any(flag is not None for flag in spec_flags):
-        raise ConfigError("compile takes --gammas or --kind/--p/--np/--alpha, not both")
+        raise ValueError("compile takes --gammas or --kind/--p/--np/--alpha, not both")
     if args.gammas:
         gv, spec, _alpha = read_gamma_document(args.gammas)
     elif args.kind is None or args.p is None or args.alpha is None:
-        raise ConfigError("compile needs --gammas or --kind/--p/--alpha")
+        raise ValueError("compile needs --gammas or --kind/--p/--alpha")
     else:
         spec = _spec(args.kind, args.p, args.np)
         gv = solve_displacement(spec, args.alpha)
@@ -193,8 +203,7 @@ def cmd_simulate(args) -> int:
     stats = {SOURCE_EXACT: exact_number_stats(spec, args.alpha),
              **shot_sources(raw, spec.num_qubits, spam, args.postselect, resamples=0)}
     point = SeriesPoint(x=args.alpha, stats=stats)
-    csv = series_to_csv([point], "simulate", args.shots, args.seed,
-                        _provenance(sys.argv[1:], args.seed))
+    csv = series_to_csv([point], "simulate", args.shots, args.seed, _provenance(args))
     if args.out:
         write_atomic(args.out, csv)
     else:
@@ -222,52 +231,55 @@ def _study_series(points, value: str):
 def _readout(args):
     noise = read_noise_file(args.noise) if args.noise else None
     if args.spam_correct and noise is None:
-        raise ConfigError("--spam-correct requires --noise")
+        raise ValueError("--spam-correct requires --noise")
     return noise, noise if args.spam_correct else None
 
 
 def _shot_options(args) -> dict:
     """Keyword arguments of a study that takes shots."""
     if args.shots < 0:
-        raise ConfigError(f"--shots must be nonnegative, not {args.shots}")
+        raise ValueError(f"--shots must be nonnegative, not {args.shots}")
     noise, spam = _readout(args)
+    order = args.mitigation_order
+    if order is not None and not (args.spam_correct and args.postselect):
+        raise ValueError(f"--mitigation-order {order} orders --spam-correct and "
+                         "--postselect: it needs both")
     return dict(shots=args.shots, seed=args.seed, noise=noise, spam=spam,
-                postselect_flag=args.postselect, mitigation_order=args.mitigation_order)
+                postselect_flag=args.postselect, mitigation_order=order or "spam-first")
 
 
 def study_pf_evolution(args):
-    p_values = parse_int_range(args.p_range)
+    p_values = parse_int_range(args.p_range, "--p")
     if len(p_values) != 1:
-        raise ConfigError("pf-evolution takes a single order p")
+        raise ValueError("pf-evolution takes a single order p")
     if not np.isfinite(args.g) or args.g == 0:
-        raise ConfigError(f"--g must be finite and nonzero, not {args.g!r}")
-    times = (parse_float_list(args.times) if args.times is not None
+        raise ValueError(f"--g must be finite and nonzero, not {args.g!r}")
+    times = (parse_float_list(args.times, "--times") if args.times is not None
              else list(np.linspace(0.0, np.pi, 25) / args.g))
     if not times:
-        raise ConfigError(f"--times {args.times!r} lists no time")
+        raise ValueError(f"--times {args.times!r} lists no time")
     points = run_pf_evolution(p_values[0], args.g, times, **_shot_options(args))
     return points, "mean_n", "g t"
 
 
 def study_pb_mandel(args):
-    p_values = parse_int_range(args.p_range)
+    p_values = parse_int_range(args.p_range, "--p")
     if args.np is None:
-        raise ConfigError("--np is required for pb-mandel")
+        raise ValueError("--np is required for pb-mandel")
     points = run_pb_mandel_sweep(args.alpha, p_values, args.np, **_shot_options(args))
     return points, "mandel_q", "para-particle order p"
 
 
 def study_cutoff(args):
-    points = cutoff_study(args.alpha, parse_int_range(args.p_range),
-                          parse_int_range(args.np_range))
+    points = cutoff_study(args.alpha, parse_int_range(args.p_range, "--p"),
+                          parse_int_range(args.np_range, "--np-range"))
     return points, "mandel_q", "para-particle order p"
 
 
 def cmd_study(args) -> int:
     points, value, xlabel = args.compute(args)
     shots = getattr(args, "shots", 0)  # the cutoff study is exact: no shots
-    csv = series_to_csv(points, args.study, shots, args.seed,
-                        _provenance(sys.argv[1:], args.seed))
+    csv = series_to_csv(points, args.study, shots, args.seed, _provenance(args))
     if args.out:
         write_atomic(args.out, csv)
     else:
@@ -355,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     shots.add_argument("--noise", default=None, help="noise parameter file")
     shots.add_argument("--spam-correct", action="store_true")
     shots.add_argument("--postselect", action="store_true")
-    shots.add_argument("--mitigation-order", choices=MITIGATION_ORDERS,
-                       default="spam-first")
+    shots.add_argument("--mitigation-order", choices=MITIGATION_ORDERS, default=None,
+                       help="with --spam-correct and --postselect; default spam-first")
 
     study = command(sub, "study", "run a full study and emit CSV", run=cmd_study)
     studies = study.add_subparsers(dest="study", required=True)
@@ -376,15 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args, unknown = build_parser().parse_known_args(argv)
     if unknown:  # reported with the usage of the command that did not read them
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args.argv = argv  # what the CSVs record as the command that made them
     try:
         return args.run(args)
     except (FactorizationError, EmptyShotSetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -338,12 +338,14 @@ def write_atomic(path, text: str) -> None:
     """Write via a sibling temp file and rename, so failures never leave a
     partial artifact behind."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".parasim-tmp-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".parasim-tmp-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # name the file asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise

@@ -207,24 +207,33 @@ def _parse_bool(text: str) -> bool:
 
 def read_gamma_document(path):
     """Inverse of write_gamma_document; returns (GammaVector, ParaSpec, alpha).
-    A missing or unparsable key, a non-finite gamma, or labels other than
-    the register's generator labels raise ValueError naming the document."""
+    A repeated, missing or unparsable key, a non-finite gamma, labels other
+    than the register's generator labels, or any value ParaSpec or
+    GammaVector rejects raise ValueError naming the document."""
+    try:
+        return _parse_gamma_document(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"gamma document {path}: {exc}") from None
+
+
+def _parse_gamma_document(text: str):
     fields = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition(" ")
+        if key in fields:
+            raise ValueError(f"key {key!r} given twice")
         fields[key] = value
 
     def field(key, parse):
         if key not in fields:
-            raise ValueError(f"gamma document {path}: missing key {key!r}")
+            raise ValueError(f"missing key {key!r}")
         try:
             return parse(fields[key])
         except ValueError:
-            raise ValueError(f"gamma document {path}: cannot parse "
-                             f"{key} {fields[key]!r}") from None
+            raise ValueError(f"cannot parse {key} {fields[key]!r}") from None
 
     def floats(text):
         return tuple(float(x) for x in text.split())
@@ -238,9 +247,8 @@ def read_gamma_document(path):
         residual_full=field("residual_full", float),
     )
     if not np.all(np.isfinite(gv.gammas)):
-        raise ValueError(f"gamma document {path}: gammas must be finite, "
-                         f"not {fields['gammas']!r}")
-    if gv.labels != generator_family(spec.num_qubits).labels:
-        raise ValueError(f"gamma document {path}: labels {fields['labels']!r} are not "
-                         f"the {spec.num_qubits}-qubit generator labels")
+        raise ValueError(f"gammas must be finite, not {fields['gammas']!r}")
+    q = spec.num_qubits  # count first: a wrong wide document builds no family
+    if len(gv.labels) != q * (q - 1) // 2 or gv.labels != generator_family(q).labels:
+        raise ValueError(f"labels {fields['labels']!r} are not the {q}-qubit generator labels")
     return gv, spec, field("alpha", float)

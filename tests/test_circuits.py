@@ -137,6 +137,34 @@ class TestCompileDisplacement:
             compile_displacement([0.1], generator_family(3))
 
 
+def backward_scan_cancel(circuit):
+    """Reference cancellation pass: for each gate, scan back through the kept
+    gates past those with disjoint support to a same-axis partner."""
+    def zero(angle):
+        r = abs(angle) % (2 * np.pi)
+        return min(r, 2 * np.pi - r) < 1e-12
+
+    out = []
+    for g in circuit.gates:
+        if zero(g.angle):
+            continue
+        partner = None
+        for k in range(len(out) - 1, -1, -1):
+            prev = out[k]
+            if prev.kind == g.kind and set(prev.qubits) == set(g.qubits):
+                partner = k
+                break
+            if set(g.qubits) & set(prev.qubits):
+                break
+        if partner is None:
+            out.append(g)
+            continue
+        prev = out.pop(partner)
+        if not zero(prev.angle + g.angle):
+            out.insert(partner, Gate(g.kind, prev.qubits, prev.angle + g.angle))
+    return Circuit(circuit.num_qubits, out)
+
+
 class TestOptimizeCancel:
     def test_inverse_rotations_cancel(self):
         circuit = Circuit(1, [rx(0.3, 0), rx(-0.3, 0)])
@@ -192,6 +220,15 @@ class TestOptimizeCancel:
             once = optimize_cancel(circuit)
             twice = optimize_cancel(once)
             assert twice.gates == once.gates
+
+
+    @pytest.mark.parametrize("spec", [ParaSpec("pb", 2, np=n) for n in range(2, 9)]
+                             + [ParaSpec("pf", p) for p in (2, 4, 6, 8)], ids=repr)
+    @pytest.mark.parametrize("alpha", [0.0, 1e-4, 0.3, 2.9])
+    def test_matches_the_backward_scan_on_compiled_templates(self, spec, alpha):
+        raw = compile_displacement(solve_displacement(spec, alpha),
+                                   generator_family(spec.num_qubits), optimize=False)
+        assert optimize_cancel(raw).gates == backward_scan_cancel(raw).gates
 
 
 class TestCircuitUnitary:
@@ -316,10 +353,9 @@ class TestCircuitText:
 
 
 @st.composite
-def circuits(draw):
+def circuits(draw, angle=st.floats(-20, 20, allow_nan=False)):
     q = draw(st.integers(1, 4))
     qubit = st.integers(0, q - 1)
-    angle = st.floats(-20, 20, allow_nan=False)
     one = st.builds(lambda kind, a, t: Gate(kind, (a,), t),
                     st.sampled_from(["RX", "RY", "RZ"]), qubit, angle)
     options = [one]
@@ -349,6 +385,17 @@ def garbled_gate_lines(draw):
     else:
         fields.append(draw(st.sampled_from(["0", "1.5", "x"])))
     return " ".join([kind, *fields])
+
+
+# angles whose sums reach zero and full turns, so merges also delete gates
+_TURNS = st.sampled_from([0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 2 * np.pi, 0.3, -0.3])
+
+
+class TestOptimizeCancelProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(circuits(), circuits(angle=_TURNS)))
+    def test_matches_the_backward_scan(self, circuit):
+        assert optimize_cancel(circuit).gates == backward_scan_cancel(circuit).gates
 
 
 class TestCircuitTextProperties:

@@ -1,6 +1,9 @@
 """Command-line front end tests: exit codes, artifact files, reproducibility
 and config validation."""
+import contextlib
 import csv
+import io
+import math
 import subprocess
 import sys
 import warnings
@@ -8,12 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parasim.cli
 from parasim.cli import main, parse_float_list, parse_int_range, read_noise_file
 from parasim.factorize import FactorizationError
 from parasim.circuits import circuit_unitary, read_circuit
 from parasim.engine import read_shotset
+from parasim.experiments import MITIGATION_ORDERS
 
 
 def run_cli(*argv):
@@ -22,15 +28,15 @@ def run_cli(*argv):
 
 class TestParsing:
     def test_int_range(self):
-        assert parse_int_range("3") == [3]
-        assert parse_int_range("1..5") == [1, 2, 3, 4, 5]
+        assert parse_int_range("3", "--p") == [3]
+        assert parse_int_range("1..5", "--p") == [1, 2, 3, 4, 5]
 
     def test_empty_range_rejected(self):
-        with pytest.raises(ValueError):
-            parse_int_range("5..1")
+        with pytest.raises(ValueError, match="^--np-range '5..1' is an empty range$"):
+            parse_int_range("5..1", "--np-range")
 
     def test_float_list(self):
-        assert parse_float_list("0.5,1.0,2") == [0.5, 1.0, 2.0]
+        assert parse_float_list("0.5,1.0,2", "--times") == [0.5, 1.0, 2.0]
 
     def test_noise_file(self, tmp_path):
         path = tmp_path / "noise.txt"
@@ -45,6 +51,7 @@ class TestParsing:
         path.write_text("frobnication 0.5\n")
         with pytest.raises(ValueError):
             read_noise_file(path)
+
 
 
 class TestVerify:
@@ -186,6 +193,15 @@ class TestFactorizationFailure:
 
 
 class TestFileErrors:
+    def test_out_that_is_a_directory_is_named_and_leaves_no_temp_file(self, tmp_path,
+                                                                      capsys):
+        out = tmp_path / "x.csv"
+        out.mkdir()
+        assert run_cli("study", "cutoff", "--alpha", "0.3", "--p", "1",
+                       "--np-range", "1..2", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
     @pytest.mark.parametrize("argv", [
         ("compile", "--gammas", "{tmp}/missing.txt"),
         ("simulate", "--kind", "pf", "--p", "2", "--alpha", "0.3", "--shots", "10",
@@ -199,7 +215,7 @@ class TestFileErrors:
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
-        assert "No such file or directory" in err
+        assert f"No such file or directory: '{argv[-1]}'" in err  # the file given
 
 
 def test_importing_the_cli_does_not_load_scipy():
@@ -454,3 +470,232 @@ class TestEveryFlagIsRead:
     def test_unread_flag_exits_2(self, inputs, command, flag, capsys):
         argv = [a.format(tmp=inputs) for a in BASES[command] + flag]
         assert exit_code(*argv) == 2
+
+
+class TestProvenance:
+    CUTOFF = ["study", "cutoff", "--alpha", "0.3", "--p", "1", "--np-range", "1..2"]
+
+    def test_records_the_argv_main_parsed_not_the_host_process(self, tmp_path,
+                                                               monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["host", "some-host-arg"])
+        out = tmp_path / "cut.csv"
+        argv = self.CUTOFF + ["--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_text().splitlines()[:2] == ["# parasim " + " ".join(argv),
+                                                     "# seed 0"]
+
+    def test_simulate_records_its_argv(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["host", "some-host-arg"])
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--kind", "pf", "--p", "2", "--alpha", "0.3",
+                "--shots", "10", "--seed", "3", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_text().splitlines()[0] == "# parasim " + " ".join(argv)
+
+    def test_without_argv_main_reads_the_process_arguments(self, tmp_path, monkeypatch):
+        out = tmp_path / "cut.csv"
+        argv = self.CUTOFF + ["--out", str(out)]
+        monkeypatch.setattr(sys, "argv", ["parasim", *argv])
+        assert main() == 0
+        assert out.read_text().splitlines()[0] == "# parasim " + " ".join(argv)
+
+
+# Gamma documents made from a valid one: the key whose line goes (or None),
+# and the line that takes its place.
+GAMMA_DOCS = {
+    "kind.txt": ("kind", "kind xx"),
+    "two-gammas.txt": ("gammas", "gammas 0.1 0.2"),
+    "residual.txt": ("residual_onehot", "residual_onehot -1"),
+    "kind-twice.txt": (None, "kind pf"),
+}
+NOISE_DOCS = {
+    "abc.txt": "p_prep_flip abc\n",
+    "no-value.txt": "p_prep_flip\n",
+    "twice.txt": "p_prep_flip 0.01\np_prep_flip=0.02\n",
+    "unknown.txt": "# comment\nfrobnication 0.5\n",
+    "range.txt": "eps01 1.5\n",
+}
+SIMULATE = ("simulate", "--kind", "pf", "--p", "2", "--alpha", "0.3", "--shots", "10")
+# Each malformed input, and the start of the one error line it gives.
+MALFORMED = [
+    (("study", "cutoff", "--alpha", "0.3", "--p", "1..", "--np-range", "1..2"),
+     "error: --p takes an integer or a range a..b, not '1..'"),
+    (("study", "pb-mandel", "--alpha", "0.3", "--np", "2", "--p", "x", "--shots", "10"),
+     "error: --p takes an integer or a range a..b, not 'x'"),
+    (("study", "cutoff", "--alpha", "0.3", "--p", "1", "--np-range", "1..x"),
+     "error: --np-range takes an integer or a range a..b, not '1..x'"),
+    (("study", "pf-evolution", "--p", "2", "--times", "1,x", "--shots", "10"),
+     "error: --times takes comma-separated finite numbers, not '1,x'"),
+    (("study", "pf-evolution", "--p", "2", "--times", "1,inf", "--shots", "10"),
+     "error: --times takes comma-separated finite numbers, not '1,inf'"),
+    (SIMULATE + ("--noise", "{tmp}/abc.txt"),
+     "error: noise file {tmp}/abc.txt: cannot parse 'p_prep_flip abc'"),
+    (SIMULATE + ("--noise", "{tmp}/no-value.txt"),
+     "error: noise file {tmp}/no-value.txt: cannot parse 'p_prep_flip'"),
+    (SIMULATE + ("--noise", "{tmp}/twice.txt"),
+     "error: noise file {tmp}/twice.txt: key 'p_prep_flip' given twice"),
+    (SIMULATE + ("--noise", "{tmp}/unknown.txt"),
+     "error: noise file {tmp}/unknown.txt: unknown key 'frobnication'"),
+    (SIMULATE + ("--noise", "{tmp}/range.txt"),
+     "error: noise file {tmp}/range.txt: eps01=1.5 outside [0, 1)"),
+    (("compile", "--gammas", "{tmp}/kind.txt"),
+     "error: gamma document {tmp}/kind.txt: unknown para-particle kind 'xx'"),
+    (("compile", "--gammas", "{tmp}/two-gammas.txt"),
+     "error: gamma document {tmp}/two-gammas.txt: one gamma per product factor"),
+    (("compile", "--gammas", "{tmp}/residual.txt"),
+     "error: gamma document {tmp}/residual.txt: residual must be nonnegative"),
+    (("compile", "--gammas", "{tmp}/kind-twice.txt"),
+     "error: gamma document {tmp}/kind-twice.txt: key 'kind' given twice"),
+]
+
+
+@pytest.fixture
+def documents(tmp_path):
+    """tmp_path holding noise.txt, gammas.txt and the malformed documents."""
+    (tmp_path / "noise.txt").write_text("eps01 0.02\neps10 0.03\n")
+    for name, text in NOISE_DOCS.items():
+        (tmp_path / name).write_text(text)
+    gammas = tmp_path / "gammas.txt"
+    assert run_cli("factorize", "--kind", "pf", "--p", "2", "--alpha", "0.5",
+                   "--out", str(gammas)) == 0
+    valid = gammas.read_text().splitlines()
+    for name, (key, line) in GAMMA_DOCS.items():
+        kept = [ln for ln in valid if key is None or not ln.startswith(key + " ")]
+        (tmp_path / name).write_text("\n".join(kept + [line]) + "\n")
+    return tmp_path
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv,message", MALFORMED,
+                             ids=[" ".join(argv[:2]) + f"-{i}"
+                                  for i, (argv, _) in enumerate(MALFORMED)])
+    def test_one_error_line_naming_the_flag_or_file(self, documents, capsys, argv,
+                                                    message):
+        assert run_cli(*[a.format(tmp=documents) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(message.format(tmp=documents))
+
+    @pytest.mark.parametrize("study", ["pb-mandel", "pf-evolution"])
+    @pytest.mark.parametrize("flags", [
+        (), ("--postselect",), ("--spam-correct", "--noise", "{tmp}/noise.txt"),
+    ], ids=["neither", "postselect-only", "spam-correct-only"])
+    @pytest.mark.parametrize("order", MITIGATION_ORDERS)
+    def test_mitigation_order_needs_both_mitigations(self, documents, capsys, study,
+                                                     flags, order):
+        argv = BASES[study] + flags + ("--mitigation-order", order)
+        assert run_cli(*[a.format(tmp=documents) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: --mitigation-order ")
+
+    @pytest.mark.parametrize("study", ["pb-mandel", "pf-evolution"])
+    def test_mitigation_order_defaults_to_spam_first(self, documents, study):
+        both = ("--noise", str(documents / "noise.txt"), "--spam-correct", "--postselect")
+        bodies = {}
+        for order in ((), ("--mitigation-order", "spam-first"),
+                      ("--mitigation-order", "postselect-first")):
+            out = documents / "out.csv"
+            assert run_cli(*BASES[study], *both, *order, "--out", str(out)) == 0
+            bodies[order[1:]] = out.read_text().split("\n", 1)[1]  # past the argv
+        assert bodies[()] == bodies[("spam-first",)]
+
+
+# no int or float (not even inf/nan) can be spelled from these characters
+_GARBAGE = st.text(alphabet="bcdghjkmopqrsuvwz!?%@", min_size=1, max_size=4)
+_NOISE_KEYS = ("p_prep_flip", "eps01", "eps10", "p_depol_1q", "p_depol_2q")
+_GAMMA_KEYS = ("kind", "p", "np", "alpha", "labels", "gammas", "residual_onehot",
+               "residual_full", "converged")
+
+
+@st.composite
+def malformed_noise_lines(draw):
+    """Lines of a noise file that no noise model accepts."""
+    key = draw(st.sampled_from(_NOISE_KEYS))
+    damage = draw(st.sampled_from(["garble", "drop", "unknown", "twice", "range"]))
+    if damage == "garble":
+        return [f"{key}{draw(st.sampled_from([' ', '=']))}{draw(_GARBAGE)}"]
+    if damage == "drop":
+        return [key]
+    if damage == "unknown":
+        return [f"{draw(_GARBAGE)} 0.01"]
+    if damage == "twice":
+        return [f"{key} 0.01", f"{key}=0.01"]
+    value = draw(st.one_of(st.floats(max_value=-1e-300), st.floats(min_value=1.0),
+                           st.sampled_from([math.nan, math.inf])))
+    return [f"{key} {value!r}"]
+
+
+@st.composite
+def malformed_gamma_lines(draw, valid):
+    """A valid gamma document (a list of lines) with one key dropped,
+    garbled, emptied or repeated, or one gamma made non-finite."""
+    lines = list(valid)
+    at = {ln.split()[0]: i for i, ln in enumerate(lines) if not ln.startswith("#")}
+    key = draw(st.sampled_from(_GAMMA_KEYS))
+    damage = draw(st.sampled_from(["drop", "garble", "empty", "twice", "gamma"]))
+    if damage == "drop":
+        del lines[at[key]]
+    elif damage == "garble":
+        lines[at[key]] = f"{key} {draw(_GARBAGE)}"
+    elif damage == "empty":
+        lines[at[key]] = key
+    elif damage == "twice":
+        lines.insert(draw(st.integers(0, len(lines))), lines[at[key]])
+    else:
+        gammas = lines[at["gammas"]].split()
+        gammas[draw(st.integers(1, len(gammas) - 1))] = draw(
+            st.sampled_from(["nan", "inf", "-inf"]))
+        lines[at["gammas"]] = " ".join(gammas)
+    return lines
+
+
+def run_quietly(*argv):
+    """(exit code, stderr) of main, with stdout thrown away."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+class TestMalformedFilesFuzzed:
+    """Malformed noise files and gamma documents through main: one error
+    line naming the file and exit 2, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("documents")
+        assert main(["factorize", "--kind", "pf", "--p", "2", "--alpha", "0.5",
+                     "--out", str(folder / "valid.txt")]) == 0
+        return folder
+
+    @settings(max_examples=80, deadline=None)
+    @given(lines=malformed_noise_lines(), before=st.lists(
+        st.sampled_from(["# comment", "", "eps10 0.01"]), max_size=2))
+    def test_noise_file(self, folder, lines, before):
+        path = folder / "noise.txt"
+        path.write_text("\n".join(before + lines) + "\n")
+        code, err = run_quietly(*SIMULATE, "--noise", str(path))
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"error: noise file {path}: ")
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_gamma_document(self, folder, data):
+        valid = (folder / "valid.txt").read_text().splitlines()
+        path = folder / "gammas.txt"
+        path.write_text("\n".join(data.draw(malformed_gamma_lines(valid))) + "\n")
+        code, err = run_quietly("compile", "--gammas", str(path))
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"error: gamma document {path}: ")
+
+    @settings(max_examples=80, deadline=None)
+    @given(line=st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=24))
+    def test_any_extra_line_runs_or_gives_one_error_line(self, folder, line):
+        noise, gammas = folder / "noise-any.txt", folder / "gammas-any.txt"
+        noise.write_text(f"eps01 0.01\n{line}\n")
+        gammas.write_text((folder / "valid.txt").read_text() + line + "\n")
+        for argv, named in ((SIMULATE + ("--noise", str(noise)), f"noise file {noise}"),
+                            (("compile", "--gammas", str(gammas)),
+                             f"gamma document {gammas}")):
+            code, err = run_quietly(*argv)
+            assert (code, err) == (0, "") or (
+                code == 2 and err.count("\n") == 1 and err.startswith(f"error: {named}: "))

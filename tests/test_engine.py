@@ -2,6 +2,8 @@
 seeded sampling, SPAM correction and post-selection."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parasim.algebra import ParaSpec, displaced_vacuum_exact
 from parasim.circuits import Circuit, compile_displacement, rx, xx
@@ -314,6 +316,25 @@ class TestShotSetText:
         with pytest.raises(ValueError) as excinfo:
             read_shotset(path)
         assert repr(lines[-1]) in str(excinfo.value)
+
+
+_SHOT_SETS = st.integers(1, 6).flatmap(lambda q: st.builds(
+    lambda counts, seed, retained: ShotSet(counts, sum(counts.values()), seed, retained),
+    st.dictionaries(st.text("01", min_size=q, max_size=q), st.integers(0, 10 ** 12),
+                    max_size=8),
+    st.integers(-2 ** 63, 2 ** 63), st.floats(0.0, 1.0)))
+_NOISE = st.one_of(st.none(), st.builds(NoiseModel, eps01=st.floats(0.0, 0.4),
+                                        p_depol_2q=st.floats(0.0, 0.9)))
+
+
+class TestShotSetTextProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(_SHOT_SETS, _NOISE)
+    def test_round_trip_is_exact(self, tmp_path_factory, shots, noise):
+        from parasim.engine import read_shotset, write_shotset
+        path = tmp_path_factory.mktemp("shots") / "shots.txt"
+        write_shotset(path, shots, noise)
+        assert read_shotset(path) == shots
 
 
 class TestCounts:

@@ -6,12 +6,15 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import expm
 
 from parasim.algebra import ParaSpec, build_fock_ops, displaced_vacuum_exact
 from parasim.factorize import (
     FactorizationError,
+    GammaVector,
     factor_onehot,
     full_space_residual,
     product_unitary,
@@ -19,6 +22,7 @@ from parasim.factorize import (
     restricted_generators,
     restricted_target,
     solve_displacement,
+    write_gamma_document,
 )
 from parasim.mapping import (
     build_xy_hamiltonian,
@@ -356,3 +360,45 @@ class TestGammaDocument:
         path.write_text("\n".join(ln for ln in lines if not ln.startswith(key + " ")))
         with pytest.raises(ValueError, match=f"missing key '{key}'"):
             read_gamma_document(path)
+
+    def test_wide_register_with_too_few_labels_builds_no_family(self, tmp_path,
+                                                                monkeypatch):
+        import parasim.factorize
+        path = tmp_path / "gammas.txt"
+        spec = ParaSpec("pb", 2, np=2)
+        write_gamma_document(path, solve_displacement(spec, 0.3), spec, 0.3)
+        path.write_text(path.read_text().replace("np 2\n", "np 100000\n"))
+        monkeypatch.setattr(parasim.factorize, "generator_family", None)  # not called
+        with pytest.raises(ValueError, match="are not the 100001-qubit generator labels"):
+            read_gamma_document(path)
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def gamma_documents(draw):
+    """(GammaVector, ParaSpec, alpha) of any width up to 7 qubits, with any
+    finite gammas and alpha and any residuals the format admits."""
+    spec = draw(st.one_of(
+        st.builds(lambda p, n: ParaSpec("pb", p, np=n), st.integers(1, 50), st.integers(1, 6)),
+        st.builds(lambda h: ParaSpec("pf", 2 * h), st.integers(1, 3))))
+    labels = generator_family(spec.num_qubits).labels
+    gv = GammaVector(
+        gammas=tuple(draw(st.lists(_FLOATS, min_size=len(labels), max_size=len(labels)))),
+        residual=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        converged=draw(st.booleans()),
+        labels=labels,
+        residual_full=draw(st.floats()),
+    )
+    return gv, spec, draw(_FLOATS)
+
+
+class TestGammaDocumentProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(gamma_documents())
+    def test_round_trip_is_exact(self, tmp_path_factory, document):
+        path = tmp_path_factory.mktemp("gammas") / "gammas.txt"
+        write_gamma_document(path, *document)
+        # repr keeps the sign of zero and compares NaN residuals
+        assert repr(read_gamma_document(path)) == repr(document)
