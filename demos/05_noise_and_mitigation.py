@@ -21,6 +21,8 @@ from parasim import (
     solve_displacement,
     spam_correct,
 )
+from parasim.engine import outcome_bits
+from parasim.experiments import histogram
 
 spec = ParaSpec("pf", 2)
 alpha = np.pi / 2
@@ -40,15 +42,16 @@ raw = number_stats(shots, 3)
 print(f"\nraw estimate:            <N> = {raw.mean_n:.4f} "
       f"(+/- {raw.stderr_mean:.4f})")
 
-marginals = spam_correct(shots, noise)
+# readout inversion acts on outcome weights; inverted values are not clamped
+p1 = spam_correct(histogram(shots) / shots.shots, noise) @ outcome_bits(3)
 corrected = number_stats(shots, 3, source="shots_spam", spam=noise)
 print(f"readout-corrected:       <N> = {corrected.mean_n:.4f} "
-      f"(flagged outside [0,1]: {marginals.out_of_range})")
+      f"(P(bit reads 1) = {np.round(p1, 4).tolist()})")
 
-selected = postselect(shots)
-kept = number_stats(selected, 3, source="shots_postselected")
+kept = number_stats(shots, 3, source="shots_postselected")
 print(f"post-selected:           <N> = {kept.mean_n:.4f} "
-      f"(retained fraction {selected.retained_fraction:.3f})")
+      f"(retained fraction {kept.retained_fraction:.3f}, "
+      f"{postselect(shots).shots} of {shots.shots} shots)")
 
 print(f"\n|error| raw / corrected / post-selected: "
       f"{abs(raw.mean_n - exact):.4f} / {abs(corrected.mean_n - exact):.4f} / "

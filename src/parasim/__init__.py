@@ -39,16 +39,13 @@ from .circuits import (
     optimize_cancel,
 )
 from .engine import (
-    Marginals,
     NoiseModel,
     ShotSet,
     StateVector,
     apply_circuit,
-    postselect,
     prepare_initial,
     run_and_sample,
     sample_shots,
-    spam_correct,
 )
 from .experiments import (
     NumberStats,
@@ -57,8 +54,10 @@ from .experiments import (
     exact_number_stats,
     mandel_q,
     number_stats,
+    postselect,
     run_pb_mandel_sweep,
     run_pf_evolution,
+    spam_correct,
     uncertainty,
 )
 

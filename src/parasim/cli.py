@@ -15,10 +15,11 @@ import numpy as np
 from . import svgplot
 from .algebra import ParaSpec, build_fock_ops, verify_truncation_identity
 from .circuits import compile_displacement, gate_counts, write_circuit
-from .engine import EmptyShotSetError, NoiseModel, run_and_sample, write_shotset
+from .engine import NoiseModel, run_and_sample, write_shotset
 from .experiments import (
     MITIGATION_ORDERS,
     SOURCE_EXACT,
+    EmptyShotSetError,
     cutoff_study,
     exact_number_stats,
     run_pb_mandel_sweep,
@@ -29,8 +30,7 @@ from .experiments import (
     SeriesPoint,
 )
 # not called here; bound for perfbench/spans.py, which wraps names where cli binds them
-from .engine import postselect, spam_correct  # noqa: F401
-from .experiments import number_stats  # noqa: F401
+from .experiments import number_stats, postselect, spam_correct  # noqa: F401
 from .factorize import (
     FactorizationError,
     read_gamma_document,
@@ -254,6 +254,9 @@ def study_pf_evolution(args):
         raise ValueError("pf-evolution takes a single order p")
     if not np.isfinite(args.g) or args.g == 0:
         raise ValueError(f"--g must be finite and nonzero, not {args.g!r}")
+    if args.times is None and args.g < 0:
+        raise ValueError(f"--g {args.g!r} makes the default times pi k / (24 g) "
+                         "negative: give nonnegative --times")
     times = (parse_float_list(args.times, "--times") if args.times is not None
              else list(np.linspace(0.0, np.pi, 25) / args.g))
     if not times:

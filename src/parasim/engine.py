@@ -1,9 +1,9 @@
-"""State-vector execution with trajectory noise, seeded shot sampling,
-confusion-matrix SPAM correction and one-hot post-selection.
+"""State-vector execution with trajectory noise, seeded shot sampling and
+the plain-text shot-set format.
 
-Shot sets keep bitstring counts, as in their text format; analysis reads
-them as a (2^Q,) outcome array (`histogram`), and readout correction acts
-on the last axis of any (..., 2^Q) array of outcome weights.
+Shot sets keep bitstring counts, as in their text format; how counts
+become numbers (readout inversion, post-selection, statistics) is decided
+in `experiments`.
 
 Noise is stochastic (quantum-jump style): preparation bit flips, a uniform
 non-identity Pauli after each gate with the depolarizing probability, and
@@ -28,10 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .circuits import Circuit, Decomposition, apply_gate_batch, decompose
-
-
-class EmptyShotSetError(ValueError):
-    """Raised when an observable is requested from zero retained shots."""
 
 
 @dataclass(frozen=True)
@@ -82,27 +78,10 @@ class ShotSet:
     counts: dict
     shots: int
     seed: int
-    retained_fraction: float = 1.0
 
     def __post_init__(self):
         if sum(self.counts.values()) != self.shots:
             raise ValueError("counts must sum to the shot total")
-        if not 0.0 <= self.retained_fraction <= 1.0:
-            raise ValueError("retained_fraction outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class Marginals:
-    """Per-qubit P(read 1) plus the (possibly quasi-) outcome distribution.
-
-    After confusion-matrix inversion the values may leave [0, 1]; they are
-    flagged, never clamped, since the number observables stay well-defined
-    linear functionals.
-    """
-
-    p1: np.ndarray
-    histogram: np.ndarray  # (2^Q,) weights indexed by outcome
-    out_of_range: bool
 
 
 @lru_cache(maxsize=None)
@@ -111,15 +90,6 @@ def outcome_bits(num_qubits: int) -> np.ndarray:
     bits = (np.arange(1 << num_qubits)[:, None] >> np.arange(num_qubits - 1, -1, -1)) & 1
     bits.flags.writeable = False
     return bits
-
-
-def histogram(shotset: ShotSet) -> np.ndarray:
-    """The counts as a (2^Q,) integer array indexed by outcome."""
-    if shotset.shots == 0:
-        raise EmptyShotSetError("no shots to analyze")
-    out = np.zeros(1 << len(next(iter(shotset.counts))), dtype=np.int64)
-    out[[int(b, 2) for b in shotset.counts]] = list(shotset.counts.values())
-    return out
 
 
 def prepare_initial(num_qubits: int) -> StateVector:
@@ -233,6 +203,33 @@ def _gaussian_shots(dec: Decomposition, init: np.ndarray, shot_ev: np.ndarray,
     return bits
 
 
+_DRAW_BYTES = 4 << 20  # most bytes of (shots, gates) uniforms held at once
+
+
+def _row_blocks(rng: np.random.Generator, rows: int, cols: int):
+    """(first row, block) of a (rows, cols) draw of uniforms, made in blocks
+    of rows within _DRAW_BYTES.  Generator.random fills in row order, so
+    the blocks hold the numbers of one draw."""
+    step = max(1, _DRAW_BYTES // (8 * max(cols, 1)))
+    for start in range(0, rows, step):
+        yield start, rng.random((min(step, rows - start), cols))
+
+
+def _kicks(rng: np.random.Generator, shots: int, gate_probs: np.ndarray):
+    """Shot and gate of every kick, sorted, with the uniform that picks its
+    word: a (shots, gates) draw of coins against gate_probs, then one of
+    word uniforms, of which only the entries at kicks are kept."""
+    events = [(start, *np.nonzero(block < gate_probs))
+              for start, block in _row_blocks(rng, shots, gate_probs.size)]
+    shot_ev = np.concatenate([start + s for start, s, _ in events])
+    gate_ev = np.concatenate([g for _, _, g in events])
+    word_u = np.empty(shot_ev.size)
+    for start, block in _row_blocks(rng, shots, gate_probs.size):
+        lo, hi = np.searchsorted(shot_ev, (start, start + len(block)))
+        word_u[lo:hi] = block[shot_ev[lo:hi] - start, gate_ev[lo:hi]]
+    return shot_ev, gate_ev, word_u
+
+
 def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None,
                    seed: int = 0) -> ShotSet:
     """Prepare |10..0>, run the circuit and measure `shots` times.
@@ -256,10 +253,8 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
     gate_probs = np.where(width == 1, noise.p_depol_1q, noise.p_depol_2q)
     words = 4 ** width - 1  # kick words per gate, circuits.KICK_WORDS
     prep_coins = rng.random((shots, q)) < noise.p_prep_flip
-    shot_ev, gate_ev = np.nonzero(rng.random((shots, len(circuit.gates))) < gate_probs)
-    # each kick's word, picked by the uniform of its shot and gate
-    word_ev = rng.random((shots, len(circuit.gates)))[shot_ev, gate_ev] * words[gate_ev]
-    word_ev = np.minimum(word_ev.astype(int), words[gate_ev] - 1)
+    shot_ev, gate_ev, word_u = _kicks(rng, shots, gate_probs)
+    word_ev = np.minimum((word_u * words[gate_ev]).astype(int), words[gate_ev] - 1)
     meas_u = rng.random((shots, q))
     shot_u = rng.random(shots)
 
@@ -276,40 +271,6 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
     return _read_out(bits, noise, meas_u, seed)
 
 
-def spam_correct(data, noise: NoiseModel):
-    """Invert the per-qubit readout confusion of `noise`.
-
-    An array of outcome weights (..., 2^Q) (counts, a distribution or a
-    matrix of bootstrap draws) is corrected along its last axis, one 2x2
-    inverse per qubit on a strided view, and returned as a new array of the
-    same shape; entries may turn negative.  A ShotSet gives its Marginals,
-    whose out-of-range values are flagged, not clamped.
-    """
-    if isinstance(data, ShotSet):
-        corrected = spam_correct(histogram(data) / data.shots, noise)
-        p1 = corrected @ outcome_bits(corrected.size.bit_length() - 1)
-        return Marginals(p1=p1, histogram=corrected,
-                         out_of_range=bool(np.any(p1 < -1e-12) or np.any(p1 > 1 + 1e-12)))
-    if abs(1.0 - noise.eps01 - noise.eps10) < 1e-12:
-        raise ValueError("confusion matrix is singular")
-    inv = np.linalg.inv([[1 - noise.eps01, noise.eps10], [noise.eps01, 1 - noise.eps10]])
-    out = np.asarray(data, dtype=float)
-    lead = out.shape[:-1]
-    for k in range(out.shape[-1].bit_length() - 1):
-        out = inv @ out.reshape(*lead, 1 << k, 2, -1)  # qubit k on the second last axis
-    return out.reshape(*lead, -1)
-
-
-def postselect(shotset: ShotSet) -> ShotSet:
-    """Keep only one-hot bitstrings; retained counts stay raw and the kept
-    fraction is recorded.  Zero retained shots yield an explicitly empty set."""
-    kept = {b: c for b, c in shotset.counts.items() if b.count("1") == 1}
-    total = sum(kept.values())
-    fraction = total / shotset.shots if shotset.shots else 0.0
-    return ShotSet(counts=kept, shots=total, seed=shotset.seed,
-                   retained_fraction=fraction)
-
-
 # --- plain-text shot set format ----------------------------------------------
 
 def shotset_to_text(shotset: ShotSet, noise: NoiseModel | None = None) -> str:
@@ -317,7 +278,6 @@ def shotset_to_text(shotset: ShotSet, noise: NoiseModel | None = None) -> str:
         "# parasim shot set",
         f"# seed {shotset.seed}",
         f"# shots {shotset.shots}",
-        f"# retained_fraction {shotset.retained_fraction:.17g}",
     ]
     if noise is not None:
         lines.append(
@@ -337,23 +297,27 @@ _SHOT_LINE = re.compile(r"([01]+)\s+([0-9]+)")
 
 
 def read_shotset(path) -> ShotSet:
-    seed, retained = 0, 1.0
+    """The shot set of a file in the text format, each bitstring at most
+    once; a ValueError names the file."""
+    seed = 0
     counts: dict = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "seed":
-                seed = int(parts[1])
-            elif len(parts) == 2 and parts[0] == "retained_fraction":
-                retained = float(parts[1])
-            continue
-        match = _SHOT_LINE.fullmatch(line)
-        if match is None or len(match[1]) != len(next(iter(counts), match[1])):
-            raise ValueError(f"bad shot line {line!r}: want '<bits> <count>' with "
-                             "bits of 0/1, as many as on the first line")
-        counts[match[1]] = int(match[2])
-    return ShotSet(counts=counts, shots=sum(counts.values()), seed=seed,
-                   retained_fraction=retained)
+    try:
+        for line in Path(path).read_text().splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                parts = line[1:].split()
+                if len(parts) == 2 and parts[0] == "seed":
+                    seed = int(parts[1])
+                continue
+            match = _SHOT_LINE.fullmatch(line)
+            if match is None or len(match[1]) != len(next(iter(counts), match[1])):
+                raise ValueError(f"bad shot line {line!r}: want '<bits> <count>' with "
+                                 "bits of 0/1, as many as on the first line")
+            if match[1] in counts:
+                raise ValueError(f"bitstring {match[1]!r} given twice")
+            counts[match[1]] = int(match[2])
+    except ValueError as exc:
+        raise ValueError(f"shot set {path}: {exc}") from None
+    return ShotSet(counts=counts, shots=sum(counts.values()), seed=seed)

@@ -9,7 +9,8 @@ which are the exact moments on the one-hot subspace.
 Each shot series (raw, readout-corrected, post-selected) is one estimator,
 `mitigate`, on (..., 2^Q) outcome counts, applied alike to the histogram
 and to the bootstrap's matrix of resampled histograms; `simulate` and the
-studies share it through `shot_sources`.
+studies share it through `shot_sources`.  Its two steps, readout inversion
+(`spam_correct`) and one-hot post-selection, live here with it.
 """
 from __future__ import annotations
 
@@ -21,16 +22,7 @@ import numpy as np
 
 from .algebra import ParaSpec, displaced_vacuum_exact
 from .circuits import Circuit, compile_displacement, gate_counts
-from .engine import (
-    EmptyShotSetError,
-    NoiseModel,
-    ShotSet,
-    histogram,
-    outcome_bits,
-    postselect,
-    run_and_sample,
-    spam_correct,
-)
+from .engine import NoiseModel, ShotSet, outcome_bits, run_and_sample
 from .factorize import solve_displacement
 from .mapping import generator_family
 
@@ -38,6 +30,10 @@ SOURCE_EXACT = "exact"
 SOURCE_RAW = "shots_raw"
 SOURCE_SPAM = "shots_spam"
 SOURCE_POST = "shots_postselected"
+
+
+class EmptyShotSetError(ValueError):
+    """Raised when an observable is requested from zero retained shots."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +74,38 @@ def _level_sums(num_qubits: int):
     bits = outcome_bits(num_qubits)
     levels = np.arange(num_qubits, dtype=float)
     return bits @ levels, bits @ levels ** 2
+
+
+def histogram(shotset: ShotSet) -> np.ndarray:
+    """The counts as a (2^Q,) integer array indexed by outcome."""
+    if shotset.shots == 0:
+        raise EmptyShotSetError("no shots to analyze")
+    out = np.zeros(1 << len(next(iter(shotset.counts))), dtype=np.int64)
+    out[[int(b, 2) for b in shotset.counts]] = list(shotset.counts.values())
+    return out
+
+
+def spam_correct(data, noise: NoiseModel) -> np.ndarray:
+    """Invert the per-qubit readout confusion of `noise` on an array of
+    outcome weights (..., 2^Q): counts, a distribution or a matrix of
+    bootstrap draws.  The last axis is corrected, one 2x2 inverse per qubit
+    on a strided view, into a new array of the same shape; entries may turn
+    negative and are not clamped."""
+    if abs(1.0 - noise.eps01 - noise.eps10) < 1e-12:
+        raise ValueError("confusion matrix is singular")
+    inv = np.linalg.inv([[1 - noise.eps01, noise.eps10], [noise.eps01, 1 - noise.eps10]])
+    out = np.asarray(data, dtype=float)
+    lead = out.shape[:-1]
+    for k in range(out.shape[-1].bit_length() - 1):
+        out = inv @ out.reshape(*lead, 1 << k, 2, -1)  # qubit k on the second last axis
+    return out.reshape(*lead, -1)
+
+
+def postselect(shotset: ShotSet) -> ShotSet:
+    """The one-hot counts of a shot set, raw; zero retained shots yield an
+    explicitly empty set."""
+    kept = {b: c for b, c in shotset.counts.items() if b.count("1") == 1}
+    return ShotSet(counts=kept, shots=sum(kept.values()), seed=shotset.seed)
 
 
 def mitigation_steps(source: str, spam: NoiseModel | None = None,
@@ -148,7 +176,7 @@ def number_stats(shots: ShotSet, num_qubits: int, source: str = SOURCE_RAW,
         var = max(float(weights @ (level - mean) ** 2), 0.0)
     return NumberStats(mean_n=mean, mean_n2=mean2, mandel_q=float(_mandel(mean, mean2)),
                        stderr_mean=float(np.sqrt(var / max(kept * shots.shots, 1.0))),
-                       retained_fraction=shots.retained_fraction * kept)
+                       retained_fraction=kept)
 
 
 def exact_number_stats(spec: ParaSpec, alpha: float) -> NumberStats:

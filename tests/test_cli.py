@@ -306,6 +306,12 @@ class TestStudy:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: --g ")
 
+    def test_pf_evolution_runs_a_negative_g_at_given_times(self, tmp_path):
+        out = tmp_path / "evolution.csv"
+        assert run_cli("study", "pf-evolution", "--p", "2", "--g", "-0.02",
+                       "--times", "1", "--shots", "10", "--out", str(out)) == 0
+        assert "pf-evolution,-0.02,exact," in out.read_text()
+
     def test_simulate_and_pb_mandel_share_the_estimators(self, tmp_path):
         noise = tmp_path / "noise.txt"
         noise.write_text("p_prep_flip 0.005\neps01 0.01\neps10 0.02\n"
@@ -528,6 +534,9 @@ MALFORMED = [
      "error: --times takes comma-separated finite numbers, not '1,x'"),
     (("study", "pf-evolution", "--p", "2", "--times", "1,inf", "--shots", "10"),
      "error: --times takes comma-separated finite numbers, not '1,inf'"),
+    (("study", "pf-evolution", "--p", "2", "--g", "-0.02", "--shots", "10"),
+     "error: --g -0.02 makes the default times pi k / (24 g) negative: "
+     "give nonnegative --times"),
     (SIMULATE + ("--noise", "{tmp}/abc.txt"),
      "error: noise file {tmp}/abc.txt: cannot parse 'p_prep_flip abc'"),
     (SIMULATE + ("--noise", "{tmp}/no-value.txt"),

@@ -1,5 +1,6 @@
 """Simulator engine tests: state preparation, noisy circuit execution,
-seeded sampling, SPAM correction and post-selection."""
+seeded sampling and the shot-set text format, plus the readout correction
+and post-selection that turn its shots into mitigated counts."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,19 +9,23 @@ from hypothesis import strategies as st
 from parasim.algebra import ParaSpec, displaced_vacuum_exact
 from parasim.circuits import Circuit, compile_displacement, rx, xx
 from parasim.engine import (
-    EmptyShotSetError,
     NoiseModel,
     ShotSet,
     StateVector,
     apply_circuit,
-    postselect,
+    outcome_bits,
     prepare_initial,
     run_and_sample,
     sample_shots,
     shotset_to_text,
+)
+from parasim.experiments import (
+    EmptyShotSetError,
+    histogram,
+    number_stats,
+    postselect,
     spam_correct,
 )
-from parasim.experiments import number_stats
 from parasim.factorize import solve_displacement
 from parasim.mapping import generator_family, onehot_index
 
@@ -201,28 +206,31 @@ class TestRunAndSample:
         assert first.counts == second.counts
 
 
+def corrected_p1(shots: ShotSet, noise: NoiseModel) -> np.ndarray:
+    """Per-qubit P(read 1) of a shot set after readout inversion."""
+    corrected = spam_correct(histogram(shots) / shots.shots, noise)
+    return corrected @ outcome_bits(len(next(iter(shots.counts))))
+
+
 class TestSpamCorrection:
     def test_identity_confusion_is_a_no_op(self):
         shots = ShotSet({"10": 600, "01": 400}, 1000, seed=0)
-        marg = spam_correct(shots, NoiseModel())
-        assert marg.p1 == pytest.approx([0.6, 0.4])
-        assert not marg.out_of_range
+        assert corrected_p1(shots, NoiseModel()) == pytest.approx([0.6, 0.4])
 
     def test_symmetric_fixed_point(self):
         shots = ShotSet({"1": 500, "0": 500}, 1000, seed=0)
-        marg = spam_correct(shots, NoiseModel(eps01=0.05, eps10=0.05))
-        assert marg.p1[0] == pytest.approx(0.5)
+        p1 = corrected_p1(shots, NoiseModel(eps01=0.05, eps10=0.05))
+        assert p1[0] == pytest.approx(0.5)
 
     def test_inverse_of_known_confusion(self):
         shots = ShotSet({"1": 950, "0": 50}, 1000, seed=0)
-        marg = spam_correct(shots, NoiseModel(eps01=0.05, eps10=0.05))
-        assert marg.p1[0] == pytest.approx(1.0)
+        p1 = corrected_p1(shots, NoiseModel(eps01=0.05, eps10=0.05))
+        assert p1[0] == pytest.approx(1.0)
 
-    def test_out_of_range_flagged_not_clamped(self):
+    def test_out_of_range_not_clamped(self):
         shots = ShotSet({"1": 990, "0": 10}, 1000, seed=0)
-        marg = spam_correct(shots, NoiseModel(eps01=0.05, eps10=0.05))
-        assert marg.p1[0] > 1.0
-        assert marg.out_of_range
+        p1 = corrected_p1(shots, NoiseModel(eps01=0.05, eps10=0.05))
+        assert p1[0] > 1.0
 
     def test_simulate_then_correct_recovers_ideal_marginals(self):
         # 4-sigma round trip at 5000 shots
@@ -231,17 +239,17 @@ class TestSpamCorrection:
         circuit = compile_displacement(gv, generator_family(3))
         noise = NoiseModel(eps01=0.04, eps10=0.06)
         shots = run_and_sample(circuit, 5000, noise, seed=13)
-        marg = spam_correct(shots, noise)
+        p1 = corrected_p1(shots, noise)
         psi = displaced_vacuum_exact(spec, np.pi / 4)
         ideal_p1 = np.abs(psi) ** 2
         for q in range(3):
             sigma = max(np.sqrt(ideal_p1[q] * (1 - ideal_p1[q]) / 5000)
                         / (1 - noise.eps01 - noise.eps10), 1e-4)
-            assert abs(marg.p1[q] - ideal_p1[q]) <= 4 * sigma
+            assert abs(p1[q] - ideal_p1[q]) <= 4 * sigma
 
     def test_empty_counts_rejected(self):
         with pytest.raises(EmptyShotSetError):
-            spam_correct(ShotSet({}, 0, seed=0), NoiseModel())
+            corrected_p1(ShotSet({}, 0, seed=0), NoiseModel())
 
 
 class TestPostselect:
@@ -249,19 +257,17 @@ class TestPostselect:
         shots = ShotSet({"100": 4900, "110": 100}, 5000, seed=0)
         kept = postselect(shots)
         assert kept.counts == {"100": 4900}
-        assert kept.retained_fraction == pytest.approx(0.98)
+        assert kept.shots == 4900
 
     def test_all_onehot_unchanged(self):
         shots = ShotSet({"100": 3000, "010": 2000}, 5000, seed=0)
         kept = postselect(shots)
-        assert kept.counts == shots.counts
-        assert kept.retained_fraction == 1.0
+        assert kept == shots
 
     def test_zero_retained_is_explicit(self):
         kept = postselect(ShotSet({"000": 10}, 10, seed=0))
         assert kept.counts == {}
         assert kept.shots == 0
-        assert kept.retained_fraction == 0.0
         with pytest.raises(EmptyShotSetError):
             number_stats(kept, 3)
 
@@ -286,16 +292,17 @@ class TestPostselect:
 
 class TestShotSetText:
     def test_metadata_and_counts(self):
-        shots = ShotSet({"010": 7, "100": 3}, 10, seed=4, retained_fraction=0.5)
+        shots = ShotSet({"010": 7, "100": 3}, 10, seed=4)
         text = shotset_to_text(shots, NoiseModel(eps01=0.01))
         assert "# seed 4" in text
-        assert "# retained_fraction 0.5" in text
+        assert "# shots 10" in text
+        assert "retained_fraction" not in text
         assert "eps01=0.01" in text
         assert text.index("010 7") < text.index("100 3")
 
     def test_round_trip(self, tmp_path):
         from parasim.engine import read_shotset, write_shotset
-        shots = ShotSet({"010": 7, "100": 3}, 10, seed=4, retained_fraction=0.5)
+        shots = ShotSet({"010": 7, "100": 3}, 10, seed=4)
         path = tmp_path / "shots.txt"
         write_shotset(path, shots)
         loaded = read_shotset(path)
@@ -315,14 +322,23 @@ class TestShotSetText:
         path.write_text("# seed 4\n" + "\n".join(lines) + "\n")
         with pytest.raises(ValueError) as excinfo:
             read_shotset(path)
+        assert str(excinfo.value).startswith(f"shot set {path}: ")
         assert repr(lines[-1]) in str(excinfo.value)
+
+    def test_bitstring_given_twice_rejected(self, tmp_path):
+        from parasim.engine import read_shotset
+        path = tmp_path / "shots.txt"
+        path.write_text("# seed 4\n010 3\n100 1\n010 5\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_shotset(path)
+        assert str(excinfo.value) == f"shot set {path}: bitstring '010' given twice"
 
 
 _SHOT_SETS = st.integers(1, 6).flatmap(lambda q: st.builds(
-    lambda counts, seed, retained: ShotSet(counts, sum(counts.values()), seed, retained),
+    lambda counts, seed: ShotSet(counts, sum(counts.values()), seed),
     st.dictionaries(st.text("01", min_size=q, max_size=q), st.integers(0, 10 ** 12),
                     max_size=8),
-    st.integers(-2 ** 63, 2 ** 63), st.floats(0.0, 1.0)))
+    st.integers(-2 ** 63, 2 ** 63)))
 _NOISE = st.one_of(st.none(), st.builds(NoiseModel, eps01=st.floats(0.0, 0.4),
                                         p_depol_2q=st.floats(0.0, 0.9)))
 
@@ -350,7 +366,6 @@ class TestCounts:
         assert all(type(n) is int for n in counts.values())
 
     def test_histogram_indexes_counts_by_outcome(self):
-        from parasim.engine import histogram
         hist = histogram(ShotSet({"011": 4, "100": 2, "000": 1}, 7, seed=0))
         assert hist.tolist() == [1, 0, 0, 4, 2, 0, 0, 0]
         with pytest.raises(EmptyShotSetError):
@@ -380,13 +395,3 @@ class TestSpamInversionOracle:
         counts = rng.integers(0, 50, size=(4, 2 ** q))   # integer counts, same map
         want = counts @ np.linalg.inv(dense_confusion(self.NOISE, q)).T
         assert np.abs(spam_correct(counts, self.NOISE) - want).max() < 1e-12 * counts.max()
-
-    def test_shot_set_marginals_use_the_same_inversion(self):
-        shots = ShotSet({"100": 30, "010": 50, "011": 20}, 100, seed=0)
-        marg = spam_correct(shots, self.NOISE)
-        probs = np.zeros(8)
-        probs[[4, 2, 3]] = [0.3, 0.5, 0.2]
-        corrected = np.linalg.solve(dense_confusion(self.NOISE, 3), probs)
-        assert np.abs(marg.histogram - corrected).max() < 1e-12
-        bits = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1
-        assert np.abs(marg.p1 - corrected @ bits).max() < 1e-12

@@ -5,27 +5,24 @@ import pytest
 from scipy.linalg import expm
 
 from parasim.algebra import ParaSpec, build_fock_ops
-from parasim.engine import (
-    EmptyShotSetError,
-    NoiseModel,
-    ShotSet,
-    histogram,
-    postselect,
-    spam_correct,
-)
+from parasim.engine import NoiseModel, ShotSet
 from parasim.experiments import (
     SOURCE_EXACT,
     SOURCE_POST,
     SOURCE_RAW,
     SOURCE_SPAM,
+    EmptyShotSetError,
     cutoff_study,
     exact_number_stats,
+    histogram,
     mandel_q,
     number_stats,
+    postselect,
     run_pb_mandel_sweep,
     run_pf_evolution,
     series_to_csv,
     shot_sources,
+    spam_correct,
     uncertainty,
     write_atomic,
 )

@@ -25,6 +25,7 @@ from parasim.circuits import (
     rx,
     xx,
 )
+import parasim.engine as engine
 from parasim.engine import NoiseModel, _levels, run_and_sample
 from parasim.factorize import solve_displacement
 from parasim.mapping import apply_pauli, generator_family
@@ -167,6 +168,21 @@ def test_counts_equal_the_dense_replay(kind, q, alpha, cancelled, text, noise, s
 def test_pinned_and_hand_built_circuits_equal_the_dense_replay(circuit, noise, shots, seed):
     assert run_and_sample(circuit, shots, noise, seed).counts == \
         dense_run_and_sample(circuit, shots, noise, seed)
+
+
+@pytest.mark.parametrize("kind,q,alpha,noise,shots,seed", [
+    ("pb", 4, 0.6, "strong", 500, 21),
+    ("pf", 5, 2.9, "pinned", 400, 22),
+    ("pf", 3, 0.6, "gates", 300, 23),
+    ("pb", 3, 0.0, "strong", 300, 24),   # the empty circuit: rows of no uniforms
+])
+def test_one_row_blocks_draw_the_same_kicks(monkeypatch, kind, q, alpha, noise, shots, seed):
+    circuit = compiled(kind, q, alpha)
+    whole = run_and_sample(circuit, shots, NOISES[noise], seed).counts
+    monkeypatch.setattr(engine, "_DRAW_BYTES", 1)
+    blocks = engine._row_blocks(np.random.default_rng(), shots, len(circuit.gates))
+    assert len(list(blocks)) == shots
+    assert run_and_sample(circuit, shots, NOISES[noise], seed).counts == whole
 
 
 def majoranas(q: int) -> list:
