@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mapping import MAX_DENSE_QUBITS, GeneratorBasis, PauliString, apply_pauli
+from .mapping import (_IDENTITY, _PHASE_I, MAX_DENSE_QUBITS, GeneratorBasis, PauliString, _pair,
+                      _times, _word, apply_pauli)
 
 _RX = "RX"
 _RY = "RY"
@@ -246,10 +247,8 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 # --- Clifford frame and Majorana rotation centres --------------------------
 #
-# Under Jordan-Wigner, c_{2q} = Z_0..Z_{q-1} X_q and c_{2q+1} = Z_0..Z_{q-1} Y_q,
-# so Z_q = -i c_{2q} c_{2q+1}.  A Pauli word is kept as (x, z, r, m): the
-# operator i^r X^x Z^z, with bit q of x and z for qubit q, and m the set of
-# Majoranas whose product it is up to phase (bit a for c_a).
+# Frame images, centres and kicks are Pauli words (x, z, r, m) of
+# `parasim.mapping`, where m is the Jordan-Wigner Majorana set of the word.
 
 # The 4^k - 1 non-identity Pauli kicks on a gate's k qubits, in the order a
 # uniform draw picks them (base-4 digits 'IXYZ', the gate's first qubit most
@@ -260,30 +259,6 @@ KICK_WORDS = {k: ["".join(w) for w in product("IXYZ", repeat=k)][1:] for k in (1
 # its kicks are the first three rows
 _KICK_SUMS = np.array([[c in "XY", c in "YZ", d in "XY", d in "YZ"]
                        for c, d in KICK_WORDS[2]], dtype=np.uint8)
-_PHASE_I = (0, 0, 1, 0)
-_IDENTITY = (0, 0, 0, 0)
-
-
-def _times(p: tuple, q: tuple) -> tuple:
-    """The product p q of two words (x, z, r, m)."""
-    return (p[0] ^ q[0], p[1] ^ q[1], (p[2] + q[2] + 2 * (p[1] & q[0]).bit_count()) % 4,
-            p[3] ^ q[3])
-
-
-def _majorana(a: int) -> tuple:
-    q, y = divmod(a, 2)
-    return (1 << q, (1 << q) - 1 | y << q, y, 1 << a)
-
-
-def _pair(word: tuple, what: str) -> tuple[int, int]:
-    """(a, b) with word = i c_a c_b, or ValueError if it is not quadratic."""
-    m = word[3]
-    if m.bit_count() != 2:
-        raise ValueError(f"circuit is not fermionic-Gaussian: {what} pulls back to a "
-                         f"product of {m.bit_count()} Majoranas, not 2")
-    a, b = (m & -m).bit_length() - 1, m.bit_length() - 1
-    same = _times(_PHASE_I, _times(_majorana(a), _majorana(b)))[2] == word[2]
-    return (a, b) if same else (b, a)
 
 
 class Decomposition(NamedTuple):
@@ -311,8 +286,8 @@ def decompose(circuit: Circuit) -> Decomposition:
     word, i.e. the circuit is not fermionic linear optics.
     """
     q = circuit.num_qubits
-    xs = [(1 << k, 0, 0, (2 << 2 * k) - 1) for k in range(q)]  # images of X_k
-    zs = [(0, 1 << k, 0, 3 << 2 * k) for k in range(q)]        # images of Z_k
+    xs = [_word("X", (k,)) for k in range(q)]  # images of X_k
+    zs = [_word("Z", (k,)) for k in range(q)]  # images of Z_k
     centres, frames = [], []
     for j, gate in enumerate(circuit.gates):
         k = gate.qubits[0]

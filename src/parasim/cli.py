@@ -135,20 +135,17 @@ def cmd_verify(args) -> int:
         lines.append(f"xy_mapping,{spec.kind},{spec.p},{spec.np},"
                      f"residual={map_res:.3e},{map_res <= 1e-12}")
         ok &= map_res <= 1e-12
-        if q <= 6:
-            if q not in algebra:
-                basis = generator_family(q)
-                try:
-                    commutator_table(basis)
-                    closure = True
-                except ValueError:
-                    closure = False
-                algebra[q] = closure, check_jacobi(basis)
-            closure, jacobi = algebra[q]
-            lines.append(f"commutator_closure,{spec.kind},{spec.p},{spec.np},"
-                         f"Q={q},{closure}")
-            lines.append(f"jacobi,{spec.kind},{spec.p},{spec.np},Q={q},{jacobi}")
-            ok &= closure and jacobi
+        if q not in algebra:
+            basis = generator_family(q)
+            try:
+                commutator_table(basis)
+                algebra[q] = True, check_jacobi(basis)
+            except ValueError:
+                algebra[q] = False, False
+        closure, jacobi = algebra[q]
+        lines.append(f"commutator_closure,{spec.kind},{spec.p},{spec.np},Q={q},{closure}")
+        lines.append(f"jacobi,{spec.kind},{spec.p},{spec.np},Q={q},{jacobi}")
+        ok &= closure and jacobi
     text = "\n".join(lines) + "\n"
     if args.out:
         write_atomic(args.out, text)

@@ -298,8 +298,9 @@ _SHOT_LINE = re.compile(r"([01]+)\s+([0-9]+)")
 
 def read_shotset(path) -> ShotSet:
     """The shot set of a file in the text format, each bitstring at most
-    once; a ValueError names the file."""
-    seed = 0
+    once and the counts summing to the `# shots` total when the file gives
+    one; a ValueError names the file."""
+    header: dict = {}
     counts: dict = {}
     try:
         for line in Path(path).read_text().splitlines():
@@ -308,8 +309,8 @@ def read_shotset(path) -> ShotSet:
                 continue
             if line.startswith("#"):
                 parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "seed":
-                    seed = int(parts[1])
+                if len(parts) == 2 and parts[0] in ("seed", "shots"):
+                    header[parts[0]] = int(parts[1])
                 continue
             match = _SHOT_LINE.fullmatch(line)
             if match is None or len(match[1]) != len(next(iter(counts), match[1])):
@@ -318,6 +319,9 @@ def read_shotset(path) -> ShotSet:
             if match[1] in counts:
                 raise ValueError(f"bitstring {match[1]!r} given twice")
             counts[match[1]] = int(match[2])
+        shots = sum(counts.values())
+        if header.get("shots", shots) != shots:
+            raise ValueError(f"counts sum to {shots}, not the {header['shots']} of '# shots'")
     except ValueError as exc:
         raise ValueError(f"shot set {path}: {exc}") from None
-    return ShotSet(counts=counts, shots=sum(counts.values()), seed=seed)
+    return ShotSet(counts=counts, shots=shots, seed=header.get("seed", 0))

@@ -1,16 +1,22 @@
-"""One-hot qubit encoding of Fock levels and the XY-model image of the
-driven para-particle oscillator.
+"""One-hot qubit encoding of Fock levels, the XY-model image of the
+driven para-particle oscillator, and the Pauli word.
 
 Level n maps to the register basis state with qubit n flipped (qubit 0
 is the leftmost / most significant position).  The hopping Hamiltonian
 and the whole u/v/w/a generator family preserve that single-excitation
 subspace; `restrict_to_onehot` extracts the block that carries the Fock
-dynamics.  A Pauli word acts on amplitudes as a phase times a reversed
-strided view (`pauli_view`), with no matrix and no gather.
+dynamics.
+
+A Pauli word is the int tuple (x, z, r, m): the operator i^r X^x Z^z with
+bit q of x and z for qubit q, and m its set of Jordan-Wigner Majoranas
+(bit a for c_a; c_2q = Z_0..Z_q-1 X_q, c_2q+1 = Z_0..Z_q-1 Y_q), set when
+the word is built and carried through products by XOR.  The generator
+algebra and the one-hot block are read from the bits; `pauli_view` applies
+a word to amplitudes as a phase times a reversed strided view.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -19,16 +25,44 @@ from .algebra import ParaSpec, ladder_amplitude
 
 MAX_DENSE_QUBITS = 12
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_PHASE_I = (0, 0, 1, 0)
+_IDENTITY = (0, 0, 0, 0)
+_I_POWERS = (1, 1j, -1, -1j)
 
-# the nonzero in each row of a letter, (P[0, f], P[1, 1 - f]), f = 1 for X/Y
-_PAULI_ROWS = {c: m[[0, 1], [int(c in "XY"), int(c not in "XY")]]
-               for c, m in _PAULI.items()}
+
+def _word(letters: str, qubits: tuple[int, ...] | None = None) -> tuple:
+    """The word with letters[i] ('IXYZ') on qubit qubits[i], by default on qubit i."""
+    x = z = r = m = 0
+    for qubit, c in zip(range(len(letters)) if qubits is None else qubits, letters):
+        if c in "XY":
+            x, m = x | 1 << qubit, m ^ (2 << 2 * qubit) - 1
+        if c in "YZ":
+            z, m = z | 1 << qubit, m ^ 3 << 2 * qubit
+        r += c == "Y"
+    return (x, z, r % 4, m)
+
+
+def _times(p: tuple, q: tuple) -> tuple:
+    """The product p q of two words."""
+    return (p[0] ^ q[0], p[1] ^ q[1], (p[2] + q[2] + 2 * (p[1] & q[0]).bit_count()) % 4,
+            p[3] ^ q[3])
+
+
+def _majorana(a: int) -> tuple:
+    q, y = divmod(a, 2)
+    return (1 << q, (1 << q) - 1 | y << q, y, 1 << a)
+
+
+def _pair(word: tuple, what: str) -> tuple[int, int]:
+    """(a, b) with word = i c_a c_b, or ValueError if it is not quadratic."""
+    m = word[3]
+    if m.bit_count() != 2:
+        raise ValueError(f"circuit is not fermionic-Gaussian: {what} pulls back to a "
+                         f"product of {m.bit_count()} Majoranas, not 2")
+    a, b = (m & -m).bit_length() - 1, m.bit_length() - 1
+    same = _times(_PHASE_I, _times(_majorana(a), _majorana(b)))[2] == word[2]
+    return (a, b) if same else (b, a)
+
 
 # span-k generators are labeled u (2 qubits), v (3), w (4), a (5); wider
 # spans continue alphabetically from b.
@@ -45,18 +79,18 @@ def pauli_view(letters: str, qubits: tuple[int, ...] | None = None
     """The Pauli word P with letters[i] on qubit qubits[i] (by default on
     qubit i), qubit 0 most significant, as (shape, flip, phase) with
     P psi = phase * psi.reshape(shape)[flip] for psi of shape (2^Q,) or
-    (2^Q, batch).  Each non-identity letter gets a length-2 axis and the
+    (2^Q, batch).  Each qubit of the word gets a length-2 axis and the
     qubits between them one axis (the batch folds into the last); flip
-    reverses the X/Y axes, and phase broadcasts the nonzero in each row of
-    each letter (_PAULI_ROWS).
+    reverses the X axes, and phase broadcasts i^r times the sign
+    (-1)^(z (b ^ x)) of row b of each qubit.
     """
-    shape, flip, phase, edge = [], [], np.ones((), dtype=complex), 0
-    for qubit, c in sorted(zip(range(len(letters)) if qubits is None else qubits, letters)):
-        if c == "I":
-            continue
+    x, z, r, _ = _word(letters, qubits)
+    shape, flip, phase, edge = [], [], np.full((), _I_POWERS[r], dtype=complex), 0
+    for qubit in (k for k in range((x | z).bit_length()) if (x | z) >> k & 1):
+        fx, fz = x >> qubit & 1, z >> qubit & 1
         shape += [2 ** (qubit - edge), 2]
-        flip += [slice(None), slice(None, None, -1 if c in "XY" else 1)]
-        phase = np.multiply.outer(phase, _PAULI_ROWS[c])
+        flip += [slice(None), slice(None, None, -1 if fx else 1)]
+        phase = np.multiply.outer(phase, [(-1) ** (fz & fx), (-1) ** (fz & (1 - fx))])
         edge = qubit + 1
     phase = phase.reshape([1, 2] * phase.ndim + [1])
     phase.flags.writeable = False  # cached and shared by every caller
@@ -76,6 +110,7 @@ class PauliString:
 
     coeff: float
     letters: str
+    word: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.letters) < 1:
@@ -85,6 +120,7 @@ class PauliString:
             raise ValueError(f"invalid Pauli letters {bad}")
         if not np.isfinite(self.coeff):
             raise ValueError("non-finite coefficient")
+        object.__setattr__(self, "word", _word(self.letters))
 
     @property
     def num_qubits(self) -> int:
@@ -225,65 +261,75 @@ def restrict_to_onehot(op: np.ndarray, num_qubits: int) -> np.ndarray:
 def onehot_block(h: PauliSum) -> np.ndarray:
     """restrict_to_onehot(pauli_sum_to_matrix(h)) without the 2^Q matrix.
 
-    Entry (i, j) of a word is the product over qubits k of its letter's
-    entry <[k == i]| P_k |[k == j]>.
+    Entry (i, j) of a word i^r X^x Z^z is i^r (-1)^(z_j) when x flips
+    exactly qubits i and j (no qubit when i == j), and 0 otherwise.
     """
     q = h.num_qubits
-    bits = np.eye(q, dtype=int)
     out = np.zeros((q, q), dtype=complex)
     for term in h.terms:
-        table = np.stack([_PAULI[c] for c in term.letters])
-        out += term.coeff * table[np.arange(q)[:, None, None], bits[:, :, None],
-                                  bits[:, None, :]].prod(axis=0)
+        x, z, r, _ = term.word
+        i, j = (x & -x).bit_length() - 1, x.bit_length() - 1
+        for a, b in ([(k, k) for k in range(q)] if x == 0 else
+                     [(i, j), (j, i)] if x.bit_count() == 2 else []):
+            out[a, b] += term.coeff * _I_POWERS[r] * (-1) ** (z >> b & 1)
+    return out
+
+
+def _linear(terms) -> dict:
+    """The sum of c * word over (c, word) pairs as {(x, z): coefficient of X^x Z^z}."""
+    out: dict = {}
+    for c, (x, z, r, _) in terms:
+        out[x, z] = out.get((x, z), 0) + c * _I_POWERS[r]
     return out
 
 
 def commutator_table(basis: GeneratorBasis, tol: float = 1e-12):
-    """Structure constants of the generator family.
+    """Structure constants of the generator family, read from the words:
+    [P, Q] = 2 P Q for words that anticommute, 0 for words that commute.
 
     Returns {(label_i, label_j): None | (sign, label_k)} meaning
     [G_i, G_j] = 0 or sign * 2i * G_k.  Any commutator outside that span
     signals a generator-construction bug and raises.
     """
-    mats = [pauli_sum_to_matrix(g) for g in basis.generators]
-    labels = basis.labels
-    table = {}
-    for i, gi in enumerate(mats):
-        for j, gj in enumerate(mats):
-            comm = gi @ gj - gj @ gi
-            if np.max(np.abs(comm)) <= tol:
-                table[(labels[i], labels[j])] = None
-                continue
-            hit = None
-            for k, gk in enumerate(mats):
-                for sign in (1, -1):
-                    if np.max(np.abs(comm - sign * 2j * gk)) <= tol:
-                        hit = (sign, labels[k])
-                        break
-                if hit:
-                    break
-            if hit is None:
-                raise ValueError(
-                    f"[{labels[i]}, {labels[j]}] is not 0 or +-2i times a basis element"
-                )
-            table[(labels[i], labels[j])] = hit
+    sums = [_linear((t.coeff, t.word) for t in g.terms) for g in basis.generators]
+    owners: dict = {}  # (x, z) -> the generators holding that word
+    for k, terms in enumerate(sums):
+        for key in terms:
+            owners.setdefault(key, []).append(k)
+    labels, table = basis.labels, {}
+    for i, gi in enumerate(basis.generators):
+        for j, gj in enumerate(basis.generators):
+            comm = _linear((2 * p.coeff * q.coeff, _times(p.word, q.word))
+                           for p in gi.terms for q in gj.terms
+                           if (p.word[0] & q.word[1] ^ p.word[1] & q.word[0]).bit_count() % 2)
+            comm = {key: c for key, c in comm.items() if abs(c) > tol}
+            hits = [(sign, labels[k]) for k in owners.get(next(iter(comm), None), ())
+                    for sign in (1, -1)
+                    if all(abs(comm.get(key, 0) - sign * 2j * sums[k].get(key, 0)) <= tol
+                           for key in comm.keys() | sums[k].keys())]
+            if comm and not hits:
+                raise ValueError(f"[{labels[i]}, {labels[j]}] is not 0 or +-2i times a "
+                                 "basis element")
+            table[(labels[i], labels[j])] = hits[0] if comm else None
     return table
 
 
 def check_jacobi(basis: GeneratorBasis, tol: float = 1e-12) -> bool:
-    """True iff [A,[B,C]] + [B,[C,A]] + [C,[A,B]] vanishes for all triples."""
-    mats = [pauli_sum_to_matrix(g) for g in basis.generators]
-
-    def comm(a, b):
-        return a @ b - b @ a
-
-    n = len(mats)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = comm(mats[i], comm(mats[j], mats[k])) \
-                    + comm(mats[j], comm(mats[k], mats[i])) \
-                    + comm(mats[k], comm(mats[i], mats[j]))
-                if np.max(np.abs(total)) > tol:
-                    return False
+    """True iff the structure constants of commutator_table (which raises if
+    the family does not close) satisfy [A,[B,C]] + [B,[C,A]] + [C,[A,B]] = 0
+    for all triples.  With [G_a, G_b] = 2i s[a, b] G_t[a, b], the term
+    [G_a, [G_b, G_c]] is -4 s[b, c] s[a, t[b, c]] G_t[a, t[b, c]]."""
+    index = {label: k for k, label in enumerate(basis.labels)}
+    t, s = np.zeros((2, len(basis), len(basis)), dtype=int)
+    for (a, b), hit in commutator_table(basis, tol).items():
+        if hit:
+            s[index[a], index[b]], t[index[a], index[b]] = hit[0], index[hit[1]]
+    pairs = np.array(np.triu_indices(len(s), 1))
+    for a in range(len(s)):  # every triple a < b < c
+        b, c = pairs[:, pairs[0] > a]
+        terms = [(t[x, t[y, z]], s[y, z] * s[x, t[y, z]])
+                 for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
+        for at, _ in terms:  # the summed coefficient of each generator a term hits
+            if np.any(4 * np.abs(sum(coeff * (at2 == at) for at2, coeff in terms)) > tol):
+                return False
     return True

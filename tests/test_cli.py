@@ -84,6 +84,12 @@ class TestVerify:
         assert out.splitlines()[2].startswith("xy_mapping,pb,1,12,")
         assert out.splitlines()[2].endswith(",True")
 
+    def test_generator_algebra_checked_at_seven_qubits(self, capsys):
+        assert run_cli("verify", "--kind", "pf", "--p", "6") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "commutator_closure,pf,6,3,Q=7,True" in out
+        assert "jacobi,pf,6,3,Q=7,True" in out
+
     def test_generator_algebra_checked_once_per_width(self, monkeypatch, capsys):
         calls = []
         table = parasim.cli.commutator_table

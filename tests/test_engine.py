@@ -333,6 +333,15 @@ class TestShotSetText:
             read_shotset(path)
         assert str(excinfo.value) == f"shot set {path}: bitstring '010' given twice"
 
+    def test_truncated_shot_set_rejected(self, tmp_path):
+        from parasim.engine import read_shotset
+        path = tmp_path / "shots.txt"
+        path.write_text("# seed 4\n# shots 10\n010 3\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_shotset(path)
+        assert str(excinfo.value) == (f"shot set {path}: counts sum to 3, "
+                                      "not the 10 of '# shots'")
+
 
 _SHOT_SETS = st.integers(1, 6).flatmap(lambda q: st.builds(
     lambda counts, seed: ShotSet(counts, sum(counts.values()), seed),

@@ -214,6 +214,21 @@ class TestOnehotRestriction:
                 assert np.max(np.abs(column[outside])) <= 1e-14
 
 
+def dense_commutator_table(basis, tol=1e-12):
+    """The structure constants from 2^Q x 2^Q matrix commutators, in the
+    format of commutator_table: the reference the word algebra replaces."""
+    mats = [pauli_sum_to_matrix(g) for g in basis.generators]
+    labels = basis.labels
+    table = {}
+    for i, gi in enumerate(mats):
+        for j, gj in enumerate(mats):
+            comm = gi @ gj - gj @ gi
+            table[(labels[i], labels[j])] = None if np.max(np.abs(comm)) <= tol else next(
+                (sign, labels[k]) for k, gk in enumerate(mats) for sign in (1, -1)
+                if np.max(np.abs(comm - sign * 2j * gk)) <= tol)
+    return table
+
+
 class TestCommutatorTable:
     def test_three_qubit_relations(self):
         table = commutator_table(generator_family(3))
@@ -246,13 +261,21 @@ class TestCommutatorTable:
             assert table[(label, label)] is None
 
     def test_malformed_basis_detected(self):
-        # breaking the odd-span sign pushes commutators out of the span
-        good = generator_family(5)
-        broken_v0 = PauliSum((PauliString(1.0, "XZYII"), PauliString(1.0, "YZXII")))
-        gens = list(good.generators)
-        gens[2] = broken_v0
-        with pytest.raises(ValueError):
-            commutator_table(GeneratorBasis(tuple(gens), good.labels))
+        # breaking the odd-span sign pushes commutators out of the span, also
+        # at Q = 9, where a dense check would build 512 x 512 matrices
+        for q in (5, 9):
+            good = generator_family(q)
+            pad = "I" * (q - 3)
+            broken_v0 = PauliSum((PauliString(1.0, "XZY" + pad), PauliString(1.0, "YZX" + pad)))
+            gens = list(good.generators)
+            gens[2] = broken_v0
+            with pytest.raises(ValueError):
+                commutator_table(GeneratorBasis(tuple(gens), good.labels))
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 6])
+    def test_equals_dense_matrix_commutators(self, q):
+        assert commutator_table(generator_family(q)) == dense_commutator_table(
+            generator_family(q))
 
 
 class TestJacobi:
@@ -264,3 +287,11 @@ class TestJacobi:
 
     def test_two_qubits_vacuous(self):
         assert check_jacobi(generator_family(2))
+
+    def test_one_wrong_structure_constant_detected(self, monkeypatch):
+        # [u1, v0] = +2i u0; flipped in both orders the table stays antisymmetric
+        import parasim.mapping as mapping
+        table = mapping.commutator_table(generator_family(4))
+        table[("u1", "v0")], table[("v0", "u1")] = (-1, "u0"), (1, "u0")
+        monkeypatch.setattr(mapping, "commutator_table", lambda basis, tol: table)
+        assert not check_jacobi(generator_family(4))
