@@ -41,11 +41,8 @@ from .circuits import (
 from .engine import (
     NoiseModel,
     ShotSet,
-    StateVector,
     apply_circuit,
-    prepare_initial,
     run_and_sample,
-    sample_shots,
 )
 from .experiments import (
     NumberStats,

@@ -76,6 +76,8 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
+        if self.num_qubits < 1:
+            raise ValueError("need at least one qubit")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if any(q < 0 or q >= self.num_qubits for q in g.qubits):
@@ -341,7 +343,9 @@ def circuit_from_text(text: str) -> Circuit:
              if ln.strip() and not ln.strip().startswith("#")]
     if not lines or not lines[0].startswith("qubits "):
         raise ValueError("circuit text must start with a 'qubits Q' header")
-    q = int(lines[0].split()[1])
+    _, q = lines[0].split(maxsplit=1)
+    if not q.isdecimal() or int(q) < 1:
+        raise ValueError(f"bad header line {lines[0]!r}: want 'qubits Q' with Q >= 1")
     gates = []
     for ln in lines[1:]:
         kind, *args = ln.split()
@@ -354,7 +358,7 @@ def circuit_from_text(text: str) -> Circuit:
             gates.append(Gate(kind, tuple(int(a) for a in args[:width]), float(args[width])))
         except ValueError as exc:
             raise ValueError(f"bad gate line {ln!r}: {exc}") from None
-    return Circuit(q, gates)
+    return Circuit(int(q), gates)
 
 
 def write_circuit(path, circuit: Circuit) -> None:
@@ -362,4 +366,8 @@ def write_circuit(path, circuit: Circuit) -> None:
 
 
 def read_circuit(path) -> Circuit:
-    return circuit_from_text(Path(path).read_text())
+    """The circuit of a file in the text format; a ValueError names the file."""
+    try:
+        return circuit_from_text(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"circuit {path}: {exc}") from None

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 computation/identity failure, 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -76,7 +77,7 @@ def parse_float_list(text: str, flag: str) -> list[float]:
 def read_noise_file(path) -> NoiseModel:
     """Lines `key value` or `key=value`, each key of NoiseModel at most once;
     a ValueError names the file."""
-    known = {"p_prep_flip", "eps01", "eps10", "p_depol_1q", "p_depol_2q"}
+    known = {field.name for field in dataclasses.fields(NoiseModel)}
     values = {}
     try:
         for line in Path(path).read_text().splitlines():

@@ -1,43 +1,33 @@
-"""State-vector execution with trajectory noise, seeded shot sampling and
-the plain-text shot-set format.
+"""Seeded shot sampling with trajectory noise, and the plain-text
+shot-set format.
 
 Shot sets keep bitstring counts, as in their text format; how counts
 become numbers (readout inversion, post-selection, statistics) is decided
 in `experiments`.
 
-Noise is stochastic (quantum-jump style): preparation bit flips, a uniform
-non-identity Pauli after each gate with the depolarizing probability, and
-classical readout bit flips.  Shots whose preparation and gate coins all
-come up clean share one state, so they are measured on the dense ideal
-state vector, one binary search per shot.  Every compiled circuit is
-fermionic linear optics: `circuits.decompose` reads it as Givens rotations
-of the Jordan-Wigner Majoranas on a Clifford frame.  A Pauli kick passes
-through the frame as a Pauli, so each dirty trajectory is the same
-rotations with some angles negated and some read bits flipped, and is
-measured from its own 2Q x 2Q Majorana covariance, with no 2^Q array.
-Every shot is measured by the inverse CDF of one uniform draw, qubit 0 the
-most significant bit.
+`run_and_sample` is the one sampler.  Noise is stochastic (quantum-jump
+style): preparation bit flips, a uniform non-identity Pauli after each gate
+with the depolarizing probability, and classical readout bit flips.  Shots
+whose preparation and gate coins all come up clean share one state, whose
+amplitudes `apply_circuit` returns; `_ideal_bits` reads them, one binary
+search per shot.  Every compiled circuit is fermionic linear optics:
+`circuits.decompose` reads it as Givens rotations of the Jordan-Wigner
+Majoranas on a Clifford frame.  A Pauli kick passes through the frame as a
+Pauli, so each dirty trajectory is the same rotations with some angles
+negated and some read bits flipped, and is measured from its own 2Q x 2Q
+Majorana covariance, with no 2^Q array.  Every shot is measured by the
+inverse CDF of one uniform draw, qubit 0 the most significant bit.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .circuits import Circuit, Decomposition, apply_gate_batch, decompose
-
-
-@dataclass(frozen=True)
-class StateVector:
-    num_qubits: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        if self.amps.shape != (2 ** self.num_qubits,):
-            raise ValueError("amplitude length does not match the qubit count")
 
 
 @dataclass(frozen=True)
@@ -51,10 +41,10 @@ class NoiseModel:
     p_depol_2q: float = 0.0
 
     def __post_init__(self):
-        for name in ("p_prep_flip", "eps01", "eps10", "p_depol_1q", "p_depol_2q"):
-            v = getattr(self, name)
+        for field in fields(self):
+            v = getattr(self, field.name)
             if not 0.0 <= v < 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1)")
+                raise ValueError(f"{field.name}={v} outside [0, 1)")
         if self.eps01 + self.eps10 >= 1.0:
             raise ValueError("confusion matrix is singular (eps01 + eps10 >= 1)")
 
@@ -92,23 +82,14 @@ def outcome_bits(num_qubits: int) -> np.ndarray:
     return bits
 
 
-def prepare_initial(num_qubits: int) -> StateVector:
-    """X on qubit 0 of |0..0>: the vacuum one-hot state |10..0>."""
-    if num_qubits < 1:
-        raise ValueError("need at least one qubit")
-    amps = np.zeros(2 ** num_qubits, dtype=complex)
-    amps[2 ** (num_qubits - 1)] = 1.0
-    return StateVector(num_qubits, amps)
-
-
-def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Run the noiseless circuit gate by gate."""
-    if state.num_qubits != circuit.num_qubits:
-        raise ValueError("state and circuit widths differ")
-    amps = state.amps.copy()
+def apply_circuit(circuit: Circuit) -> np.ndarray:
+    """Amplitudes (2^Q,) of the noiseless circuit run gate by gate on the
+    vacuum one-hot state |10..0>, X on qubit 0 of |0..0>."""
+    amps = np.zeros(2 ** circuit.num_qubits, dtype=complex)
+    amps[2 ** (circuit.num_qubits - 1)] = 1.0
     for gate in circuit.gates:
         amps = apply_gate_batch(amps, gate)
-    return StateVector(state.num_qubits, amps)
+    return amps
 
 
 def _counts(bits: np.ndarray) -> dict:
@@ -135,18 +116,11 @@ def _read_out(bits: np.ndarray, noise: NoiseModel | None, meas_u: np.ndarray,
     return ShotSet(counts=_counts(bits), shots=len(bits), seed=seed)
 
 
-def sample_shots(state: StateVector, shots: int, noise: NoiseModel | None = None,
-                 seed: int = 0) -> ShotSet:
-    """Measure a fixed state `shots` times by the level rule of every noisy
-    shot (one uniform draw each against the cumulative |amps|^2), flipping
-    each read bit with the confusion rates when a noise model is given.
-    Use run_and_sample for per-shot trajectories under gate noise."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    rng = np.random.default_rng(seed)
-    levels = _levels(np.cumsum(np.abs(state.amps) ** 2), rng.random(shots))
-    return _read_out(outcome_bits(state.num_qubits)[levels], noise,
-                     rng.random((shots, state.num_qubits)), seed)
+def _ideal_bits(circuit: Circuit, u: np.ndarray) -> np.ndarray:
+    """Read bits (shots, Q) of the noiseless circuit, one shot for each
+    uniform draw in u, by the level rule against its cumulative |amps|^2."""
+    cdf = np.cumsum(np.abs(apply_circuit(circuit)) ** 2)
+    return outcome_bits(circuit.num_qubits)[_levels(cdf, u)]
 
 
 def _gaussian_shots(dec: Decomposition, init: np.ndarray, shot_ev: np.ndarray,
@@ -237,18 +211,18 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
     With preparation or gate noise every shot is its own trajectory.  All
     stochastic decisions are drawn up front from one seeded generator, so
     results are reproducible.  Shots whose error coins all come up clean
-    are measured on the ideal state; the others are measured on their own
+    are measured on the ideal state (`_ideal_bits`); the others on their own
     Majorana covariances (`_gaussian_shots`) by the same inverse CDF.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     q = circuit.num_qubits
-    ideal = apply_circuit(prepare_initial(q), circuit)
+    rng = np.random.default_rng(seed)
     if noise is None or not (noise.has_prep_noise or noise.has_gate_noise):
-        return sample_shots(ideal, shots, noise, seed)
+        bits = _ideal_bits(circuit, rng.random(shots))
+        return _read_out(bits, noise, rng.random((shots, q)), seed)
 
     dec = decompose(circuit)
-    rng = np.random.default_rng(seed)
     width = np.array([len(g.qubits) for g in circuit.gates], dtype=int)
     gate_probs = np.where(width == 1, noise.p_depol_1q, noise.p_depol_2q)
     words = 4 ** width - 1  # kick words per gate, circuits.KICK_WORDS
@@ -260,7 +234,7 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
 
     # every shot reads the ideal state; the dirty ones are then read again
     # on their own trajectories, from the prepared |10..0> with its flips
-    bits = outcome_bits(q)[_levels(np.cumsum(np.abs(ideal.amps) ** 2), shot_u)]
+    bits = _ideal_bits(circuit, shot_u)
     dirty = prep_coins.any(axis=1)
     dirty[shot_ev] = True
     rows = np.flatnonzero(dirty)
@@ -280,10 +254,8 @@ def shotset_to_text(shotset: ShotSet, noise: NoiseModel | None = None) -> str:
         f"# shots {shotset.shots}",
     ]
     if noise is not None:
-        lines.append(
-            "# noise p_prep_flip=%.17g eps01=%.17g eps10=%.17g p_depol_1q=%.17g p_depol_2q=%.17g"
-            % (noise.p_prep_flip, noise.eps01, noise.eps10,
-               noise.p_depol_1q, noise.p_depol_2q))
+        lines.append("# noise " + " ".join(f"{f.name}={getattr(noise, f.name):.17g}"
+                                           for f in fields(noise)))
     for bstr in sorted(shotset.counts):
         lines.append(f"{bstr} {shotset.counts[bstr]}")
     return "\n".join(lines) + "\n"
@@ -310,7 +282,11 @@ def read_shotset(path) -> ShotSet:
             if line.startswith("#"):
                 parts = line[1:].split()
                 if len(parts) == 2 and parts[0] in ("seed", "shots"):
-                    header[parts[0]] = int(parts[1])
+                    try:
+                        header[parts[0]] = int(parts[1])
+                    except ValueError:
+                        raise ValueError(f"bad header line {line!r}: want "
+                                         f"'# {parts[0]} <integer>'") from None
                 continue
             match = _SHOT_LINE.fullmatch(line)
             if match is None or len(match[1]) != len(next(iter(counts), match[1])):

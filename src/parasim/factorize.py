@@ -168,16 +168,30 @@ def full_space_residual(gammas, basis: GeneratorBasis, spec: ParaSpec,
     return float(np.sqrt(np.sum(4 * np.sin(subset_sums / 2) ** 2)))
 
 
+# Most the gauged target may miss SO(Q) by, in its imaginary part or in
+# ||Re^T Re - I||; its phases lose precision from alpha near 1e6 on
+_REPRESENTABLE = 1e-9
+
+
 def solve_displacement(spec: ParaSpec, alpha: float, tol: float = 1e-9,
                        seed: int = 0) -> GammaVector:
     """Factor exp(i alpha (a + adag)) for the given spec in closed form, with
     the full-register residual attached.  The solve is deterministic: seed
     is accepted for the callers that pass one and does not change the
-    result.  FactorizationError if the one-hot residual exceeds tol."""
+    result.  ValueError, naming alpha, if the gauged target is not a real
+    rotation to within _REPRESENTABLE; FactorizationError if the one-hot
+    residual exceeds tol."""
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
+    target = restricted_target(spec, alpha)
+    gauged = _gauge(target)
+    defect = max(np.linalg.norm(gauged.imag),
+                 np.linalg.norm(gauged.real.T @ gauged.real - np.eye(spec.num_qubits)))
+    if defect > _REPRESENTABLE:
+        raise ValueError(f"alpha {alpha!r} is too large: its gauged target is {defect:.1e} "
+                         "away from a real rotation")
     basis = generator_family(spec.num_qubits)
-    gv = factor_onehot(restricted_target(spec, alpha), basis, tol)
+    gv = factor_onehot(target, basis, tol)
     return replace(gv, residual_full=full_space_residual(gv.gammas, basis, spec, alpha))
 
 

@@ -19,6 +19,7 @@ from parasim.circuits import (
     compile_pauli_exp,
     gate_counts,
     optimize_cancel,
+    read_circuit,
     rx,
     ry,
     rz,
@@ -335,6 +336,19 @@ class TestCircuitText:
     def test_header_required(self):
         with pytest.raises(ValueError):
             circuit_from_text("RX 0 0.5\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("qubits abc\n", "bad header line 'qubits abc'"),
+        ("qubits 0\n", "bad header line 'qubits 0'"),
+        ("qubits 3 4\n", "bad header line 'qubits 3 4'"),
+        ("qubits 3\nRX 0 zz\n", "bad gate line 'RX 0 zz'"),
+    ])
+    def test_read_errors_name_the_file_and_the_line(self, tmp_path, text, message):
+        path = tmp_path / "circuit.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            read_circuit(path)
+        assert str(excinfo.value).startswith(f"circuit {path}: {message}")
 
     def test_format_shape(self):
         text = circuit_to_text(Circuit(2, [rx(0.5, 0), xx(1.25, 0, 1)]))

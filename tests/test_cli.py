@@ -198,6 +198,28 @@ class TestFactorizationFailure:
         assert err == "error: factorization residual 1e-03 exceeds tol 1e-09\n"
 
 
+class TestUnrepresentableAlpha:
+    @pytest.mark.parametrize("argv", [
+        ("factorize", "--kind", "pb", "--p", "2", "--np", "2", "--alpha", "1e9"),
+        ("factorize", "--kind", "pb", "--p", "2", "--np", "2", "--alpha", "1e17"),
+        ("simulate", "--kind", "pb", "--p", "2", "--np", "2", "--alpha", "1e9",
+         "--shots", "10"),
+        ("simulate", "--kind", "pb", "--p", "2", "--np", "2", "--alpha", "1e17",
+         "--shots", "10"),
+        ("study", "pf-evolution", "--p", "2", "--times", "1e300", "--shots", "10"),
+    ])
+    def test_one_error_line_exit_2_and_no_file(self, tmp_path, capsys, argv):
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: alpha ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [("factorize",), ("simulate", "--shots", "10")])
+    def test_large_alpha_still_solves(self, capsys, command):
+        assert run_cli(*command, "--kind", "pb", "--p", "2", "--np", "2",
+                       "--alpha", "1e5") == 0
+
+
 class TestFileErrors:
     def test_out_that_is_a_directory_is_named_and_leaves_no_temp_file(self, tmp_path,
                                                                       capsys):

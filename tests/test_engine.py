@@ -1,5 +1,5 @@
-"""Simulator engine tests: state preparation, noisy circuit execution,
-seeded sampling and the shot-set text format, plus the readout correction
+"""Simulator engine tests: the vacuum start, noiseless amplitudes, seeded
+sampling with and without noise and the shot-set text format, plus the readout correction
 and post-selection that turn its shots into mitigated counts."""
 import numpy as np
 import pytest
@@ -11,12 +11,9 @@ from parasim.circuits import Circuit, compile_displacement, rx, xx
 from parasim.engine import (
     NoiseModel,
     ShotSet,
-    StateVector,
     apply_circuit,
     outcome_bits,
-    prepare_initial,
     run_and_sample,
-    sample_shots,
     shotset_to_text,
 )
 from parasim.experiments import (
@@ -30,9 +27,17 @@ from parasim.factorize import solve_displacement
 from parasim.mapping import generator_family, onehot_index
 
 
-def make_state(amplitudes):
-    amps = np.asarray(amplitudes, dtype=complex)
-    return StateVector(int(np.log2(len(amps))), amps)
+def random_circuit(rng, q: int, gates: int) -> Circuit:
+    """`gates` RX and XX gates with normal angles on random qubits; RX only
+    on one qubit."""
+    out = []
+    for _ in range(gates):
+        if q == 1 or rng.random() < 0.5:
+            out.append(rx(rng.normal(), int(rng.integers(q))))
+        else:
+            a, b = rng.choice(q, size=2, replace=False)
+            out.append(xx(rng.normal(), int(a), int(b)))
+    return Circuit(q, out)
 
 
 class TestNoiseModel:
@@ -47,16 +52,14 @@ class TestNoiseModel:
             NoiseModel(eps01=0.6, eps10=0.4)
 
 
-class TestPrepareInitial:
+class TestVacuumStart:
     def test_ideal_three_qubits(self):
-        state = prepare_initial(3)
         expected = np.zeros(8)
         expected[int("100", 2)] = 1.0
-        assert np.allclose(state.amps, expected)
+        assert np.array_equal(apply_circuit(Circuit(3)), expected)
 
     def test_single_qubit(self):
-        state = prepare_initial(1)
-        assert np.allclose(state.amps, [0.0, 1.0])
+        assert np.array_equal(apply_circuit(Circuit(1)), [0.0, 1.0])
 
     def test_certain_flips(self):
         # every preparation bit flips, then X on qubit 0: |000> -> |111> -> |011>
@@ -64,43 +67,27 @@ class TestPrepareInitial:
         shots = run_and_sample(Circuit(3), 50, noise, seed=0)
         assert shots.counts == {"011": 50}
 
-    def test_needs_a_qubit(self):
-        with pytest.raises(ValueError):
-            prepare_initial(0)
+    @pytest.mark.parametrize("q", [0, -2])
+    def test_needs_a_qubit(self, q):
+        with pytest.raises(ValueError, match="need at least one qubit"):
+            Circuit(q)
 
 
 class TestApplyCircuit:
-    def test_identity_circuit(self):
-        state = prepare_initial(3)
-        out = apply_circuit(state, Circuit(3))
-        assert np.array_equal(out.amps, state.amps)
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_circuit(prepare_initial(2), Circuit(3))
-
     def test_compiled_displacement_matches_exact_reference(self):
         spec = ParaSpec("pf", 2)
         gv = solve_displacement(spec, np.pi / 4)
         circuit = compile_displacement(gv, generator_family(3))
-        out = apply_circuit(prepare_initial(3), circuit)
+        amps = apply_circuit(circuit)
         psi = displaced_vacuum_exact(spec, np.pi / 4)
-        onehot_amps = np.array([out.amps[onehot_index(n, 3)] for n in range(3)])
+        onehot_amps = np.array([amps[onehot_index(n, 3)] for n in range(3)])
         phase = onehot_amps[0] / psi[0]
         assert abs(abs(phase) - 1.0) < 1e-9
         assert np.max(np.abs(onehot_amps - phase * psi)) <= 1e-9
 
     def test_norm_preserved_across_random_circuit(self):
-        rng = np.random.default_rng(7)
-        gates = []
-        for _ in range(60):
-            if rng.random() < 0.5:
-                gates.append(rx(rng.normal(), int(rng.integers(4))))
-            else:
-                a, b = rng.choice(4, size=2, replace=False)
-                gates.append(xx(rng.normal(), int(a), int(b)))
-        out = apply_circuit(prepare_initial(4), Circuit(4, gates))
-        assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-10
+        amps = apply_circuit(random_circuit(np.random.default_rng(7), 4, 60))
+        assert abs(np.linalg.norm(amps) - 1.0) < 1e-10
 
     def test_certain_two_qubit_depolarizing_is_a_pauli_kick(self):
         # with a kick after the gate for certain, each shot is drawn from one
@@ -108,7 +95,7 @@ class TestApplyCircuit:
         # uniformly: the histogram is their equal-weight mixture
         noise = NoiseModel(p_depol_2q=0.999999999)
         circuit = Circuit(2, [xx(0.4, 0, 1)])
-        clean = apply_circuit(prepare_initial(2), circuit).amps
+        clean = apply_circuit(circuit)
         paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
                   np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])]
         kicked = [np.abs(np.kron(a, b) @ clean) ** 2
@@ -125,35 +112,35 @@ class TestApplyCircuit:
         assert np.max(np.abs(expected - np.abs(clean) ** 2)) > 0.1
 
 
-class TestSampleShots:
+class TestCleanShots:
     def test_deterministic_given_seed(self):
-        state = make_state(np.sqrt([0.25, 0.25, 0.25, 0.25]))
-        first = sample_shots(state, 1000, seed=3)
-        second = sample_shots(state, 1000, seed=3)
+        circuit = Circuit(2, [rx(np.pi / 2, 0), rx(np.pi / 2, 1)])  # all four outcomes
+        first = run_and_sample(circuit, 1000, seed=3)
+        second = run_and_sample(circuit, 1000, seed=3)
         assert first.counts == second.counts
+        assert len(first.counts) == 4
 
     def test_pure_state_concentrates(self):
-        state = prepare_initial(3)
-        shots = sample_shots(state, 5000, seed=0)
+        shots = run_and_sample(Circuit(3), 5000, seed=0)
         assert shots.counts == {"100": 5000}
 
     def test_equal_superposition_within_3_sigma(self):
-        amps = np.zeros(8)
-        amps[int("100", 2)] = amps[int("010", 2)] = 1 / np.sqrt(2)
-        shots = sample_shots(make_state(amps), 5000, seed=11)
+        # XX(pi/2) on qubits 0, 1 takes |100> to (|100> - i|010>)/sqrt(2)
+        circuit = Circuit(3, [xx(np.pi / 2, 0, 1)])
+        shots = run_and_sample(circuit, 5000, seed=11)
+        assert set(shots.counts) == {"100", "010"}
         sigma = np.sqrt(5000 * 0.25)
         for key in ("100", "010"):
             assert abs(shots.counts[key] - 2500) <= 3 * sigma
 
     def test_certain_readout_flips(self):
-        state = make_state([1.0] + [0.0] * 7)  # |000>
-        noise = NoiseModel(eps01=0.999999999)
-        shots = sample_shots(state, 200, noise, seed=5)
+        noise = NoiseModel(eps01=0.999999999)  # every 0 reads 1, every 1 stays
+        shots = run_and_sample(Circuit(3), 200, noise, seed=5)
         assert shots.counts == {"111": 200}
 
     def test_shots_validated(self):
         with pytest.raises(ValueError):
-            sample_shots(prepare_initial(2), 0)
+            run_and_sample(Circuit(2), 0)
 
     @staticmethod
     def choice_counts(amps, shots, seed, noise=None):
@@ -175,16 +162,16 @@ class TestSampleShots:
         rng = np.random.default_rng(100 + q)
         noise = NoiseModel(eps01=0.1, eps10=0.2)
         for trial in range(4):
-            amps = rng.normal(size=2 ** q) + 1j * rng.normal(size=2 ** q)
-            if trial % 2:  # many exactly-zero outcomes: ties in the cumulative sum
-                amps[rng.random(2 ** q) < 0.7] = 0.0
-                amps[rng.integers(2 ** q)] = 1.0
-            amps /= np.linalg.norm(amps)
-            state = StateVector(q, amps)
+            # odd trials: no gate or one leaves at most two nonzero amplitudes,
+            # and the exact zeros tie in the cumulative sum
+            circuit = random_circuit(rng, q, trial // 2 if trial % 2 else 6 * q)
+            amps = apply_circuit(circuit)
+            if trial % 2:
+                assert np.count_nonzero(amps) <= 2
             for seed in (0, 1, 7, 12345):
-                assert sample_shots(state, 3000, seed=seed).counts == \
+                assert run_and_sample(circuit, 3000, seed=seed).counts == \
                     self.choice_counts(amps, 3000, seed)
-                assert sample_shots(state, 3000, noise, seed=seed).counts == \
+                assert run_and_sample(circuit, 3000, noise, seed=seed).counts == \
                     self.choice_counts(amps, 3000, seed, noise)
 
 
@@ -300,6 +287,19 @@ class TestShotSetText:
         assert "eps01=0.01" in text
         assert text.index("010 7") < text.index("100 3")
 
+    @pytest.mark.parametrize("noise,line", [
+        (NoiseModel(p_prep_flip=0.005, eps01=0.01, eps10=0.02, p_depol_1q=0.001,
+                    p_depol_2q=0.01),
+         "# noise p_prep_flip=0.0050000000000000001 eps01=0.01 eps10=0.02 "
+         "p_depol_1q=0.001 p_depol_2q=0.01"),
+        (NoiseModel(), "# noise p_prep_flip=0 eps01=0 eps10=0 p_depol_1q=0 p_depol_2q=0"),
+        (NoiseModel(eps01=1 / 3, p_depol_2q=0),
+         "# noise p_prep_flip=0 eps01=0.33333333333333331 eps10=0 p_depol_1q=0 p_depol_2q=0"),
+    ])
+    def test_noise_line_bytes(self, noise, line):
+        text = shotset_to_text(ShotSet({"1": 1}, 1, seed=0), noise)
+        assert text.splitlines()[3] == line
+
     def test_round_trip(self, tmp_path):
         from parasim.engine import read_shotset, write_shotset
         shots = ShotSet({"010": 7, "100": 3}, 10, seed=4)
@@ -324,6 +324,15 @@ class TestShotSetText:
             read_shotset(path)
         assert str(excinfo.value).startswith(f"shot set {path}: ")
         assert repr(lines[-1]) in str(excinfo.value)
+
+    @pytest.mark.parametrize("line", ["# seed abc", "# shots abc", "# shots 2.5"])
+    def test_bad_header_value_names_the_line(self, tmp_path, line):
+        from parasim.engine import read_shotset
+        path = tmp_path / "shots.txt"
+        path.write_text(f"{line}\n010 3\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_shotset(path)
+        assert str(excinfo.value).startswith(f"shot set {path}: bad header line {line!r}")
 
     def test_bitstring_given_twice_rejected(self, tmp_path):
         from parasim.engine import read_shotset

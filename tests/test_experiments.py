@@ -342,13 +342,13 @@ class TestCircuitVsOracle:
     @staticmethod
     def circuit_moments(spec, alpha):
         from parasim.circuits import compile_displacement
-        from parasim.engine import apply_circuit, prepare_initial
+        from parasim.engine import apply_circuit
         from parasim.factorize import solve_displacement
         from parasim.mapping import generator_family, onehot_index
         gv = solve_displacement(spec, alpha, seed=0)
         circuit = compile_displacement(gv, generator_family(spec.num_qubits))
-        state = apply_circuit(prepare_initial(spec.num_qubits), circuit)
-        probs = np.array([abs(state.amps[onehot_index(n, spec.num_qubits)]) ** 2
+        amps = apply_circuit(circuit)
+        probs = np.array([abs(amps[onehot_index(n, spec.num_qubits)]) ** 2
                           for n in range(spec.dim)])
         levels = np.arange(spec.dim)
         return float(probs @ levels), float(probs @ levels ** 2)

@@ -1,6 +1,7 @@
 """Displacement factorization tests: target coefficients, the closed-form
 Givens solve on every register width and product unitaries, all checked
 against dense matrix-exponential oracles built in the tests."""
+import re
 import tracemalloc
 from functools import lru_cache
 
@@ -143,6 +144,11 @@ class TestNumericSolver:
         first = solve_displacement(spec, 0.7, seed=42)
         assert solve_displacement(spec, 0.7, seed=42) == first
         assert solve_displacement(spec, 0.7, seed=7).gammas == first.gammas
+
+    @pytest.mark.parametrize("alpha", [1e9, 1e17, 1e300, -1e7])
+    def test_unrepresentable_alpha_is_a_value_error_naming_it(self, alpha):
+        with pytest.raises(ValueError, match=re.escape(f"alpha {alpha!r} is too large")):
+            solve_displacement(ParaSpec("pb", 2, np=2), alpha)
 
     def test_nonconvergence_raises_with_best_residual(self):
         with pytest.raises(FactorizationError, match="exceeds tol"):
