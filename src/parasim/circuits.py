@@ -80,8 +80,9 @@ class Circuit:
             raise ValueError("need at least one qubit")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            if any(q < 0 or q >= self.num_qubits for q in g.qubits):
-                raise ValueError(f"gate {g} outside {self.num_qubits}-qubit register")
+            for q in g.qubits:
+                if not 0 <= q < self.num_qubits:
+                    raise ValueError(f"qubit {q} outside the {self.num_qubits}-qubit register")
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -355,7 +356,9 @@ def circuit_from_text(text: str) -> Circuit:
             width = len(_WORDS[kind])  # the qubits, then the angle
             if len(args) != width + 1:
                 raise ValueError(f"{kind} takes {width + 1} fields")
-            gates.append(Gate(kind, tuple(int(a) for a in args[:width]), float(args[width])))
+            gate = Gate(kind, tuple(int(a) for a in args[:width]), float(args[width]))
+            Circuit(int(q), (gate,))  # the register check, on this line's gate
+            gates.append(gate)
         except ValueError as exc:
             raise ValueError(f"bad gate line {ln!r}: {exc}") from None
     return Circuit(int(q), gates)

@@ -259,6 +259,8 @@ def study_pf_evolution(args):
              else list(np.linspace(0.0, np.pi, 25) / args.g))
     if not times:
         raise ValueError(f"--times {args.times!r} lists no time")
+    if min(times) < 0:
+        raise ValueError(f"--times must be nonnegative, not {min(times)!r}")
     points = run_pf_evolution(p_values[0], args.g, times, **_shot_options(args))
     return points, "mean_n", "g t"
 

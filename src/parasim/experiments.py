@@ -7,9 +7,9 @@ The para-particle number is identified per shot from the one-hot readout:
 which are the exact moments on the one-hot subspace.
 
 Each shot series (raw, readout-corrected, post-selected) is one estimator,
-`mitigate`, on (..., 2^Q) outcome counts, applied alike to the histogram
-and to the bootstrap's matrix of resampled histograms; `simulate` and the
-studies share it through `shot_sources`.  Its two steps, readout inversion
+`mitigate`, on the outcomes a shot set holds, never on all 2^Q: applied alike
+to their counts and to the bootstrap's draws over them, it serves `simulate`
+and the studies through `shot_sources`.  Its two steps, readout inversion
 (`spam_correct`) and one-hot post-selection, live here with it.
 """
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import ParaSpec, displaced_vacuum_exact
 from .circuits import Circuit, compile_displacement, gate_counts
-from .engine import NoiseModel, ShotSet, outcome_bits, run_and_sample
+from .engine import NoiseModel, ShotSet, run_and_sample
 from .factorize import solve_displacement
 from .mapping import generator_family
 
@@ -68,12 +68,13 @@ def _mandel(mean, mean2):
         return np.where(mean > _MEAN_FLOOR, (mean2 - mean * mean) / mean - 1.0, np.nan)
 
 
-def _level_sums(num_qubits: int):
-    """Per outcome, the sum of the indices m of its set bits and the sum of
-    their squares m^2: the level and its square on one-hot outcomes."""
-    bits = outcome_bits(num_qubits)
-    levels = np.arange(num_qubits, dtype=float)
-    return bits @ levels, bits @ levels ** 2
+def _observed(shotset: ShotSet):
+    """Counts (n,) and bits (n, Q) of the outcomes held at a positive count, sorted."""
+    if shotset.shots == 0:
+        raise EmptyShotSetError("no shots to analyze")
+    keys = sorted(b for b, c in shotset.counts.items() if c)
+    bits = np.frombuffer("".join(keys).encode(), dtype=np.uint8).reshape(len(keys), -1)
+    return np.array([shotset.counts[b] for b in keys]), (bits == ord("1")).astype(int)
 
 
 def histogram(shotset: ShotSet) -> np.ndarray:
@@ -87,8 +88,8 @@ def histogram(shotset: ShotSet) -> np.ndarray:
 
 def spam_correct(data, noise: NoiseModel) -> np.ndarray:
     """Invert the per-qubit readout confusion of `noise` on an array of
-    outcome weights (..., 2^Q): counts, a distribution or a matrix of
-    bootstrap draws.  The last axis is corrected, one 2x2 inverse per qubit
+    outcome weights (..., 2^Q): counts, a distribution, or one bit's two
+    outcomes (Q = 1), as `mitigate` applies it.  The last axis is corrected, one 2x2 inverse per qubit
     on a strided view, into a new array of the same shape; entries may turn
     negative and are not clamped."""
     if abs(1.0 - noise.eps01 - noise.eps10) < 1e-12:
@@ -125,29 +126,28 @@ def mitigation_steps(source: str, spam: NoiseModel | None = None,
     return steps[source]
 
 
-def mitigate(counts: np.ndarray, steps, spam: NoiseModel | None = None):
-    """Outcome weights (..., 2^Q) of a shot series from outcome counts
-    (..., 2^Q), each row summing to one, and the share (...) of the counts
-    the series keeps: the one-hot share of the counts when it post-selects,
-    in either order.  Rows with no positive one-hot weight left have NaN
-    weights.
-
-    Point estimates pass one histogram and the bootstrap one matrix of
-    multinomial draws, so a value and its error bar share the estimator.
+def mitigate(counts: np.ndarray, bits: np.ndarray, steps, spam: NoiseModel | None = None):
+    """Weights (..., rows) of a shot series and their outcome rows (rows, Q),
+    from counts (..., n) of the observed outcomes `bits` (n, Q): one count
+    vector for a point value, a matrix of multinomial draws for its
+    bootstrap.  The readout inversion acts per bit, and its inverse's
+    columns sum to one, so it leaves the Q one-hot rows: the corrected bit
+    marginals as the last step, else each one-hot outcome's corrected weight
+    (a product over the bits), observed or not.  Post-selection keeps the
+    one-hot rows, rescaled to sum to one, or NaN where no weight is left.
     """
     weights = counts / counts.sum(axis=-1, keepdims=True)
-    onehot = outcome_bits(counts.shape[-1].bit_length() - 1).sum(axis=1) == 1
-    kept = weights[..., onehot].sum(axis=-1)
-    if "postselect" not in steps:
-        kept = np.ones_like(kept)
     for step in steps:
         if step == "spam":
-            weights = spam_correct(weights, spam)
+            inv = spam_correct(np.stack([1 - bits, bits], axis=-1), spam)  # [x, k]: inv[:, x_k]
+            bits = np.eye(bits.shape[1], dtype=int)  # the one-hot rows e_m from here on
+            weights = weights @ (inv[..., 1] if step == steps[-1]  # [x, m]: inv[1, x_m]
+                                 else inv[:, range(len(bits)), bits].prod(axis=-1))
         else:
-            weights = np.where(onehot, weights, 0.0)
+            weights = np.where(bits.sum(axis=1) == 1, weights, 0.0)
             total = weights.sum(axis=-1)
             weights = weights / np.where(total > 0, total, np.nan)[..., None]
-    return weights, kept
+    return weights, bits
 
 
 def number_stats(shots: ShotSet, num_qubits: int, source: str = SOURCE_RAW,
@@ -155,25 +155,27 @@ def number_stats(shots: ShotSet, num_qubits: int, source: str = SOURCE_RAW,
                  order: str = "spam-first") -> NumberStats:
     """Number moments of the shot series `source` (see mitigation_steps).
 
-    The standard error of <N> is the spread of the per-shot value over the
-    shots the series keeps.  Where the readout inversion is the last step it
-    is the binomial error of each bit marginal before the inversion, scaled
-    by the per-qubit inversion factor.
+    The retained fraction is the raw counts' one-hot share if the series
+    post-selects, else 1.  The standard error of <N> is the spread of the
+    per-shot value over the shots kept; where the readout inversion is the
+    last step it is the binomial error of each bit marginal before the
+    inversion, scaled by the per-qubit inversion factor.
     """
-    counts = histogram(shots)
+    counts, bits = _observed(shots)
     steps = mitigation_steps(source, spam, order)
-    weights, kept = mitigate(counts, steps, spam)
-    kept = float(kept)
+    weights, rows = mitigate(counts, bits, steps, spam)
+    kept = (float((counts / shots.shots)[bits.sum(axis=1) == 1].sum())
+            if "postselect" in steps else 1.0)
     if np.isnan(weights).any():
         raise EmptyShotSetError(f"no one-hot weight left in {source}")
-    level, level2 = _level_sums(num_qubits)
-    mean, mean2 = float(weights @ level), float(weights @ level2)
+    levels = np.arange(num_qubits, dtype=float)
+    mean, mean2 = float(weights @ rows @ levels), float(weights @ rows @ levels ** 2)
     if steps[-1:] == ("spam",):
-        p1 = mitigate(counts, steps[:-1])[0] @ outcome_bits(num_qubits)
-        var = (np.arange(num_qubits) ** 2 @ np.clip(p1 * (1 - p1), 0.0, None)
+        p1 = mitigate(counts, bits, steps[:-1])[0] @ bits  # still the observed rows
+        var = (levels ** 2 @ np.clip(p1 * (1 - p1), 0.0, None)
                / (1.0 - spam.eps01 - spam.eps10) ** 2)
     else:
-        var = max(float(weights @ (level - mean) ** 2), 0.0)
+        var = max(float(weights @ (rows @ levels - mean) ** 2), 0.0)
     return NumberStats(mean_n=mean, mean_n2=mean2, mandel_q=float(_mandel(mean, mean2)),
                        stderr_mean=float(np.sqrt(var / max(kept * shots.shots, 1.0))),
                        retained_fraction=kept)
@@ -202,9 +204,9 @@ def uncertainty(shotset: ShotSet, statistic: str, resamples: int = 500,
                 seed: int = 0, source: str = SOURCE_RAW,
                 spam: NoiseModel | None = None, order: str = "spam-first") -> float:
     """Bootstrap standard deviation of mean_n or mandel_q of the shot series
-    `source` (see number_stats).  One seeded multinomial call draws every
-    resampled histogram, and the matrix of draws goes through the same
-    estimator as the point value; resamples where the statistic is
+    `source` (see number_stats).  One seeded multinomial call over the
+    observed outcomes draws every resample, and the draws go through the
+    same estimator as the point value; resamples where the statistic is
     undefined are dropped, and NaN is returned when fewer than 2 remain."""
     if shotset.shots < 2:
         raise ValueError("bootstrap needs at least 2 shots")
@@ -213,15 +215,13 @@ def uncertainty(shotset: ShotSet, statistic: str, resamples: int = 500,
     if statistic not in ("mean_n", "mandel_q"):
         raise ValueError(f"unknown statistic {statistic!r}")
     steps = mitigation_steps(source, spam, order)
-    counts = histogram(shotset)
-    seen = np.flatnonzero(counts)
-    draws = np.zeros((resamples, counts.size))
-    draws[:, seen] = np.random.default_rng(seed).multinomial(
-        shotset.shots, counts[seen] / counts[seen].sum(), size=resamples)
-    weights, _ = mitigate(draws, steps, spam)
-    level, level2 = _level_sums(counts.size.bit_length() - 1)
-    mean = weights @ level
-    values = mean if statistic == "mean_n" else _mandel(mean, weights @ level2)
+    counts, bits = _observed(shotset)
+    draws = np.random.default_rng(seed).multinomial(
+        shotset.shots, counts / counts.sum(), size=resamples)
+    weights, rows = mitigate(draws, bits, steps, spam)
+    levels = np.arange(bits.shape[1], dtype=float)
+    mean = weights @ rows @ levels
+    values = mean if statistic == "mean_n" else _mandel(mean, weights @ rows @ levels ** 2)
     values = values[np.isfinite(values)]
     return float(np.std(values, ddof=1)) if values.size >= 2 else float("nan")
 
@@ -272,7 +272,10 @@ def run_pf_evolution(p: int, g: float, times, shots: int = 5000,
             raise ValueError("evolution times must be nonnegative")
         alpha = g * t
         point_seed = seed + index
-        circuit = _study_circuit(spec, alpha, optimize=False)
+        try:
+            circuit = _study_circuit(spec, alpha, optimize=False)
+        except ValueError as exc:  # alpha = g t: name the time and g that gave it
+            raise ValueError(f"{exc}, at time {t!r} and g {g!r}") from None
         counts = gate_counts(circuit)
         if counts_seen is None:
             counts_seen = counts

@@ -342,6 +342,8 @@ class TestCircuitText:
         ("qubits 0\n", "bad header line 'qubits 0'"),
         ("qubits 3 4\n", "bad header line 'qubits 3 4'"),
         ("qubits 3\nRX 0 zz\n", "bad gate line 'RX 0 zz'"),
+        ("qubits 3\nRX 0 0.5\nRX 5 0.5\n",
+         "bad gate line 'RX 5 0.5': qubit 5 outside the 3-qubit register"),
     ])
     def test_read_errors_name_the_file_and_the_line(self, tmp_path, text, message):
         path = tmp_path / "circuit.txt"

@@ -214,6 +214,13 @@ class TestUnrepresentableAlpha:
         assert err.count("\n") == 1 and err.startswith("error: alpha ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_evolution_names_the_time_and_g(self, capsys):
+        assert run_cli("study", "pf-evolution", "--p", "2", "--times", "0,1e300",
+                       "--shots", "10") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: alpha 2.0000000000000002e+298 ")
+        assert err.endswith(", at time 1e+300 and g 0.02\n")
+
     @pytest.mark.parametrize("command", [("factorize",), ("simulate", "--shots", "10")])
     def test_large_alpha_still_solves(self, capsys, command):
         assert run_cli(*command, "--kind", "pb", "--p", "2", "--np", "2",
@@ -565,6 +572,8 @@ MALFORMED = [
     (("study", "pf-evolution", "--p", "2", "--g", "-0.02", "--shots", "10"),
      "error: --g -0.02 makes the default times pi k / (24 g) negative: "
      "give nonnegative --times"),
+    (("study", "pf-evolution", "--p", "2", "--times", "1,-1", "--shots", "10"),
+     "error: --times must be nonnegative, not -1.0"),
     (SIMULATE + ("--noise", "{tmp}/abc.txt"),
      "error: noise file {tmp}/abc.txt: cannot parse 'p_prep_flip abc'"),
     (SIMULATE + ("--noise", "{tmp}/no-value.txt"),

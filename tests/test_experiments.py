@@ -1,5 +1,7 @@
 """Observable and study tests: number statistics, Mandel Q, bootstrap
 uncertainty, the three studies and CSV emission."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -222,6 +224,45 @@ class TestOnePipeline:
         got = uncertainty(self.SHOTS, statistic, 200, 11, source, spam, order)
         want = reference_bootstrap(self.SHOTS, statistic, 200, 11, source, spam, order)
         assert got == pytest.approx(want, rel=1e-12)
+
+    # Q = 5 with leaked outcomes; the one-hot outcome 00001 is never observed,
+    # yet the readout inversion gives it weight (from 00000 and 00011)
+    WIDE = ShotSet({"10000": 260, "01000": 310, "00100": 180, "00010": 90,
+                    "00000": 45, "11000": 40, "00011": 30, "10100": 25,
+                    "01110": 12, "11111": 8}, 1000, seed=4)
+
+    @pytest.mark.parametrize("source,spam,order", SERIES, ids=SERIES_IDS)
+    def test_wider_point_estimate_matches_the_dense_reference(self, source, spam, order):
+        stats = number_stats(self.WIDE, 5, source, spam, order)
+        mean, mean2 = reference_moments(reference_weights(histogram(self.WIDE), source,
+                                                          spam, order))
+        assert stats.mean_n == pytest.approx(mean, rel=1e-12)
+        assert stats.mean_n2 == pytest.approx(mean2, rel=1e-12)
+
+    @pytest.mark.parametrize("statistic", ["mean_n", "mandel_q"])
+    @pytest.mark.parametrize("source,spam,order", SERIES, ids=SERIES_IDS)
+    def test_wider_bootstrap_matches_a_loop_of_single_draws(self, source, spam, order,
+                                                            statistic):
+        got = uncertainty(self.WIDE, statistic, 200, 11, source, spam, order)
+        want = reference_bootstrap(self.WIDE, statistic, 200, 11, source, spam, order)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("order", ["spam-first", "postselect-first"])
+    def test_sixteen_qubits_need_no_array_over_every_outcome(self, order):
+        # the (200, 2^16) draw matrix of a dense bootstrap alone would be 105 MB
+        one_hot = ["0" * m + "1" + "0" * (15 - m) for m in (0, 3, 15)]
+        shots = ShotSet({one_hot[0]: 300, one_hot[1]: 100, one_hot[2]: 50,
+                         "0" * 16: 30, "11" + "0" * 14: 20}, 500, seed=2)
+        spam = NoiseModel(eps01=0.002, eps10=0.003)  # mild enough to leave <N> > 0
+        tracemalloc.start()
+        try:
+            out = shot_sources(shots, 16, spam, True, order, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(out) == {SOURCE_RAW, SOURCE_SPAM, SOURCE_POST}
+        assert all(np.isfinite(s.mandel_stderr) for s in out.values())
+        assert peak < 20 * 2 ** 20
 
     def test_resamples_without_one_hot_shots_are_dropped(self):
         # 2 of 3 shots leak, so some resamples keep no one-hot shot at all
