@@ -144,20 +144,22 @@ def verify_truncation_identity(spec: ParaSpec, tol: float = 1e-12) -> Truncation
     return TruncationReport(beta=beta, residual_norm=residual, passes=residual <= tol)
 
 
-def expm_i_hermitian(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(i * scale * h) for Hermitian h, via eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * scale * w)) @ v.conj().T
-
-
 def restricted_target(spec: ParaSpec, alpha: float) -> np.ndarray:
-    """exp(i alpha (a + adag)) as a dense dim x dim unitary: the one-hot block
-    a displacement factorization must reproduce; at alpha = 0 exactly 1,
-    free of the eigh round-off that would leave entries of order 1e-17."""
+    """exp(i alpha (a + adag)) as a dense dim x dim unitary, from the
+    eigendecomposition of a + adag: the one-hot block a displacement
+    factorization must reproduce; at alpha = 0 exactly 1, free of the eigh
+    round-off that would leave entries of order 1e-17.  ValueError, naming
+    alpha, if a phase alpha * w is not a finite float."""
     if alpha == 0:
         return np.eye(spec.dim, dtype=complex)
     ops = build_fock_ops(spec)
-    return expm_i_hermitian(ops.a + ops.adag, alpha)
+    w, v = np.linalg.eigh(ops.a + ops.adag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = alpha * w
+    if not np.isfinite(phases).all():
+        raise ValueError(f"alpha {alpha!r} is too large: its phases alpha * w "
+                         "overflow a float")
+    return (v * np.exp(1j * phases)) @ v.conj().T
 
 
 def displaced_vacuum_exact(spec: ParaSpec, alpha: float) -> np.ndarray:

@@ -45,8 +45,9 @@ class NoiseModel:
             v = getattr(self, field.name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{field.name}={v} outside [0, 1)")
-        if self.eps01 + self.eps10 >= 1.0:
-            raise ValueError("confusion matrix is singular (eps01 + eps10 >= 1)")
+        if 1.0 - self.eps01 - self.eps10 < 1e-12:
+            raise ValueError("confusion matrix is singular: 1 - eps01 - eps10 = "
+                             f"{1.0 - self.eps01 - self.eps10:.3g} is below 1e-12")
 
     @property
     def has_prep_noise(self) -> bool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import ParaSpec, displaced_vacuum_exact
-from .circuits import Circuit, compile_displacement, gate_counts
+from .circuits import compile_displacement
 from .engine import NoiseModel, ShotSet, run_and_sample
 from .factorize import solve_displacement
 from .mapping import generator_family
@@ -91,9 +91,7 @@ def spam_correct(data, noise: NoiseModel) -> np.ndarray:
     outcome weights (..., 2^Q): counts, a distribution, or one bit's two
     outcomes (Q = 1), as `mitigate` applies it.  The last axis is corrected, one 2x2 inverse per qubit
     on a strided view, into a new array of the same shape; entries may turn
-    negative and are not clamped."""
-    if abs(1.0 - noise.eps01 - noise.eps10) < 1e-12:
-        raise ValueError("confusion matrix is singular")
+    negative and are not clamped.  NoiseModel keeps the matrix invertible."""
     inv = np.linalg.inv([[1 - noise.eps01, noise.eps10], [noise.eps01, 1 - noise.eps10]])
     out = np.asarray(data, dtype=float)
     lead = out.shape[:-1]
@@ -247,9 +245,28 @@ def shot_sources(raw: ShotSet, num_qubits: int, spam: NoiseModel | None = None,
     return out
 
 
-def _study_circuit(spec: ParaSpec, alpha: float, optimize: bool) -> Circuit:
-    basis = generator_family(spec.num_qubits)
-    return compile_displacement(solve_displacement(spec, alpha), basis, optimize=optimize)
+def _sample_points(points, shots: int, noise: NoiseModel | None, seed: int,
+                   spam: NoiseModel | None, postselect_flag: bool,
+                   mitigation_order: str, optimize: bool) -> list[SeriesPoint]:
+    """The series of a shot study: for each point (x, spec, alpha, where),
+    the factored displacement compiled to native gates, its exact moments
+    and, when shots > 0, the mitigated series of its shots, sampled with
+    seed + its index.  An alpha the solve rejects is named with `where`."""
+    series = []
+    for index, (x, spec, alpha, where) in enumerate(points):
+        try:
+            gammas = solve_displacement(spec, alpha)
+        except ValueError as exc:
+            raise ValueError(f"{exc}{where}") from None
+        circuit = compile_displacement(gammas, generator_family(spec.num_qubits),
+                                       optimize=optimize)
+        stats = {SOURCE_EXACT: exact_number_stats(spec, alpha)}
+        if shots > 0:
+            raw = run_and_sample(circuit, shots, noise, seed + index)
+            stats.update(shot_sources(raw, spec.num_qubits, spam, postselect_flag,
+                                      mitigation_order))
+        series.append(SeriesPoint(x=x, stats=stats))
+    return series
 
 
 def run_pf_evolution(p: int, g: float, times, shots: int = 5000,
@@ -260,34 +277,17 @@ def run_pf_evolution(p: int, g: float, times, shots: int = 5000,
 
     Circuits are compiled from the same fixed template, without the
     cancellation pass, so the gate counts are identical at every evolution
-    time (asserted); only the rotation angles change.  Defined Mandel Q
-    values carry a 200-resample bootstrap error.  `spam` is the readout
-    model to invert, or None.
+    time; only the rotation angles change.  Defined Mandel Q values carry a
+    200-resample bootstrap error.  `spam` is the readout model to invert,
+    or None.
     """
     spec = ParaSpec(kind="pf", p=p)
-    points = []
-    counts_seen = None
-    for index, t in enumerate(times):
-        if t < 0:
-            raise ValueError("evolution times must be nonnegative")
-        alpha = g * t
-        point_seed = seed + index
-        try:
-            circuit = _study_circuit(spec, alpha, optimize=False)
-        except ValueError as exc:  # alpha = g t: name the time and g that gave it
-            raise ValueError(f"{exc}, at time {t!r} and g {g!r}") from None
-        counts = gate_counts(circuit)
-        if counts_seen is None:
-            counts_seen = counts
-        elif counts != counts_seen:
-            raise AssertionError("circuit gate counts changed across times")
-        stats = {SOURCE_EXACT: exact_number_stats(spec, alpha)}
-        if shots > 0:
-            raw = run_and_sample(circuit, shots, noise, point_seed)
-            stats.update(shot_sources(raw, spec.num_qubits, spam, postselect_flag,
-                                      mitigation_order))
-        points.append(SeriesPoint(x=float(g * t), stats=stats))
-    return points
+    times = [float(t) for t in times]
+    if any(t < 0 for t in times):
+        raise ValueError("evolution times must be nonnegative")
+    points = [(g * t, spec, g * t, f", at time {t!r} and g {g!r}") for t in times]
+    return _sample_points(points, shots, noise, seed, spam, postselect_flag,
+                          mitigation_order, optimize=False)
 
 
 def run_pb_mandel_sweep(alpha: float, p_values, np_cutoff: int,
@@ -300,18 +300,10 @@ def run_pb_mandel_sweep(alpha: float, p_values, np_cutoff: int,
     error."""
     if not np.isfinite(alpha) or alpha < 0:
         raise ValueError(f"alpha must be finite and nonnegative, not {alpha!r}")
-    points = []
-    for index, p in enumerate(p_values):
-        spec = ParaSpec(kind="pb", p=p, np=np_cutoff)
-        point_seed = seed + index
-        stats = {SOURCE_EXACT: exact_number_stats(spec, alpha)}
-        if shots > 0:
-            circuit = _study_circuit(spec, alpha, optimize=True)
-            raw = run_and_sample(circuit, shots, noise, point_seed)
-            stats.update(shot_sources(raw, spec.num_qubits, spam, postselect_flag,
-                                      mitigation_order))
-        points.append(SeriesPoint(x=float(p), stats=stats))
-    return points
+    points = [(float(p), ParaSpec(kind="pb", p=p, np=np_cutoff), alpha, f", at order p {p}")
+              for p in p_values]
+    return _sample_points(points, shots, noise, seed, spam, postselect_flag,
+                          mitigation_order, optimize=True)
 
 
 def cutoff_study(alpha: float, p_values, np_values) -> list[SeriesPoint]:

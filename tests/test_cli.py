@@ -20,6 +20,7 @@ from parasim.factorize import FactorizationError
 from parasim.circuits import circuit_unitary, read_circuit
 from parasim.engine import read_shotset
 from parasim.experiments import MITIGATION_ORDERS
+from parasim.mapping import GeneratorBasis, PauliString, PauliSum, generator_family
 
 
 def run_cli(*argv):
@@ -92,12 +93,27 @@ class TestVerify:
 
     def test_generator_algebra_checked_once_per_width(self, monkeypatch, capsys):
         calls = []
-        table = parasim.cli.commutator_table
-        monkeypatch.setattr(parasim.cli, "commutator_table",
-                            lambda basis: calls.append(basis) or table(basis))
+        jacobi = parasim.cli.check_jacobi
+        monkeypatch.setattr(parasim.cli, "check_jacobi",
+                            lambda basis: calls.append(basis) or jacobi(basis))
         assert run_cli("verify", "--kind", "pb", "--p", "1..7", "--np", "5") == 0
         assert len(calls) == 1
         assert capsys.readouterr().out.count("commutator_closure,pb,") == 7
+
+    def test_a_family_that_does_not_close_fails(self, monkeypatch, capsys):
+        # v0 with the sign of its YZX word flipped: the family no longer closes
+        def broken_family(q):
+            family = generator_family(q)
+            gens = list(family.generators)
+            gens[2] = PauliSum((PauliString(1.0, "XZY" + "I" * (q - 3)),
+                                PauliString(1.0, "YZX" + "I" * (q - 3))))
+            return GeneratorBasis(tuple(gens), family.labels)
+
+        monkeypatch.setattr(parasim.cli, "generator_family", broken_family)
+        assert run_cli("verify", "--kind", "pb", "--p", "2", "--np", "4") == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "commutator_closure,pb,2,4,Q=5,False" in out
+        assert "jacobi,pb,2,4,Q=5,False" in out
 
 
 class TestFactorize:
@@ -207,19 +223,30 @@ class TestUnrepresentableAlpha:
         ("simulate", "--kind", "pb", "--p", "2", "--np", "2", "--alpha", "1e17",
          "--shots", "10"),
         ("study", "pf-evolution", "--p", "2", "--times", "1e300", "--shots", "10"),
+        # alpha * w overflows a float
+        ("factorize", "--kind", "pb", "--p", "2", "--np", "2", "--alpha", "1e308"),
+        ("study", "pf-evolution", "--p", "2", "--times", "1", "--g", "1e308",
+         "--shots", "10"),
+        # no shots, yet the study factors every point
+        ("study", "pb-mandel", "--alpha", "1e17", "--np", "2", "--p", "1", "--shots", "0"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_one_error_line_exit_2_and_no_file(self, tmp_path, capsys, argv):
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: alpha ")
         assert list(tmp_path.iterdir()) == []
 
-    def test_evolution_names_the_time_and_g(self, capsys):
-        assert run_cli("study", "pf-evolution", "--p", "2", "--times", "0,1e300",
+    @pytest.mark.parametrize("times,g,alpha,where", [
+        ("0,1e300", "0.02", "2.0000000000000002e+298", "time 1e+300 and g 0.02"),
+        ("1", "1e308", "1e+308", "time 1.0 and g 1e+308"),
+    ], ids=["large-time", "large-g"])
+    def test_evolution_names_the_time_and_g(self, capsys, times, g, alpha, where):
+        assert run_cli("study", "pf-evolution", "--p", "2", "--times", times, "--g", g,
                        "--shots", "10") == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: alpha 2.0000000000000002e+298 ")
-        assert err.endswith(", at time 1e+300 and g 0.02\n")
+        assert err.count("\n") == 1 and err.startswith(f"error: alpha {alpha} ")
+        assert err.endswith(f", at {where}\n")
 
     @pytest.mark.parametrize("command", [("factorize",), ("simulate", "--shots", "10")])
     def test_large_alpha_still_solves(self, capsys, command):
@@ -555,6 +582,7 @@ NOISE_DOCS = {
     "twice.txt": "p_prep_flip 0.01\np_prep_flip=0.02\n",
     "unknown.txt": "# comment\nfrobnication 0.5\n",
     "range.txt": "eps01 1.5\n",
+    "near-singular.txt": "eps01 0.5\neps10 0.4999999999999\n",
 }
 SIMULATE = ("simulate", "--kind", "pf", "--p", "2", "--alpha", "0.3", "--shots", "10")
 # Each malformed input, and the start of the one error line it gives.
@@ -592,6 +620,9 @@ MALFORMED = [
      "error: gamma document {tmp}/residual.txt: residual must be nonnegative"),
     (("compile", "--gammas", "{tmp}/kind-twice.txt"),
      "error: gamma document {tmp}/kind-twice.txt: key 'kind' given twice"),
+    # within 1e-12 of singular: rejected by the reader, before any readout inversion
+    (SIMULATE + ("--noise", "{tmp}/near-singular.txt", "--spam-correct"),
+     "error: noise file {tmp}/near-singular.txt: confusion matrix is singular"),
 ]
 
 

@@ -47,9 +47,12 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(eps01=-0.1)
 
-    def test_singular_confusion_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseModel(eps01=0.6, eps10=0.4)
+    @pytest.mark.parametrize("eps01,eps10", [(0.6, 0.4), (0.5, 0.4999999999999)],
+                             ids=["singular", "near-singular"])
+    def test_singular_confusion_rejected(self, eps01, eps10):
+        # the second is within 1e-12 of singular: its inverse would be no readout correction
+        with pytest.raises(ValueError, match="confusion matrix is singular"):
+            NoiseModel(eps01=eps01, eps10=eps10)
 
 
 class TestVacuumStart:

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from parasim.algebra import ParaSpec, build_fock_ops
+from parasim.circuits import compile_displacement, gate_counts
 from parasim.engine import NoiseModel, ShotSet
 from parasim.experiments import (
     SOURCE_EXACT,
@@ -28,6 +29,8 @@ from parasim.experiments import (
     uncertainty,
     write_atomic,
 )
+from parasim.factorize import solve_displacement
+from parasim.mapping import generator_family
 
 
 def oracle_mandel(spec: ParaSpec, alpha: float) -> float:
@@ -187,13 +190,18 @@ class TestOnePipeline:
     SHOTS = ShotSet({"100": 310, "010": 420, "001": 150, "000": 40, "110": 50,
                      "011": 20, "111": 10}, 1000, seed=3)
 
+    # Q = 5 with leaked outcomes; the one-hot outcome 00001 is never observed,
+    # yet the readout inversion gives it weight (from 00000 and 00011)
+    WIDE = ShotSet({"10000": 260, "01000": 310, "00100": 180, "00010": 90,
+                    "00000": 45, "11000": 40, "00011": 30, "10100": 25,
+                    "01110": 12, "11111": 8}, 1000, seed=4)
+
     @pytest.mark.parametrize("source,spam,order", SERIES, ids=SERIES_IDS)
-    def test_point_estimate_matches_the_dense_reference(self, source, spam, order):
-        stats = number_stats(self.SHOTS, 3, source, spam, order)
-        counts = np.zeros(8)
-        for key, count in self.SHOTS.counts.items():
-            counts[int(key, 2)] = count
-        mean, mean2 = reference_moments(reference_weights(counts, source, spam, order))
+    @pytest.mark.parametrize("shots", [SHOTS, WIDE], ids=["Q3", "Q5"])
+    def test_point_estimate_matches_the_dense_reference(self, shots, source, spam, order):
+        stats = number_stats(shots, len(next(iter(shots.counts))), source, spam, order)
+        mean, mean2 = reference_moments(reference_weights(histogram(shots), source,
+                                                          spam, order))
         assert stats.mean_n == pytest.approx(mean, rel=1e-12)
         assert stats.mean_n2 == pytest.approx(mean2, rel=1e-12)
 
@@ -219,32 +227,11 @@ class TestOnePipeline:
 
     @pytest.mark.parametrize("statistic", ["mean_n", "mandel_q"])
     @pytest.mark.parametrize("source,spam,order", SERIES, ids=SERIES_IDS)
-    def test_bootstrap_matches_a_loop_of_single_draws(self, source, spam, order,
+    @pytest.mark.parametrize("shots", [SHOTS, WIDE], ids=["Q3", "Q5"])
+    def test_bootstrap_matches_a_loop_of_single_draws(self, shots, source, spam, order,
                                                       statistic):
-        got = uncertainty(self.SHOTS, statistic, 200, 11, source, spam, order)
-        want = reference_bootstrap(self.SHOTS, statistic, 200, 11, source, spam, order)
-        assert got == pytest.approx(want, rel=1e-12)
-
-    # Q = 5 with leaked outcomes; the one-hot outcome 00001 is never observed,
-    # yet the readout inversion gives it weight (from 00000 and 00011)
-    WIDE = ShotSet({"10000": 260, "01000": 310, "00100": 180, "00010": 90,
-                    "00000": 45, "11000": 40, "00011": 30, "10100": 25,
-                    "01110": 12, "11111": 8}, 1000, seed=4)
-
-    @pytest.mark.parametrize("source,spam,order", SERIES, ids=SERIES_IDS)
-    def test_wider_point_estimate_matches_the_dense_reference(self, source, spam, order):
-        stats = number_stats(self.WIDE, 5, source, spam, order)
-        mean, mean2 = reference_moments(reference_weights(histogram(self.WIDE), source,
-                                                          spam, order))
-        assert stats.mean_n == pytest.approx(mean, rel=1e-12)
-        assert stats.mean_n2 == pytest.approx(mean2, rel=1e-12)
-
-    @pytest.mark.parametrize("statistic", ["mean_n", "mandel_q"])
-    @pytest.mark.parametrize("source,spam,order", SERIES, ids=SERIES_IDS)
-    def test_wider_bootstrap_matches_a_loop_of_single_draws(self, source, spam, order,
-                                                            statistic):
-        got = uncertainty(self.WIDE, statistic, 200, 11, source, spam, order)
-        want = reference_bootstrap(self.WIDE, statistic, 200, 11, source, spam, order)
+        got = uncertainty(shots, statistic, 200, 11, source, spam, order)
+        want = reference_bootstrap(shots, statistic, 200, 11, source, spam, order)
         assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("order", ["spam-first", "postselect-first"])
@@ -329,9 +316,13 @@ class TestPfEvolution:
         assert abs(raw.mean_n - 1.0) <= 3 * sigma
 
     def test_gate_counts_constant_across_times(self):
+        # the template, with no cancellation pass, the evolution compiles;
         # includes t = 0, where optimization would empty the circuit
-        points = run_pf_evolution(2, 0.02, [0.0, 30.0, 78.5], shots=10, seed=0)
-        assert len(points) == 3  # the internal depth assertion did not fire
+        spec, basis = ParaSpec(kind="pf", p=2), generator_family(3)
+        counts = [gate_counts(compile_displacement(solve_displacement(spec, 0.02 * t),
+                                                   basis, optimize=False))
+                  for t in (0.0, 30.0, 78.5)]
+        assert counts[0] == counts[1] == counts[2]
 
     def test_mitigated_sources_present(self):
         noise = NoiseModel(eps01=0.02, eps10=0.03, p_depol_2q=0.005)

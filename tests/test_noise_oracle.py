@@ -103,9 +103,10 @@ class TestReference:
 
     def test_certain_prep_flips_and_readout(self):
         # |000> flipped to |111>, X on qubit 0 gives |011>, and the 0 reads as 1
-        noise = NoiseModel(p_prep_flip=1 - 1e-15, eps01=1 - 2e-15, eps10=1e-15)
+        # with probability eps01, 2e-12 short of 1 so the confusion stays invertible
+        noise = NoiseModel(p_prep_flip=1 - 1e-15, eps01=1 - 2e-12, eps10=1e-15)
         probs = exact_distribution(Circuit(3), noise)
-        assert probs[int("111", 2)] == pytest.approx(1.0, abs=1e-12)
+        assert probs[int("111", 2)] == pytest.approx(noise.eps01, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
