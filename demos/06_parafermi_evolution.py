@@ -28,8 +28,8 @@ for point in points[::4]:
 
 here = Path(__file__).resolve().parent
 csv_path = here / "parafermi_evolution.csv"
-write_atomic(csv_path, series_to_csv(points, "pf-evolution", 5000, 7,
-                                     ["demo 06_parafermi_evolution.py", "seed 7"]))
+write_atomic([(csv_path, series_to_csv(points, "pf-evolution", 5000, 7,
+                                       ["demo 06_parafermi_evolution.py", "seed 7"]))])
 print(f"\nwrote {csv_path}")
 
 series = {
@@ -38,6 +38,6 @@ series = {
                    [p.stats[SOURCE_RAW].stderr_mean for p in points]),
 }
 svg_path = here / "parafermi_evolution.svg"
-write_atomic(svg_path, line_plot(series, "g t", "<N>",
-                                 title="driven para-fermion number, order 2"))
+write_atomic([(svg_path, line_plot(series, "g t", "<N>",
+                                   title="driven para-fermion number, order 2"))])
 print(f"wrote {svg_path}")

@@ -27,8 +27,8 @@ for point in points:
 
 here = Path(__file__).resolve().parent
 csv_path = here / "mandel_q_sweep.csv"
-write_atomic(csv_path, series_to_csv(points, "pb-mandel", 5000, 7,
-                                     ["demo 07_mandel_q_and_cutoff.py", "seed 7"]))
+write_atomic([(csv_path, series_to_csv(points, "pb-mandel", 5000, 7,
+                                       ["demo 07_mandel_q_and_cutoff.py", "seed 7"]))])
 print(f"\nwrote {csv_path}")
 
 series = {
@@ -39,8 +39,8 @@ series = {
                    [p.stats[SOURCE_RAW].mandel_stderr for p in points]),
 }
 svg_path = here / "mandel_q_sweep.svg"
-write_atomic(svg_path, line_plot(series, "order p", "Mandel Q",
-                                 title=f"displaced para-boson statistics, alpha={alpha}"))
+write_atomic([(svg_path, line_plot(series, "order p", "Mandel Q",
+                                   title=f"displaced para-boson statistics, alpha={alpha}"))])
 print(f"wrote {svg_path}")
 
 print("\nCutoff study: |Q(np) - Q(reference)| by order")

@@ -144,22 +144,37 @@ def verify_truncation_identity(spec: ParaSpec, tol: float = 1e-12) -> Truncation
     return TruncationReport(beta=beta, residual_norm=residual, passes=residual <= tol)
 
 
+# Most the gauged target may miss SO(Q) by, in its imaginary part or in
+# ||Re^T Re - I||; its phases lose precision from alpha near 1e6 on
+_REPRESENTABLE = 1e-9
+
+
+def gauge(block: np.ndarray) -> np.ndarray:
+    """D^-1 block D with D = diag(i^k) (see factorize)."""
+    d = np.array([1, 1j, -1, -1j])[np.arange(block.shape[0]) % 4]
+    return d.conj()[:, None] * block * d
+
+
 def restricted_target(spec: ParaSpec, alpha: float) -> np.ndarray:
     """exp(i alpha (a + adag)) as a dense dim x dim unitary, from the
     eigendecomposition of a + adag: the one-hot block a displacement
     factorization must reproduce; at alpha = 0 exactly 1, free of the eigh
     round-off that would leave entries of order 1e-17.  ValueError, naming
-    alpha, if a phase alpha * w is not a finite float."""
+    alpha, if the gauged target misses SO(Q) by more than _REPRESENTABLE (a
+    NaN one, from phases alpha * w that overflow, does): the one such rule."""
     if alpha == 0:
         return np.eye(spec.dim, dtype=complex)
     ops = build_fock_ops(spec)
     w, v = np.linalg.eigh(ops.a + ops.adag)
     with np.errstate(over="ignore", invalid="ignore"):
-        phases = alpha * w
-    if not np.isfinite(phases).all():
-        raise ValueError(f"alpha {alpha!r} is too large: its phases alpha * w "
-                         "overflow a float")
-    return (v * np.exp(1j * phases)) @ v.conj().T
+        target = (v * np.exp(1j * (alpha * w))) @ v.conj().T
+        gauged = gauge(target)
+        defect = np.max([np.linalg.norm(gauged.imag),
+                         np.linalg.norm(gauged.real.T @ gauged.real - np.eye(spec.dim))])
+    if not defect <= _REPRESENTABLE:
+        raise ValueError(f"alpha {alpha!r} is too large: its gauged target misses a "
+                         f"real rotation by more than {_REPRESENTABLE:.0e}")
+    return target
 
 
 def displaced_vacuum_exact(spec: ParaSpec, alpha: float) -> np.ndarray:

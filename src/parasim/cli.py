@@ -16,7 +16,7 @@ import numpy as np
 from . import svgplot
 from .algebra import ParaSpec, build_fock_ops, verify_truncation_identity
 from .circuits import compile_displacement, gate_counts, write_circuit
-from .engine import NoiseModel, run_and_sample, write_shotset
+from .engine import NoiseModel, run_and_sample, shotset_to_text
 from .experiments import (
     MITIGATION_ORDERS,
     SOURCE_EXACT,
@@ -114,6 +114,14 @@ def _provenance(args) -> list[str]:
     return [f"parasim {' '.join(args.argv)}", f"seed {args.seed}"]
 
 
+def _emit(out, text: str, files=()) -> None:
+    """Write text to the file out, or print it when out is None, and write
+    the (path, text) files with it: all of them or, on an error, none."""
+    write_atomic(([(out, text)] if out else []) + list(files))
+    if not out:
+        sys.stdout.write(text)
+
+
 def cmd_verify(args) -> int:
     p_values = parse_int_range(args.p_range, "--p")
     if args.kind == "pf" and len(p_values) > 1:
@@ -144,11 +152,7 @@ def cmd_verify(args) -> int:
         lines.append(f"commutator_closure,{spec.kind},{spec.p},{spec.np},Q={q},{closure}")
         lines.append(f"jacobi,{spec.kind},{spec.p},{spec.np},Q={q},{jacobi}")
         ok &= closure and jacobi
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -199,12 +203,8 @@ def cmd_simulate(args) -> int:
              **shot_sources(raw, spec.num_qubits, spam, args.postselect, resamples=0)}
     point = SeriesPoint(x=args.alpha, stats=stats)
     csv = series_to_csv([point], "simulate", args.shots, args.seed, _provenance(args))
-    if args.out:
-        write_atomic(args.out, csv)
-    else:
-        sys.stdout.write(csv)
-    if args.shotset_out:
-        write_shotset(args.shotset_out, raw, noise)
+    shotset = [(args.shotset_out, shotset_to_text(raw, noise))] if args.shotset_out else []
+    _emit(args.out, csv, shotset)
     return EXIT_OK
 
 
@@ -280,15 +280,12 @@ def cmd_study(args) -> int:
     points, value, xlabel = args.compute(args)
     shots = getattr(args, "shots", 0)  # the cutoff study is exact: no shots
     csv = series_to_csv(points, args.study, shots, args.seed, _provenance(args))
-    if args.out:
-        write_atomic(args.out, csv)
-    else:
-        sys.stdout.write(csv)
+    plots = []
     if args.svg:
-        series = _study_series(points, value)
         ylabel = "<N>" if value == "mean_n" else "Mandel Q"
-        write_atomic(args.svg, svgplot.line_plot(series, xlabel, ylabel,
-                                                 title=args.study))
+        plots.append((args.svg, svgplot.line_plot(_study_series(points, value), xlabel,
+                                                  ylabel, title=args.study)))
+    _emit(args.out, csv, plots)
     return EXIT_OK
 
 

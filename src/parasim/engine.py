@@ -262,10 +262,6 @@ def shotset_to_text(shotset: ShotSet, noise: NoiseModel | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_shotset(path, shotset: ShotSet, noise: NoiseModel | None = None) -> None:
-    Path(path).write_text(shotset_to_text(shotset, noise))
-
-
 _SHOT_LINE = re.compile(r"([01]+)\s+([0-9]+)")
 
 

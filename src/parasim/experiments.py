@@ -14,6 +14,7 @@ and the studies through `shot_sources`.  Its two steps, readout inversion
 """
 from __future__ import annotations
 
+import errno
 import os
 import tempfile
 from dataclasses import dataclass, replace
@@ -357,18 +358,26 @@ def series_to_csv(points, study: str, shots: int, seed: int,
     return "\n".join(lines) + "\n"
 
 
-def write_atomic(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so failures never leave a
-    partial artifact behind."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp = None
+def write_atomic(outputs) -> None:
+    """Write each (path, text) of `outputs` via a sibling temp file.  Every
+    file is staged before any is renamed, so a failure to stage one, a
+    directory target included, leaves none of them and no temp file
+    behind; an OSError names the path asked for."""
+    staged = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".parasim-tmp-")
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, text in outputs:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".parasim-tmp-")
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except OSError as exc:  # name the file asked for, not the temp file
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)

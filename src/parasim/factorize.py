@@ -26,8 +26,11 @@ Schultz & Mattis, Ann. Phys. 16, 407 (1961)): on the popcount-k sector U
 and T are the k-th exterior powers of their one-hot blocks, in any diagonal
 gauge.  So ||U - T||_F^2 is the sum over the 2^Q subsets S of {0..Q-1} of
 4 sin^2(phi_S / 2), phi_S = sum_{j in S} phi_j, with e^{i phi_j} the
-eigenvalues of t^T u for the gauged blocks t, u in SO(Q); summed directly,
-as 2^(Q+1) - 2 Re det(I + t^T u) cancels to nothing below about 1e-7.
+eigenvalues of t^T u for the gauged blocks t, u in SO(Q).  As
+sum_S e^{i phi_S} = prod_j (1 + e^{i phi_j}), that sum is, in O(Q),
+2^(Q+1) (1 - prod_j cos(phi_j / 2) cos(Phi / 2)) with Phi = sum_j phi_j,
+its bracket summed as two nonnegative terms: 2^(Q+1) - 2 Re det(I + t^T u),
+the same value, cancels to nothing below about 1e-7.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import ParaSpec, restricted_target
+from .algebra import ParaSpec, gauge, restricted_target
 from .mapping import (MAX_DENSE_QUBITS, GeneratorBasis, apply_pauli, generator_family,
                       onehot_block)
 
@@ -67,12 +70,6 @@ def restricted_generators(basis: GeneratorBasis) -> list[np.ndarray]:
     return [onehot_block(g) for g in basis.generators]
 
 
-def _gauge(block: np.ndarray) -> np.ndarray:
-    """D^-1 block D with D = diag(i^k)."""
-    d = np.array([1, 1j, -1, -1j])[np.arange(block.shape[0]) % 4]
-    return d.conj()[:, None] * block * d
-
-
 @lru_cache(maxsize=None)
 def _planes(basis: GeneratorBasis) -> tuple[tuple[int, int, float], ...]:
     """(a, r, s) per generator: the upper nonzero (a, r) of its one-hot block
@@ -80,7 +77,7 @@ def _planes(basis: GeneratorBasis) -> tuple[tuple[int, int, float], ...]:
     planes = []
     for block in restricted_generators(basis):
         (a, r), = np.argwhere(np.triu(block))
-        planes.append((int(a), int(r), float(_gauge(block)[a, r].imag)))
+        planes.append((int(a), int(r), float(gauge(block)[a, r].imag)))
     return tuple(planes)
 
 
@@ -105,7 +102,7 @@ def factor_onehot(target: np.ndarray, basis: GeneratorBasis,
     docstring).  The residual is that of the product of the Givens factors
     the returned gammas define; FactorizationError if it exceeds tol."""
     planes = _planes(basis)
-    gauged = _gauge(target)
+    gauged = gauge(target)
     rest = gauged.real.copy()
     gammas = np.empty(len(planes))
     for j in reversed(range(len(planes))):
@@ -155,22 +152,16 @@ def full_space_residual(gammas, basis: GeneratorBasis, spec: ParaSpec,
                         alpha: float) -> float:
     """Frobenius mismatch of the product against the full-register
     exponential of the XY target; reported for transparency, not enforced.
-    Its square is the sum over the 2^Q subsets S of 4 sin^2(phi_S / 2), the
-    exterior-power identity of the module docstring, summed term by term
-    because 2^(Q+1) - 2 Re det(I + t^T u) loses all below 1e-7 at Q = 7."""
+    Its square is the product form of the module docstring, the bracket
+    -expm1(L) + e^L 2 sin^2(Phi / 4), L = sum_j log1p(-2 sin^2(phi_j / 4))."""
     if len(gammas) != len(basis):
         raise ValueError("gamma count does not match the basis")
-    target = _gauge(restricted_target(spec, alpha)).real
+    target = gauge(restricted_target(spec, alpha)).real
     phases = np.angle(np.linalg.eigvals(target.T @ _givens_product(gammas, basis)))
-    subset_sums = np.zeros(1)
-    for phi in phases:
-        subset_sums = np.concatenate((subset_sums, subset_sums + phi))
-    return float(np.sqrt(np.sum(4 * np.sin(subset_sums / 2) ** 2)))
-
-
-# Most the gauged target may miss SO(Q) by, in its imaginary part or in
-# ||Re^T Re - I||; its phases lose precision from alpha near 1e6 on
-_REPRESENTABLE = 1e-9
+    with np.errstate(divide="ignore"):  # a half turn phi_j = pi may give log1p(-1)
+        log_prod = np.sum(np.log1p(-2 * np.sin(phases / 4) ** 2))
+    bracket = -np.expm1(log_prod) + np.exp(log_prod) * 2 * np.sin(np.sum(phases) / 4) ** 2
+    return float(np.sqrt(2.0 ** (len(phases) + 1) * bracket))
 
 
 def solve_displacement(spec: ParaSpec, alpha: float, tol: float = 1e-9,
@@ -178,20 +169,10 @@ def solve_displacement(spec: ParaSpec, alpha: float, tol: float = 1e-9,
     """Factor exp(i alpha (a + adag)) for the given spec in closed form, with
     the full-register residual attached.  The solve is deterministic: seed
     is accepted for the callers that pass one and does not change the
-    result.  ValueError, naming alpha, if the gauged target is not a real
-    rotation to within _REPRESENTABLE; FactorizationError if the one-hot
-    residual exceeds tol."""
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    target = restricted_target(spec, alpha)
-    gauged = _gauge(target)
-    defect = max(np.linalg.norm(gauged.imag),
-                 np.linalg.norm(gauged.real.T @ gauged.real - np.eye(spec.num_qubits)))
-    if defect > _REPRESENTABLE:
-        raise ValueError(f"alpha {alpha!r} is too large: its gauged target is {defect:.1e} "
-                         "away from a real rotation")
+    result.  ValueError, naming alpha, if restricted_target rejects it;
+    FactorizationError if the one-hot residual exceeds tol."""
     basis = generator_family(spec.num_qubits)
-    gv = factor_onehot(target, basis, tol)
+    gv = factor_onehot(restricted_target(spec, alpha), basis, tol)
     return replace(gv, residual_full=full_space_residual(gv.gammas, basis, spec, alpha))
 
 

@@ -229,6 +229,9 @@ class TestUnrepresentableAlpha:
          "--shots", "10"),
         # no shots, yet the study factors every point
         ("study", "pb-mandel", "--alpha", "1e17", "--np", "2", "--p", "1", "--shots", "0"),
+        # exact rows only: the target itself holds the rule
+        ("study", "cutoff", "--alpha", "1e17", "--p", "1..2", "--np-range", "1..2"),
+        ("study", "cutoff", "--alpha", "1e7", "--p", "1..2", "--np-range", "1..2"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_one_error_line_exit_2_and_no_file(self, tmp_path, capsys, argv):
@@ -278,6 +281,23 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert f"No such file or directory: '{argv[-1]}'" in err  # the file given
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--kind", "pb", "--p", "2", "--np", "2", "--alpha", "0.3", "--shots", "10",
+         "--out", "{tmp}/a.csv", "--shotset-out", "{tmp}/made"),
+        ("simulate", "--kind", "pb", "--p", "2", "--np", "2", "--alpha", "0.3", "--shots", "10",
+         "--out", "{tmp}/a.csv", "--shotset-out", "{tmp}/nodir/s.txt"),
+        ("study", "pf-evolution", "--p", "2", "--times", "0.1", "--shots", "10",
+         "--out", "{tmp}/a.csv", "--svg", "{tmp}/made"),
+    ], ids=["shotset-is-a-directory", "shotset-in-no-directory", "svg-is-a-directory"])
+    def test_an_output_that_fails_leaves_no_other_file(self, tmp_path, capsys, argv):
+        (tmp_path / "made").mkdir()
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert err.endswith(f": '{argv[-1]}'\n")  # the file that failed
+        assert [p.name for p in tmp_path.iterdir()] == ["made"]
 
 
 def test_importing_the_cli_does_not_load_scipy():

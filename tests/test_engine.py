@@ -304,10 +304,10 @@ class TestShotSetText:
         assert text.splitlines()[3] == line
 
     def test_round_trip(self, tmp_path):
-        from parasim.engine import read_shotset, write_shotset
+        from parasim.engine import read_shotset
         shots = ShotSet({"010": 7, "100": 3}, 10, seed=4)
         path = tmp_path / "shots.txt"
-        write_shotset(path, shots)
+        path.write_text(shotset_to_text(shots))
         loaded = read_shotset(path)
         assert loaded == shots
 
@@ -368,9 +368,9 @@ class TestShotSetTextProperties:
     @settings(max_examples=80, deadline=None)
     @given(_SHOT_SETS, _NOISE)
     def test_round_trip_is_exact(self, tmp_path_factory, shots, noise):
-        from parasim.engine import read_shotset, write_shotset
+        from parasim.engine import read_shotset
         path = tmp_path_factory.mktemp("shots") / "shots.txt"
-        write_shotset(path, shots, noise)
+        path.write_text(shotset_to_text(shots, noise))
         assert read_shotset(path) == shots
 
 

@@ -447,7 +447,7 @@ class TestCsvEmission:
 
     def test_atomic_write(self, tmp_path):
         target = tmp_path / "out.csv"
-        write_atomic(target, "hello\n")
+        write_atomic([(target, "hello\n")])
         assert target.read_text() == "hello\n"
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".parasim")]
         assert leftovers == []
