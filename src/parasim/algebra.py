@@ -161,7 +161,10 @@ def restricted_target(spec: ParaSpec, alpha: float) -> np.ndarray:
     factorization must reproduce; at alpha = 0 exactly 1, free of the eigh
     round-off that would leave entries of order 1e-17.  ValueError, naming
     alpha, if the gauged target misses SO(Q) by more than _REPRESENTABLE (a
-    NaN one, from phases alpha * w that overflow, does): the one such rule."""
+    NaN one, from phases alpha * w that overflow, does), or if alpha is not
+    finite: the one such rule."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, not {alpha!r}")
     if alpha == 0:
         return np.eye(spec.dim, dtype=complex)
     ops = build_fock_ops(spec)

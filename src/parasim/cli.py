@@ -16,22 +16,20 @@ import numpy as np
 from . import svgplot
 from .algebra import ParaSpec, build_fock_ops, verify_truncation_identity
 from .circuits import compile_displacement, gate_counts, write_circuit
-from .engine import NoiseModel, run_and_sample, shotset_to_text
+from .engine import NoiseModel, shotset_to_text
 from .experiments import (
     MITIGATION_ORDERS,
-    SOURCE_EXACT,
     EmptyShotSetError,
     cutoff_study,
-    exact_number_stats,
     run_pb_mandel_sweep,
     run_pf_evolution,
+    sample_points,
     series_to_csv,
-    shot_sources,
     write_atomic,
-    SeriesPoint,
 )
 # not called here; bound for perfbench/spans.py, which wraps names where cli binds them
-from .experiments import number_stats, postselect, spam_correct  # noqa: F401
+from .engine import run_and_sample  # noqa: F401
+from .experiments import exact_number_stats, number_stats, postselect, spam_correct  # noqa: F401
 from .factorize import (
     FactorizationError,
     read_gamma_document,
@@ -191,19 +189,17 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.shots < 1:
+        raise ValueError(f"--shots must be at least 1, not {args.shots}")
     spec = _spec(args.kind, args.p, args.np)
-    noise, spam = _readout(args)
-    gv = solve_displacement(spec, args.alpha)
-    basis = generator_family(spec.num_qubits)
-    circuit = compile_displacement(gv, basis, optimize=True)
-    raw = run_and_sample(circuit, args.shots, noise, args.seed)
-    # the studies' estimators in their default order; the CSV has no Mandel
-    # error column, so no bootstrap
-    stats = {SOURCE_EXACT: exact_number_stats(spec, args.alpha),
-             **shot_sources(raw, spec.num_qubits, spam, args.postselect, resamples=0)}
-    point = SeriesPoint(x=args.alpha, stats=stats)
+    options = _shot_options(args)
+    # one point of the studies' loop; the CSV has no Mandel error column,
+    # so no bootstrap
+    [(point, raw)] = sample_points([(args.alpha, spec, args.alpha, "")],
+                                   optimize=True, resamples=0, **options)
     csv = series_to_csv([point], "simulate", args.shots, args.seed, _provenance(args))
-    shotset = [(args.shotset_out, shotset_to_text(raw, noise))] if args.shotset_out else []
+    shotset = ([(args.shotset_out, shotset_to_text(raw, options["noise"]))]
+               if args.shotset_out else [])
     _emit(args.out, csv, shotset)
     return EXIT_OK
 
@@ -223,23 +219,19 @@ def _study_series(points, value: str):
     return {k: tuple(v) for k, v in series.items()}
 
 
-def _readout(args):
+def _shot_options(args) -> dict:
+    """Keyword arguments of a command that takes shots."""
+    if args.shots < 0:
+        raise ValueError(f"--shots must be nonnegative, not {args.shots}")
     noise = read_noise_file(args.noise) if args.noise else None
     if args.spam_correct and noise is None:
         raise ValueError("--spam-correct requires --noise")
-    return noise, noise if args.spam_correct else None
-
-
-def _shot_options(args) -> dict:
-    """Keyword arguments of a study that takes shots."""
-    if args.shots < 0:
-        raise ValueError(f"--shots must be nonnegative, not {args.shots}")
-    noise, spam = _readout(args)
     order = args.mitigation_order
     if order is not None and not (args.spam_correct and args.postselect):
         raise ValueError(f"--mitigation-order {order} orders --spam-correct and "
                          "--postselect: it needs both")
-    return dict(shots=args.shots, seed=args.seed, noise=noise, spam=spam,
+    return dict(shots=args.shots, seed=args.seed, noise=noise,
+                spam=noise if args.spam_correct else None,
                 postselect_flag=args.postselect, mitigation_order=order or "spam-first")
 
 
@@ -341,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--no-optimize", action="store_true")
     comp.add_argument("--out", default=None)
 
-    sim = command(sub, "simulate", "single displacement circuit run", run=cmd_simulate)
+    sim = command(sub, "simulate", "single displacement circuit run", run=cmd_simulate,
+                  mitigation_order=None)
     add_spec(sim)
     sim.add_argument("--alpha", type=float, required=True)
     sim.add_argument("--shots", type=int, default=5000)

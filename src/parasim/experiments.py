@@ -11,6 +11,10 @@ Each shot series (raw, readout-corrected, post-selected) is one estimator,
 to their counts and to the bootstrap's draws over them, it serves `simulate`
 and the studies through `shot_sources`.  Its two steps, readout inversion
 (`spam_correct`) and one-hot post-selection, live here with it.
+
+Every command that takes shots runs through one loop, `sample_points`:
+factor, compile, exact moments, sample and mitigate.  The shot studies run
+their points through it, and `simulate` is its one point, with no bootstrap.
 """
 from __future__ import annotations
 
@@ -246,13 +250,15 @@ def shot_sources(raw: ShotSet, num_qubits: int, spam: NoiseModel | None = None,
     return out
 
 
-def _sample_points(points, shots: int, noise: NoiseModel | None, seed: int,
-                   spam: NoiseModel | None, postselect_flag: bool,
-                   mitigation_order: str, optimize: bool) -> list[SeriesPoint]:
-    """The series of a shot study: for each point (x, spec, alpha, where),
-    the factored displacement compiled to native gates, its exact moments
-    and, when shots > 0, the mitigated series of its shots, sampled with
-    seed + its index.  An alpha the solve rejects is named with `where`."""
+def sample_points(points, shots: int, noise: NoiseModel | None, seed: int,
+                  spam: NoiseModel | None, postselect_flag: bool,
+                  mitigation_order: str, optimize: bool,
+                  resamples: int = 200) -> list[tuple[SeriesPoint, ShotSet | None]]:
+    """The series of a shot study, or of `simulate` as its one point: for
+    each point (x, spec, alpha, where), the factored displacement compiled
+    to native gates, its exact moments and, when shots > 0, the mitigated
+    series of the shots sampled with seed + its index, paired with those
+    raw shots (None without).  An alpha the solve rejects is named with `where`."""
     series = []
     for index, (x, spec, alpha, where) in enumerate(points):
         try:
@@ -261,12 +267,12 @@ def _sample_points(points, shots: int, noise: NoiseModel | None, seed: int,
             raise ValueError(f"{exc}{where}") from None
         circuit = compile_displacement(gammas, generator_family(spec.num_qubits),
                                        optimize=optimize)
-        stats = {SOURCE_EXACT: exact_number_stats(spec, alpha)}
+        stats, raw = {SOURCE_EXACT: exact_number_stats(spec, alpha)}, None
         if shots > 0:
             raw = run_and_sample(circuit, shots, noise, seed + index)
             stats.update(shot_sources(raw, spec.num_qubits, spam, postselect_flag,
-                                      mitigation_order))
-        series.append(SeriesPoint(x=x, stats=stats))
+                                      mitigation_order, resamples))
+        series.append((SeriesPoint(x=x, stats=stats), raw))
     return series
 
 
@@ -287,8 +293,9 @@ def run_pf_evolution(p: int, g: float, times, shots: int = 5000,
     if any(t < 0 for t in times):
         raise ValueError("evolution times must be nonnegative")
     points = [(g * t, spec, g * t, f", at time {t!r} and g {g!r}") for t in times]
-    return _sample_points(points, shots, noise, seed, spam, postselect_flag,
-                          mitigation_order, optimize=False)
+    return [point for point, _ in sample_points(points, shots, noise, seed, spam,
+                                                postselect_flag, mitigation_order,
+                                                optimize=False)]
 
 
 def run_pb_mandel_sweep(alpha: float, p_values, np_cutoff: int,
@@ -303,8 +310,9 @@ def run_pb_mandel_sweep(alpha: float, p_values, np_cutoff: int,
         raise ValueError(f"alpha must be finite and nonnegative, not {alpha!r}")
     points = [(float(p), ParaSpec(kind="pb", p=p, np=np_cutoff), alpha, f", at order p {p}")
               for p in p_values]
-    return _sample_points(points, shots, noise, seed, spam, postselect_flag,
-                          mitigation_order, optimize=True)
+    return [point for point, _ in sample_points(points, shots, noise, seed, spam,
+                                                postselect_flag, mitigation_order,
+                                                optimize=True)]
 
 
 def cutoff_study(alpha: float, p_values, np_values) -> list[SeriesPoint]:
@@ -322,7 +330,10 @@ def cutoff_study(alpha: float, p_values, np_values) -> list[SeriesPoint]:
         for np_cut in list(np_values) + [np_ref]:
             spec = ParaSpec(kind="pb", p=p, np=np_cut)
             label = f"np{np_cut}_ref" if np_cut == np_ref else f"np{np_cut}"
-            stats[label] = exact_number_stats(spec, alpha)
+            try:
+                stats[label] = exact_number_stats(spec, alpha)
+            except ValueError as exc:
+                raise ValueError(f"{exc}, at order p {p} and cutoff np {np_cut}") from None
         points.append(SeriesPoint(x=float(p), stats=stats))
     return points
 

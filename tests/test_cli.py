@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parasim.cli
+import parasim.experiments
 from parasim.cli import main, parse_float_list, parse_int_range, read_noise_file
 from parasim.factorize import FactorizationError
 from parasim.circuits import circuit_unitary, read_circuit
@@ -203,12 +204,15 @@ class TestFactorizationFailure:
         ("factorize", "--kind", "pf", "--p", "2", "--alpha", "0.5"),
         ("compile", "--kind", "pf", "--p", "2", "--alpha", "0.5"),
         ("simulate", "--kind", "pf", "--p", "2", "--alpha", "0.5", "--shots", "10"),
+        ("study", "pb-mandel", "--alpha", "0.5", "--np", "2", "--p", "1..2", "--shots", "10"),
+        ("study", "pf-evolution", "--p", "2", "--times", "0.1", "--shots", "10"),
     ])
     def test_solver_failure_is_one_line_and_exit_1(self, monkeypatch, capsys, argv):
         def fail(*args, **kwargs):
             raise FactorizationError("factorization residual 1e-03 exceeds tol 1e-09")
 
         monkeypatch.setattr(parasim.cli, "solve_displacement", fail)
+        monkeypatch.setattr(parasim.experiments, "solve_displacement", fail)
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err == "error: factorization residual 1e-03 exceeds tol 1e-09\n"
@@ -239,6 +243,21 @@ class TestUnrepresentableAlpha:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: alpha ")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,message", [
+        (("factorize", "--kind", "pb", "--p", "2", "--np", "2", "--alpha", "nan"),
+         "alpha must be finite, not nan"),
+        (("compile", "--kind", "pb", "--p", "2", "--np", "2", "--alpha", "nan"),
+         "alpha must be finite, not nan"),
+        (("simulate", "--kind", "pb", "--p", "2", "--np", "2", "--alpha", "nan",
+          "--shots", "10"), "alpha must be finite, not nan"),
+        (("study", "cutoff", "--alpha", "1e7", "--p", "1..2", "--np-range", "1..2"),
+         "alpha 10000000.0 is too large: its gauged target misses a real rotation by "
+         "more than 1e-09, at order p 1 and cutoff np 2"),
+    ], ids=["factorize-nan", "compile-nan", "simulate-nan", "cutoff-names-the-point"])
+    def test_message_names_the_alpha_and_point(self, capsys, argv, message):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("times,g,alpha,where", [
         ("0,1e300", "0.02", "2.0000000000000002e+298", "time 1e+300 and g 0.02"),
@@ -329,6 +348,27 @@ class TestSimulate:
         first = out.read_bytes()
         assert run_cli(*args) == 0
         assert out.read_bytes() == first
+
+    def test_never_bootstraps(self, tmp_path, monkeypatch):
+        # the CSV has no Mandel error column, so no series draws resamples
+        def fail(*args, **kwargs):
+            raise AssertionError("simulate ran the bootstrap")
+
+        monkeypatch.setattr(parasim.experiments, "uncertainty", fail)
+        noise = tmp_path / "noise.txt"
+        noise.write_text("p_prep_flip 0.005\neps01 0.01\neps10 0.02\n")
+        assert run_cli("simulate", "--kind", "pb", "--p", "2", "--np", "2", "--alpha", "0.6",
+                       "--shots", "200", "--noise", str(noise), "--spam-correct",
+                       "--postselect", "--out", str(tmp_path / "sim.csv")) == 0
+
+    @pytest.mark.parametrize("shots", ["0", "-3"])
+    def test_shots_below_one_is_one_line_and_no_file(self, tmp_path, capsys, shots):
+        out, shotset = tmp_path / "sim.csv", tmp_path / "shots.txt"
+        assert run_cli("simulate", "--kind", "pf", "--p", "2", "--alpha", "0.3",
+                       "--shots", shots, "--out", str(out),
+                       "--shotset-out", str(shotset)) == 2
+        assert capsys.readouterr().err == f"error: --shots must be at least 1, not {shots}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_spam_flag_requires_noise(self, tmp_path):
         assert run_cli("simulate", "--kind", "pf", "--p", "2", "--alpha", "0.3",
@@ -534,6 +574,7 @@ UNREAD = [
     ("factorize", ("--np", "7")),
     ("compile", ("--np", "7")),
     ("simulate", ("--np", "7")),
+    ("simulate", ("--mitigation-order", "spam-first")),
     ("compile-gammas", ("--kind", "pf")),
     ("compile-gammas", ("--p", "2")),
     ("compile-gammas", ("--np", "1")),
