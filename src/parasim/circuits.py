@@ -364,10 +364,6 @@ def circuit_from_text(text: str) -> Circuit:
     return Circuit(int(q), gates)
 
 
-def write_circuit(path, circuit: Circuit) -> None:
-    Path(path).write_text(circuit_to_text(circuit))
-
-
 def read_circuit(path) -> Circuit:
     """The circuit of a file in the text format; a ValueError names the file."""
     try:

@@ -6,17 +6,15 @@ Exit codes: 0 success, 1 computation/identity failure, 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import svgplot
 from .algebra import ParaSpec, build_fock_ops, verify_truncation_identity
-from .circuits import compile_displacement, gate_counts, write_circuit
-from .engine import NoiseModel, shotset_to_text
+from .circuits import circuit_to_text, compile_displacement, gate_counts
+from .engine import read_noise_file, shotset_to_text
 from .experiments import (
     MITIGATION_ORDERS,
     EmptyShotSetError,
@@ -32,9 +30,9 @@ from .engine import run_and_sample  # noqa: F401
 from .experiments import exact_number_stats, number_stats, postselect, spam_correct  # noqa: F401
 from .factorize import (
     FactorizationError,
+    gamma_document_text,
     read_gamma_document,
     solve_displacement,
-    write_gamma_document,
 )
 from .mapping import (
     build_xy_hamiltonian,
@@ -69,33 +67,6 @@ def parse_float_list(text: str, flag: str) -> list[float]:
     except ValueError:
         pass
     raise ValueError(f"{flag} takes comma-separated finite numbers, not {text!r}")
-
-
-def read_noise_file(path) -> NoiseModel:
-    """Lines `key value` or `key=value`, each key of NoiseModel at most once;
-    a ValueError names the file."""
-    known = {field.name for field in dataclasses.fields(NoiseModel)}
-    values = {}
-    try:
-        for line in Path(path).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition(" ")
-            if not value:
-                key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise ValueError(f"unknown key {key!r}")
-            if key in values:
-                raise ValueError(f"key {key!r} given twice")
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ValueError(f"cannot parse {line!r}: want '<key> <number>'") from None
-        return NoiseModel(**values)
-    except ValueError as exc:
-        raise ValueError(f"noise file {path}: {exc}") from None
 
 
 def _spec(kind: str, p: int, np_cutoff: int | None) -> ParaSpec:
@@ -158,12 +129,11 @@ def cmd_factorize(args) -> int:
     spec = _spec(args.kind, args.p, args.np)
     gv = solve_displacement(spec, args.alpha)
     if args.out:
-        write_gamma_document(args.out, gv, spec, args.alpha)
+        text = gamma_document_text(gv, spec, args.alpha)
     else:
-        for label, gamma in zip(gv.labels, gv.gammas):
-            print(f"{label} {gamma:.17g}")
-        print(f"residual_onehot {gv.residual:.3e}")
-        print(f"residual_full {gv.residual_full:.3e}")
+        text = "".join(f"{label} {gamma:.17g}\n" for label, gamma in zip(gv.labels, gv.gammas))
+        text += f"residual_onehot {gv.residual:.3e}\nresidual_full {gv.residual_full:.3e}\n"
+    _emit(args.out, text)
     return EXIT_OK
 
 
@@ -182,7 +152,7 @@ def cmd_compile(args) -> int:
     circuit = compile_displacement(gv, basis, optimize=not args.no_optimize)
     counts = gate_counts(circuit)
     if args.out:
-        write_circuit(args.out, circuit)
+        write_atomic([(args.out, circuit_to_text(circuit))])
     print(f"qubits {circuit.num_qubits} one_qubit {counts['one_qubit']} "
           f"two_qubit {counts['two_qubit']}")
     return EXIT_OK
@@ -244,6 +214,9 @@ def study_pf_evolution(args):
     if args.times is None and args.g < 0:
         raise ValueError(f"--g {args.g!r} makes the default times pi k / (24 g) "
                          "negative: give nonnegative --times")
+    if args.times is None and not np.isfinite(np.pi / args.g):  # the last default time
+        raise ValueError(f"--g {args.g!r} makes the default times pi k / (24 g) "
+                         "overflow: give a larger --g or --times")
     times = (parse_float_list(args.times, "--times") if args.times is not None
              else list(np.linspace(0.0, np.pi, 25) / args.g))
     if not times:
@@ -275,8 +248,10 @@ def cmd_study(args) -> int:
     plots = []
     if args.svg:
         ylabel = "<N>" if value == "mean_n" else "Mandel Q"
-        plots.append((args.svg, svgplot.line_plot(_study_series(points, value), xlabel,
-                                                  ylabel, title=args.study)))
+        series = _study_series(points, value)
+        if not series:
+            raise ValueError(f"--svg: no point has a defined {ylabel}")
+        plots.append((args.svg, svgplot.line_plot(series, xlabel, ylabel, title=args.study)))
     _emit(args.out, csv, plots)
     return EXIT_OK
 

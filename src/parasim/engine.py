@@ -1,5 +1,5 @@
-"""Seeded shot sampling with trajectory noise, and the plain-text
-shot-set format.
+"""Seeded shot sampling with trajectory noise, the noise-file reader and
+the plain-text shot-set format.
 
 Shot sets keep bitstring counts, as in their text format; how counts
 become numbers (readout inversion, post-selection, statistics) is decided
@@ -60,6 +60,32 @@ class NoiseModel:
     @property
     def has_readout_noise(self) -> bool:
         return self.eps01 > 0.0 or self.eps10 > 0.0
+
+
+def read_noise_file(path) -> NoiseModel:
+    """Lines `key value` or `key=value`, each key of NoiseModel at most once;
+    a ValueError names the file."""
+    known = {field.name for field in fields(NoiseModel)}
+    values = {}
+    try:
+        for line in Path(path).read_text().splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, *value = line.split(maxsplit=1)  # at the first run of whitespace
+            if not value:
+                key, _, *value = line.partition("=")
+            if key not in known:
+                raise ValueError(f"unknown key {key!r}")
+            if key in values:
+                raise ValueError(f"key {key!r} given twice")
+            try:
+                values[key] = float(value[0])
+            except ValueError:
+                raise ValueError(f"cannot parse {line!r}: want '<key> <number>'") from None
+        return NoiseModel(**values)
+    except ValueError as exc:
+        raise ValueError(f"noise file {path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -179,6 +205,7 @@ def _gaussian_shots(dec: Decomposition, init: np.ndarray, shot_ev: np.ndarray,
 
 
 _DRAW_BYTES = 4 << 20  # most bytes of (shots, gates) uniforms held at once
+_GAUSSIAN_BYTES = 16 << 20  # most bytes of dirty-shot covariances and their temporaries
 
 
 def _row_blocks(rng: np.random.Generator, rows: int, cols: int):
@@ -241,8 +268,15 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
     rows = np.flatnonzero(dirty)
     init = prep_coins[rows]
     init[:, 0] ^= True
-    bits[rows] = _gaussian_shots(dec, init, np.searchsorted(rows, shot_ev), gate_ev,
-                                 word_ev, shot_u[rows])
+    row_ev = np.searchsorted(rows, shot_ev)
+    # each shot's arithmetic is its own, so blocks of rows read the same bits;
+    # a row holds its (2Q, 2Q) covariance and the measurement's outer products
+    step = max(1, _GAUSSIAN_BYTES // (48 * (2 * q) ** 2))
+    for lo in range(0, rows.size, step):
+        block = rows[lo:lo + step]
+        ev = slice(*np.searchsorted(row_ev, (lo, lo + step)))
+        bits[block] = _gaussian_shots(dec, init[lo:lo + step], row_ev[ev] - lo,
+                                      gate_ev[ev], word_ev[ev], shot_u[block])
     return _read_out(bits, noise, meas_u, seed)
 
 

@@ -176,7 +176,7 @@ def solve_displacement(spec: ParaSpec, alpha: float, tol: float = 1e-9,
     return replace(gv, residual_full=full_space_residual(gv.gammas, basis, spec, alpha))
 
 
-def write_gamma_document(path, gv: GammaVector, spec: ParaSpec, alpha: float) -> None:
+def gamma_document_text(gv: GammaVector, spec: ParaSpec, alpha: float) -> str:
     """Structured-text dump of a factorization (lossless float round-trip)."""
     lines = [
         "# parasim displacement factorization",
@@ -191,7 +191,7 @@ def write_gamma_document(path, gv: GammaVector, spec: ParaSpec, alpha: float) ->
         f"residual_full {gv.residual_full:.17g}",
         f"converged {str(gv.converged).lower()}",
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _parse_bool(text: str) -> bool:
@@ -201,7 +201,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def read_gamma_document(path):
-    """Inverse of write_gamma_document; returns (GammaVector, ParaSpec, alpha).
+    """Inverse of gamma_document_text; returns (GammaVector, ParaSpec, alpha).
     A repeated, missing or unparsable key, a non-finite gamma, labels other
     than the register's generator labels, or any value ParaSpec or
     GammaVector rejects raise ValueError naming the document."""
@@ -217,10 +217,10 @@ def _parse_gamma_document(text: str):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition(" ")
+        key, *value = line.split(maxsplit=1)  # at the first run of whitespace
         if key in fields:
             raise ValueError(f"key {key!r} given twice")
-        fields[key] = value
+        fields[key] = value[0] if value else ""
 
     def field(key, parse):
         if key not in fields:

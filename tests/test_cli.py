@@ -42,11 +42,15 @@ class TestParsing:
 
     def test_noise_file(self, tmp_path):
         path = tmp_path / "noise.txt"
-        path.write_text("# comment\np_prep_flip 0.01\neps01 0.02\neps10=0.03\n")
+        text = "# comment\np_prep_flip 0.01\neps01 0.02\neps10=0.03\n"
+        path.write_text(text)
         noise = read_noise_file(path)
         assert noise.p_prep_flip == 0.01
         assert noise.eps01 == 0.02
         assert noise.eps10 == 0.03
+        for separator in ("\t", " \t  "):  # any run of whitespace reads as the space
+            path.write_text(text.replace(" ", separator))
+            assert read_noise_file(path) == noise
 
     def test_unknown_noise_key_rejected(self, tmp_path):
         path = tmp_path / "noise.txt"
@@ -177,6 +181,16 @@ class TestCompile:
 
     def test_requires_spec_or_document(self):
         assert run_cli("compile") == 2
+
+    @pytest.mark.parametrize("command", ["compile", "factorize"])
+    def test_out_that_is_a_directory_prints_and_leaves_nothing(self, tmp_path, capsys,
+                                                               command):
+        out = tmp_path / "made"
+        out.mkdir()
+        assert run_cli(command, "--kind", "pb", "--p", "2", "--np", "2", "--alpha", "0.3",
+                       "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{out}'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["made"]
 
     @pytest.mark.parametrize("key,replacement,named", [
         ("np", None, "missing key 'np'"),
@@ -419,7 +433,8 @@ class TestStudy:
         text = out.read_text()
         assert "shots_spam" in text and "shots_postselected" in text
 
-    @pytest.mark.parametrize("g", ["0", "-0", "nan", "inf"])
+    # a subnormal g makes the default times pi k / (24 g) overflow to inf
+    @pytest.mark.parametrize("g", ["0", "-0", "nan", "inf", "1e-320", "5e-324"])
     def test_pf_evolution_rejects_a_zero_or_non_finite_g(self, capsys, g):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -503,6 +518,17 @@ class TestStudy:
         err = capsys.readouterr().err
         assert err.startswith("usage: parasim study cutoff ")
         assert "unrecognized arguments: --np-r 1..2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("pb-mandel", "--np", "1", "--p", "1", "--alpha", "0", "--shots", "5"),
+        ("pb-mandel", "--np", "1", "--p", "1", "--alpha", "0", "--shots", "0"),
+        ("cutoff", "--alpha", "0", "--p", "1..2", "--np-range", "1..2"),
+    ], ids=["pb-mandel-shots", "pb-mandel-no-shots", "cutoff"])
+    def test_svg_with_no_defined_point_writes_no_artifact(self, tmp_path, capsys, argv):
+        out, svg = tmp_path / "y.csv", tmp_path / "y.svg"
+        assert run_cli("study", *argv, "--svg", str(svg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: --svg: no point has a defined Mandel Q\n"
+        assert not out.exists() and not svg.exists()
 
     def test_empty_times_write_no_artifact(self, tmp_path, capsys):
         out, svg = tmp_path / "pf.csv", tmp_path / "pf.svg"

@@ -18,12 +18,12 @@ from parasim.factorize import (
     GammaVector,
     factor_onehot,
     full_space_residual,
+    gamma_document_text,
     product_unitary,
     read_gamma_document,
     restricted_generators,
     restricted_target,
     solve_displacement,
-    write_gamma_document,
 )
 from parasim.mapping import (
     build_xy_hamiltonian,
@@ -349,11 +349,10 @@ class TestProductUnitary:
 
 class TestGammaDocument:
     def test_round_trip(self, tmp_path):
-        from parasim.factorize import write_gamma_document
         spec = ParaSpec("pf", 4)
         gv = solve_displacement(spec, 0.5, seed=0)
         path = tmp_path / "gammas.txt"
-        write_gamma_document(path, gv, spec, 0.5)
+        path.write_text(gamma_document_text(gv, spec, 0.5))
         loaded, spec2, alpha2 = read_gamma_document(path)
         assert spec2 == spec
         assert alpha2 == 0.5
@@ -362,13 +361,15 @@ class TestGammaDocument:
         assert loaded.residual == gv.residual
         text = path.read_text()
         assert "factors 20" in text
+        for separator in ("\t", " \t  "):  # any run of whitespace reads as the space
+            path.write_text(text.replace(" ", separator))
+            assert repr(read_gamma_document(path)) == repr((loaded, spec2, alpha2))
 
     @pytest.mark.parametrize("key", ["kind", "np", "alpha", "gammas", "converged"])
     def test_missing_key_named(self, tmp_path, key):
-        from parasim.factorize import write_gamma_document
         path = tmp_path / "gammas.txt"
-        write_gamma_document(path, solve_displacement(ParaSpec("pf", 2), 0.3),
-                             ParaSpec("pf", 2), 0.3)
+        path.write_text(gamma_document_text(solve_displacement(ParaSpec("pf", 2), 0.3),
+                                            ParaSpec("pf", 2), 0.3))
         lines = path.read_text().splitlines()
         path.write_text("\n".join(ln for ln in lines if not ln.startswith(key + " ")))
         with pytest.raises(ValueError, match=f"missing key '{key}'"):
@@ -379,7 +380,7 @@ class TestGammaDocument:
         import parasim.factorize
         path = tmp_path / "gammas.txt"
         spec = ParaSpec("pb", 2, np=2)
-        write_gamma_document(path, solve_displacement(spec, 0.3), spec, 0.3)
+        path.write_text(gamma_document_text(solve_displacement(spec, 0.3), spec, 0.3))
         path.write_text(path.read_text().replace("np 2\n", "np 100000\n"))
         monkeypatch.setattr(parasim.factorize, "generator_family", None)  # not called
         with pytest.raises(ValueError, match="are not the 100001-qubit generator labels"):
@@ -412,6 +413,6 @@ class TestGammaDocumentProperties:
     @given(gamma_documents())
     def test_round_trip_is_exact(self, tmp_path_factory, document):
         path = tmp_path_factory.mktemp("gammas") / "gammas.txt"
-        write_gamma_document(path, *document)
+        path.write_text(gamma_document_text(*document))
         # repr keeps the sign of zero and compares NaN residuals
         assert repr(read_gamma_document(path)) == repr(document)

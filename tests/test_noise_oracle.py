@@ -9,6 +9,7 @@ bitstring distribution, and two seeded runs are pinned to literal counts.
 """
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from scipy.linalg import expm
 from scipy.stats import chi2
 
 from parasim.algebra import ParaSpec
-from parasim.circuits import Circuit, compile_displacement
+from parasim.circuits import Circuit, compile_displacement, read_circuit
 from parasim.engine import NoiseModel, outcome_bits, run_and_sample
 from parasim.experiments import spam_correct
 from parasim.factorize import solve_displacement
@@ -135,19 +136,22 @@ PIN_NOISE = NoiseModel(p_prep_flip=0.005, eps01=0.01, eps10=0.02,
                        p_depol_1q=0.001, p_depol_2q=0.01)
 PIN_NOISE_LOW = NoiseModel(p_prep_flip=0.001, eps01=0.005, eps10=0.005,
                            p_depol_1q=0.0001, p_depol_2q=0.001)
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 class TestPinnedCounts:
-    """Counts of two seeded noisy runs, kept fixed across engine changes."""
+    """Counts of two seeded noisy runs, kept fixed across engine changes.
+    The circuits are checked-in compiler output, so that a change of the
+    compiler's lowering leaves these engine pins as they are."""
 
     def test_three_qubits(self):
-        circuit = compiled(ParaSpec("pb", 2, np=2), 0.3)
+        circuit = read_circuit(FIXTURES / "circuit-pb-p2-np2-alpha0.3.txt")
         counts = run_and_sample(circuit, 5000, PIN_NOISE, seed=10).counts
         assert counts == {"000": 211, "001": 124, "010": 731, "011": 58,
                           "100": 3500, "101": 161, "110": 177, "111": 38}
 
     def test_seven_qubits(self):
-        circuit = compiled(ParaSpec("pf", 6), 0.5)
+        circuit = read_circuit(FIXTURES / "circuit-pf-p6-alpha0.5.txt")
         counts = run_and_sample(circuit, 200, PIN_NOISE_LOW, seed=7).counts
         assert counts == {
             "0000000": 5, "0000100": 1, "0010000": 27, "0010011": 1,

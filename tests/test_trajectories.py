@@ -8,6 +8,7 @@ numbers in the same order as `run_and_sample`, so the two must agree on
 every count.  `decompose` is checked against dense Majorana matrices.
 """
 import itertools
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -183,6 +184,35 @@ def test_one_row_blocks_draw_the_same_kicks(monkeypatch, kind, q, alpha, noise, 
     blocks = engine._row_blocks(np.random.default_rng(), shots, len(circuit.gates))
     assert len(list(blocks)) == shots
     assert run_and_sample(circuit, shots, NOISES[noise], seed).counts == whole
+
+
+@pytest.mark.parametrize("circuit,noise,shots,seed", [
+    (compiled("pb", 6, 0.6), NOISES["strong"], 500, 31),
+    (compiled("pf", 5, 2.9, optimize=False), NOISES["pinned"], 400, 32),
+    (compiled("pb", 4, 0.6), NoiseModel(p_prep_flip=0.2), 300, 33),  # dirty rows with no kick
+])
+def test_one_shot_blocks_measure_the_same_trajectories(monkeypatch, circuit, noise, shots,
+                                                       seed):
+    whole = run_and_sample(circuit, shots, noise, seed).counts
+    calls, gaussian_shots = [], engine._gaussian_shots
+    monkeypatch.setattr(engine, "_GAUSSIAN_BYTES", 1)
+    monkeypatch.setattr(engine, "_gaussian_shots",
+                        lambda *args: calls.append(len(args[1])) or gaussian_shots(*args))
+    assert run_and_sample(circuit, shots, noise, seed).counts == whole
+    assert len(calls) > 1 and set(calls) == {1}
+
+
+def test_noisy_shots_at_twelve_qubits_hold_bounded_memory():
+    # the dirty shots' covariances alone, in one block, would peak near 80 MiB
+    circuit = compiled("pb", 12, 0.5)
+    tracemalloc.start()
+    try:
+        shots = run_and_sample(circuit, 5000, NOISES["pinned"], seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shots.shots == 5000
+    assert peak < 32 * 2 ** 20
 
 
 def majoranas(q: int) -> list:
