@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mapping import (_IDENTITY, _PHASE_I, MAX_DENSE_QUBITS, GeneratorBasis, PauliString, _pair,
-                      _times, _word, apply_pauli)
+from .mapping import (_IDENTITY, _PHASE_I, GeneratorBasis, PauliString, _pair, _times,
+                      _word, apply_pauli, dense_identity)
 
 _RX = "RX"
 _RY = "RY"
@@ -239,10 +239,7 @@ def apply_gate_batch(amps: np.ndarray, gate: Gate) -> np.ndarray:
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full 2^Q unitary of the circuit (gates applied in list order)."""
-    q = circuit.num_qubits
-    if q > MAX_DENSE_QUBITS:
-        raise ValueError(f"refusing dense unitary for {q} > {MAX_DENSE_QUBITS} qubits")
-    u = np.eye(2 ** q, dtype=complex)
+    u = dense_identity(circuit.num_qubits)
     for gate in circuit.gates:
         u = apply_gate_batch(u, gate)
     return u
@@ -333,15 +330,17 @@ def decompose(circuit: Circuit) -> Decomposition:
 # --- plain-text circuit format ----------------------------------------------
 
 def circuit_to_text(circuit: Circuit) -> str:
-    lines = [f"qubits {circuit.num_qubits}"]
+    lines = [f"qubits {circuit.num_qubits}", f"# gates {len(circuit.gates)}"]
     for g in circuit.gates:
         lines.append(f"{g.kind} {' '.join(map(str, g.qubits))} {g.angle:.17g}")
     return "\n".join(lines) + "\n"
 
 
 def circuit_from_text(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    stated = [p[1] for p in (ln[1:].split() for ln in lines if ln[0] == "#")
+              if len(p) == 2 and p[0] == "gates"]  # '# gates N', as circuit_to_text writes
+    lines = [ln for ln in lines if ln[0] != "#"]
     if not lines or not lines[0].startswith("qubits "):
         raise ValueError("circuit text must start with a 'qubits Q' header")
     _, q = lines[0].split(maxsplit=1)
@@ -361,6 +360,8 @@ def circuit_from_text(text: str) -> Circuit:
             gates.append(gate)
         except ValueError as exc:
             raise ValueError(f"bad gate line {ln!r}: {exc}") from None
+    if stated and stated[-1] != str(len(gates)):  # a cut file, or not a count
+        raise ValueError(f"bad header line '# gates {stated[-1]}': {len(gates)} gate lines follow")
     return Circuit(int(q), gates)
 
 

@@ -17,6 +17,7 @@ from .circuits import circuit_to_text, compile_displacement, gate_counts
 from .engine import read_noise_file, shotset_to_text
 from .experiments import (
     MITIGATION_ORDERS,
+    STUDY_STATISTIC,
     EmptyShotSetError,
     cutoff_study,
     run_pb_mandel_sweep,
@@ -223,35 +224,33 @@ def study_pf_evolution(args):
         raise ValueError(f"--times {args.times!r} lists no time")
     if min(times) < 0:
         raise ValueError(f"--times must be nonnegative, not {min(times)!r}")
-    points = run_pf_evolution(p_values[0], args.g, times, **_shot_options(args))
-    return points, "mean_n", "g t"
+    return run_pf_evolution(p_values[0], args.g, times, **_shot_options(args))
 
 
 def study_pb_mandel(args):
     p_values = parse_int_range(args.p_range, "--p")
     if args.np is None:
         raise ValueError("--np is required for pb-mandel")
-    points = run_pb_mandel_sweep(args.alpha, p_values, args.np, **_shot_options(args))
-    return points, "mandel_q", "para-particle order p"
+    return run_pb_mandel_sweep(args.alpha, p_values, args.np, **_shot_options(args))
 
 
 def study_cutoff(args):
-    points = cutoff_study(args.alpha, parse_int_range(args.p_range, "--p"),
-                          parse_int_range(args.np_range, "--np-range"))
-    return points, "mandel_q", "para-particle order p"
+    return cutoff_study(args.alpha, parse_int_range(args.p_range, "--p"),
+                        parse_int_range(args.np_range, "--np-range"))
 
 
 def cmd_study(args) -> int:
-    points, value, xlabel = args.compute(args)
+    points = args.compute(args)
     shots = getattr(args, "shots", 0)  # the cutoff study is exact: no shots
     csv = series_to_csv(points, args.study, shots, args.seed, _provenance(args))
     plots = []
     if args.svg:
+        value = STUDY_STATISTIC[args.study]
         ylabel = "<N>" if value == "mean_n" else "Mandel Q"
         series = _study_series(points, value)
         if not series:
             raise ValueError(f"--svg: no point has a defined {ylabel}")
-        plots.append((args.svg, svgplot.line_plot(series, xlabel, ylabel, title=args.study)))
+        plots.append((args.svg, svgplot.line_plot(series, args.xlabel, ylabel, title=args.study)))
     _emit(args.out, csv, plots)
     return EXIT_OK
 
@@ -338,15 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
     study = command(sub, "study", "run a full study and emit CSV", run=cmd_study)
     studies = study.add_subparsers(dest="study", required=True)
     pfe = command(studies, "pf-evolution", "driven para-Fermi <N> evolution",
-                  [every, shots], compute=study_pf_evolution)
+                  [every, shots], compute=study_pf_evolution, xlabel="g t")
     pfe.add_argument("--g", type=float, default=0.02)
     pfe.add_argument("--times", default=None, help="comma-separated times")
     pbm = command(studies, "pb-mandel", "para-Bose Mandel Q versus the order p",
-                  [every, shots], compute=study_pb_mandel)
+                  [every, shots], compute=study_pb_mandel, xlabel="para-particle order p")
     pbm.add_argument("--np", type=int, default=None, help="para-boson cutoff")
     pbm.add_argument("--alpha", type=float, default=0.3)
     cut = command(studies, "cutoff", "exact Mandel Q versus the cutoff np",
-                  [every], compute=study_cutoff)
+                  [every], compute=study_cutoff, xlabel="para-particle order p")
     cut.add_argument("--np-range", default="1..5", help="cutoff range a..b")
     cut.add_argument("--alpha", type=float, default=0.3)
     return parser

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuits import Circuit, Decomposition, apply_gate_batch, decompose
+from .mapping import dense_identity
 
 
 @dataclass(frozen=True)
@@ -111,9 +112,8 @@ def outcome_bits(num_qubits: int) -> np.ndarray:
 
 def apply_circuit(circuit: Circuit) -> np.ndarray:
     """Amplitudes (2^Q,) of the noiseless circuit run gate by gate on the
-    vacuum one-hot state |10..0>, X on qubit 0 of |0..0>."""
-    amps = np.zeros(2 ** circuit.num_qubits, dtype=complex)
-    amps[2 ** (circuit.num_qubits - 1)] = 1.0
+    vacuum one-hot state |10..0>, within the limit of dense_identity."""
+    amps = dense_identity(circuit.num_qubits, 1 << circuit.num_qubits - 1)
     for gate in circuit.gates:
         amps = apply_gate_batch(amps, gate)
     return amps

@@ -342,6 +342,9 @@ def cutoff_study(alpha: float, p_values, np_values) -> list[SeriesPoint]:
 
 CSV_COLUMNS = ("study", "x", "source", "mean_n", "mean_n2", "mandel_q",
                "stderr", "retained_fraction", "shots", "seed")
+# the statistic of each study: what its plot draws, and whose error is its CSV's stderr
+STUDY_STATISTIC = {"pf-evolution": "mean_n", "simulate": "mean_n",
+                   "pb-mandel": "mandel_q", "cutoff": "mandel_q"}
 
 
 def _field(value: float) -> str:
@@ -352,14 +355,14 @@ def series_to_csv(points, study: str, shots: int, seed: int,
                   provenance=()) -> str:
     """Deterministic CSV (rows sorted by x then source) with provenance
     comment lines, so identical invocations yield identical bytes.  stderr is
-    Mandel Q's error in pb-mandel, else <N>'s; undefined values are empty."""
+    the error of STUDY_STATISTIC[study]; undefined values are empty."""
     lines = [f"# {line}" for line in provenance]
     lines.append(",".join(CSV_COLUMNS))
     rows = []
     for point in points:
         for label in sorted(point.stats):
             s = point.stats[label]
-            stderr = s.mandel_stderr if study == "pb-mandel" else s.stderr_mean
+            stderr = s.mandel_stderr if STUDY_STATISTIC[study] == "mandel_q" else s.stderr_mean
             rows.append((point.x, label,
                          f"{study},{point.x:.17g},{label},{s.mean_n:.17g},"
                          f"{s.mean_n2:.17g},{_field(s.mandel_q)},{_field(stderr)},"

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import ParaSpec, gauge, restricted_target
-from .mapping import (MAX_DENSE_QUBITS, GeneratorBasis, apply_pauli, generator_family,
+from .mapping import (GeneratorBasis, apply_pauli, dense_identity, generator_family,
                       onehot_block)
 
 
@@ -137,11 +137,9 @@ def product_unitary(gammas, basis: GeneratorBasis, space: str = "onehot") -> np.
         actions = [lambda m, b=b: b @ m for b in restricted_generators(basis)]
         out = np.eye(q, dtype=complex)
     else:
-        if q > MAX_DENSE_QUBITS:
-            raise ValueError(f"refusing dense matrix for {q} > {MAX_DENSE_QUBITS} qubits")
         actions = [lambda m, h=h: sum(apply_pauli(m, t.letters, scale=t.coeff) for t in h.terms)
                    for h in basis.generators]
-        out = np.eye(2 ** q, dtype=complex)
+        out = dense_identity(q)
     for g, act in zip(gam[::-1], actions[::-1]):
         once = act(out)
         out = out + 1j * np.sin(2 * g) / 2 * once + (np.cos(2 * g) - 1) / 4 * act(once)

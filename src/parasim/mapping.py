@@ -104,6 +104,18 @@ def apply_pauli(amps: np.ndarray, letters: str, qubits: tuple[int, ...] | None =
     return ((scale * phase) * amps.reshape(shape)[flip]).reshape(amps.shape)
 
 
+def dense_identity(num_qubits: int, column: int | None = None) -> np.ndarray:
+    """The 2^Q x 2^Q identity, or its column `column` as (2^Q,) amplitudes: the
+    one constructor of a 2^Q object.  ValueError, naming the width, past
+    4^MAX_DENSE_QUBITS entries, so a 12-qubit matrix or a 24-qubit state."""
+    rows, kind = (1 << num_qubits, "matrix") if column is None else (1, "state")
+    if rows << num_qubits > 4 ** MAX_DENSE_QUBITS:  # its entries
+        raise ValueError(f"a dense {num_qubits}-qubit {kind} would hold more than "
+                         f"4^{MAX_DENSE_QUBITS} entries")
+    eye = np.eye(rows, 1 << num_qubits, column or 0, dtype=complex)
+    return eye if column is None else eye[0]
+
+
 @dataclass(frozen=True)
 class PauliString:
     """One real-weighted Pauli word over Q qubits, e.g. 0.5 * 'XZY'."""
@@ -125,15 +137,6 @@ class PauliString:
     @property
     def num_qubits(self) -> int:
         return len(self.letters)
-
-    def matrix(self) -> np.ndarray:
-        n = 2 ** self.num_qubits
-        shape, flip, _ = pauli_view(self.letters)
-        m = np.zeros((n, n), dtype=complex)
-        # row y holds the word's one nonzero, in column y XOR (its X/Y mask)
-        m[np.arange(n), np.arange(n).reshape(shape)[flip].ravel()] = apply_pauli(
-            np.ones(n, dtype=complex), self.letters, scale=self.coeff)
-        return m
 
 
 @dataclass(frozen=True)
@@ -241,13 +244,8 @@ def generator_family(num_qubits: int) -> GeneratorBasis:
 
 def pauli_sum_to_matrix(h: PauliSum) -> np.ndarray:
     """Dense 2^Q x 2^Q matrix of a PauliSum (qubit 0 most significant)."""
-    q = h.num_qubits
-    if q > MAX_DENSE_QUBITS:
-        raise ValueError(f"refusing dense matrix for {q} > {MAX_DENSE_QUBITS} qubits")
-    out = np.zeros((2 ** q, 2 ** q), dtype=complex)
-    for term in h.terms:
-        out += term.matrix()
-    return out
+    eye = dense_identity(h.num_qubits)
+    return sum(apply_pauli(eye, t.letters, scale=t.coeff) for t in h.terms)
 
 
 def restrict_to_onehot(op: np.ndarray, num_qubits: int) -> np.ndarray:

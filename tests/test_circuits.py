@@ -344,6 +344,10 @@ class TestCircuitText:
         ("qubits 3\nRX 0 zz\n", "bad gate line 'RX 0 zz'"),
         ("qubits 3\nRX 0 0.5\nRX 5 0.5\n",
          "bad gate line 'RX 5 0.5': qubit 5 outside the 3-qubit register"),
+        ("qubits 3\n# gates two\nRX 0 0.5\n",
+         "bad header line '# gates two': 1 gate lines follow"),
+        ("qubits 3\n# gates 2\nRX 0 0.5\n",
+         "bad header line '# gates 2': 1 gate lines follow"),
     ])
     def test_read_errors_name_the_file_and_the_line(self, tmp_path, text, message):
         path = tmp_path / "circuit.txt"
@@ -352,12 +356,26 @@ class TestCircuitText:
             read_circuit(path)
         assert str(excinfo.value).startswith(f"circuit {path}: {message}")
 
+    def test_a_file_cut_at_a_line_is_one_error_naming_the_file(self, tmp_path):
+        gv = solve_displacement(ParaSpec("pb", 2, 2), 0.3)
+        text = circuit_to_text(compile_displacement(gv, generator_family(3)))
+        path = tmp_path / "cut.txt"
+        path.write_text("".join(text.splitlines(keepends=True)[:20]))
+        with pytest.raises(ValueError) as excinfo:
+            read_circuit(path)
+        assert str(excinfo.value) == (f"circuit {path}: bad header line '# gates 52': "
+                                      "18 gate lines follow")
+        # text without the line, as written before it existed, reads as it stands
+        path.write_text(text.replace("# gates 52\n", ""))
+        assert read_circuit(path).gates == circuit_from_text(text).gates
+
     def test_format_shape(self):
         text = circuit_to_text(Circuit(2, [rx(0.5, 0), xx(1.25, 0, 1)]))
         lines = text.splitlines()
         assert lines[0] == "qubits 2"
-        assert lines[1] == "RX 0 0.5"
-        assert lines[2] == "XX 0 1 1.25"
+        assert lines[1] == "# gates 2"
+        assert lines[2] == "RX 0 0.5"
+        assert lines[3] == "XX 0 1 1.25"
 
     @pytest.mark.parametrize("line", ["RX 0 nan", "RY 1 inf", "XX 0 2 -inf"])
     def test_non_finite_angle_rejected(self, line):
@@ -390,7 +408,7 @@ def garbled_gate_lines(draw):
     """A valid gate line with fields dropped, one field garbled or a field
     added; never a valid line."""
     gate = draw(circuits().filter(lambda c: len(c) > 0)).gates[0]
-    kind, *fields = circuit_to_text(Circuit(4, [gate])).splitlines()[1].split()
+    kind, *fields = circuit_to_text(Circuit(4, [gate])).splitlines()[-1].split()
     damage = draw(st.sampled_from(["truncate", "garble", "extend"]))
     if damage == "truncate":
         fields = fields[:draw(st.integers(0, len(fields) - 1))]

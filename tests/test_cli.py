@@ -384,6 +384,15 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: --shots must be at least 1, not {shots}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_past_the_dense_limit_is_one_line_and_no_file(self, tmp_path, capsys):
+        # Q = 25: the ideal pass would need a 2^25 state
+        out = tmp_path / "sim.csv"
+        assert run_cli("simulate", "--kind", "pb", "--p", "2", "--np", "24", "--alpha", "0.1",
+                       "--shots", "10", "--out", str(out)) == 2
+        assert capsys.readouterr().err == ("error: a dense 25-qubit state would hold "
+                                           "more than 4^12 entries\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_spam_flag_requires_noise(self, tmp_path):
         assert run_cli("simulate", "--kind", "pf", "--p", "2", "--alpha", "0.3",
                        "--shots", "100", "--spam-correct") == 2
@@ -558,6 +567,18 @@ class TestStudy:
         assert rows["shots_spam"]["mandel_q"] == "" and rows["shots_spam"]["stderr"] == ""
         assert rows["exact"]["mandel_q"] == "" and rows["exact"]["stderr"] == ""
         assert float(rows["shots_raw"]["stderr"]) > 0
+
+    def test_cutoff_stderr_is_empty_where_mandel_q_is_undefined(self, tmp_path):
+        # alpha 1e-7 puts <N> below the floor of Mandel Q, at either cutoff
+        rows = {}
+        for alpha in ("1e-7", "0.3"):
+            out = tmp_path / f"cut-{alpha}.csv"
+            assert run_cli("study", "cutoff", "--alpha", alpha, "--p", "1",
+                           "--np-range", "1..1", "--out", str(out)) == 0
+            lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+            rows[alpha] = list(csv.DictReader(lines))
+        assert [(r["mandel_q"], r["stderr"]) for r in rows["1e-7"]] == [("", "")] * 2
+        assert [r["stderr"] for r in rows["0.3"]] == ["0"] * 2  # a defined Q is exact
 
 
 def exit_code(*argv):

@@ -1,9 +1,16 @@
 """Qubit mapping tests: one-hot encoding, XY Hamiltonian, generator family,
-commutator table (including the full five-qubit table) and Jacobi closure."""
+commutator table (including the full five-qubit table), Jacobi closure and
+the dense limit."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import parasim.mapping
 from parasim.algebra import ParaSpec, build_fock_ops
+from parasim.circuits import Circuit, circuit_unitary
+from parasim.engine import apply_circuit, run_and_sample
+from parasim.factorize import product_unitary
 from parasim.mapping import (
     GeneratorBasis,
     PauliString,
@@ -12,6 +19,7 @@ from parasim.mapping import (
     build_xy_hamiltonian,
     check_jacobi,
     commutator_table,
+    dense_identity,
     encode_fock,
     generator_family,
     onehot_block,
@@ -109,7 +117,7 @@ class TestGeneratorFamily:
     @pytest.mark.parametrize("q", [3, 4, 5, 6])
     def test_two_term_split_commutes(self, q):
         for gen in generator_family(q).generators:
-            first, second = (t.matrix() for t in gen.terms)
+            first, second = (pauli_sum_to_matrix(PauliSum((t,))) for t in gen.terms)
             assert np.max(np.abs(first @ second - second @ first)) < 1e-14
 
 
@@ -147,7 +155,8 @@ class TestDenseMatrices:
             kron = np.ones((1, 1))
             for c in letters:
                 kron = np.kron(kron, single[c])
-            assert np.array_equal(PauliString(-0.5, letters).matrix(), -0.5 * kron)
+            assert np.array_equal(pauli_sum_to_matrix(PauliSum((PauliString(-0.5, letters),))),
+                                  -0.5 * kron)
             # the same word given letter by letter on shuffled qubits
             qubits = tuple(int(k) for k in rng.permutation(q))
             shuffled = "".join(letters[k] for k in qubits)
@@ -155,6 +164,44 @@ class TestDenseMatrices:
                 m = rng.normal(size=shape)
                 assert np.array_equal(apply_pauli(m, letters), kron @ m)
                 assert np.array_equal(apply_pauli(m, shuffled, qubits), kron @ m)
+
+
+class TestDenseLimit:
+    """dense_identity builds every 2^Q state and 2^Q x 2^Q matrix, and
+    refuses one of more than 4^MAX_DENSE_QUBITS entries."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: pauli_sum_to_matrix(PauliSum((PauliString(1.0, "X" * 13),))),
+        lambda: product_unitary(np.zeros(78), generator_family(13), space="full"),
+        lambda: circuit_unitary(Circuit(13)),
+    ], ids=["pauli_sum_to_matrix", "product_unitary", "circuit_unitary"])
+    def test_a_13_qubit_matrix_is_one_error(self, build):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == "a dense 13-qubit matrix would hold more than 4^12 entries"
+
+    def test_the_ideal_pass_refuses_a_25_qubit_state_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^a dense 25-qubit state would hold "
+                                                 r"more than 4\^12 entries$"):
+                run_and_sample(Circuit(25), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_every_caller_reads_the_one_limit(self, monkeypatch):
+        monkeypatch.setattr(parasim.mapping, "MAX_DENSE_QUBITS", 3)
+        assert np.array_equal(dense_identity(3), np.eye(8))
+        assert np.array_equal(dense_identity(6, 5), np.eye(64)[5])
+        assert np.array_equal(circuit_unitary(Circuit(3)), np.eye(8))
+        assert np.array_equal(apply_circuit(Circuit(6)), np.eye(64)[32])
+        for build in (lambda: dense_identity(4), lambda: dense_identity(7, 0),
+                      lambda: circuit_unitary(Circuit(4)), lambda: apply_circuit(Circuit(7)),
+                      lambda: pauli_sum_to_matrix(PauliSum((PauliString(1.0, "ZZZZ"),)))):
+            with pytest.raises(ValueError, match=r"more than 4\^3 entries$"):
+                build()
 
 
 class TestOnehotRestriction:
