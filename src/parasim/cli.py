@@ -358,6 +358,8 @@ def main(argv=None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     args.argv = argv  # what the CSVs record as the command that made them
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError(f"--seed must be nonnegative, not {args.seed}")
         return args.run(args)
     except (FactorizationError, EmptyShotSetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

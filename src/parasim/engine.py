@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -49,18 +48,6 @@ class NoiseModel:
         if 1.0 - self.eps01 - self.eps10 < 1e-12:
             raise ValueError("confusion matrix is singular: 1 - eps01 - eps10 = "
                              f"{1.0 - self.eps01 - self.eps10:.3g} is below 1e-12")
-
-    @property
-    def has_prep_noise(self) -> bool:
-        return self.p_prep_flip > 0.0
-
-    @property
-    def has_gate_noise(self) -> bool:
-        return self.p_depol_1q > 0.0 or self.p_depol_2q > 0.0
-
-    @property
-    def has_readout_noise(self) -> bool:
-        return self.eps01 > 0.0 or self.eps10 > 0.0
 
 
 def read_noise_file(path) -> NoiseModel:
@@ -102,12 +89,10 @@ class ShotSet:
             raise ValueError("counts must sum to the shot total")
 
 
-@lru_cache(maxsize=None)
 def outcome_bits(num_qubits: int) -> np.ndarray:
-    """(2^Q, Q) read-only bits of every outcome, qubit 0 the most significant."""
-    bits = (np.arange(1 << num_qubits)[:, None] >> np.arange(num_qubits - 1, -1, -1)) & 1
-    bits.flags.writeable = False
-    return bits
+    """(2^Q, Q) bits of every outcome, qubit 0 the most significant: the
+    dense reference that the checks read, not the run path."""
+    return (np.arange(1 << num_qubits)[:, None] >> np.arange(num_qubits - 1, -1, -1)) & 1
 
 
 def apply_circuit(circuit: Circuit) -> np.ndarray:
@@ -138,16 +123,18 @@ def _read_out(bits: np.ndarray, noise: NoiseModel | None, meas_u: np.ndarray,
               seed: int) -> ShotSet:
     """Shot set of the measured bits (shots, Q), each flipped where its
     draw in meas_u falls under its confusion rate."""
-    if noise is not None and noise.has_readout_noise:
+    if noise is not None and (noise.eps01 or noise.eps10):
         bits = bits ^ np.where(bits == 0, meas_u < noise.eps01, meas_u < noise.eps10)
     return ShotSet(counts=_counts(bits), shots=len(bits), seed=seed)
 
 
 def _ideal_bits(circuit: Circuit, u: np.ndarray) -> np.ndarray:
     """Read bits (shots, Q) of the noiseless circuit, one shot for each
-    uniform draw in u, by the level rule against its cumulative |amps|^2."""
+    uniform draw in u: its level against the cumulative |amps|^2, shifted."""
     cdf = np.cumsum(np.abs(apply_circuit(circuit)) ** 2)
-    return outcome_bits(circuit.num_qubits)[_levels(cdf, u)]
+    bits = _levels(cdf, u)[:, None] >> np.arange(circuit.num_qubits - 1, -1, -1)
+    bits &= 1
+    return bits
 
 
 def _gaussian_shots(dec: Decomposition, init: np.ndarray, shot_ev: np.ndarray,
@@ -204,6 +191,7 @@ def _gaussian_shots(dec: Decomposition, init: np.ndarray, shot_ev: np.ndarray,
     return bits
 
 
+_SHOT_BYTES = 1 << 30  # most bytes of the shot-sized arrays a run holds at once
 _DRAW_BYTES = 4 << 20  # most bytes of (shots, gates) uniforms held at once
 _GAUSSIAN_BYTES = 16 << 20  # most bytes of dirty-shot covariances and their temporaries
 
@@ -240,13 +228,18 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
     stochastic decisions are drawn up front from one seeded generator, so
     results are reproducible.  Shots whose error coins all come up clean
     are measured on the ideal state (`_ideal_bits`); the others on their own
-    Majorana covariances (`_gaussian_shots`) by the same inverse CDF.
+    Majorana covariances (`_gaussian_shots`) by the same inverse CDF.  A
+    run whose shot arrays would pass _SHOT_BYTES is refused before any draw.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     q = circuit.num_qubits
+    need = 32 * shots * (q + 1)  # about four (shots, Q + 1) arrays of 8-byte numbers
+    if need > _SHOT_BYTES:
+        raise ValueError(f"--shots {shots} at {q} qubits would hold {need / 2**30:.3g} GiB "
+                         f"of shot arrays, over the {_SHOT_BYTES >> 30} GiB a run may hold")
     rng = np.random.default_rng(seed)
-    if noise is None or not (noise.has_prep_noise or noise.has_gate_noise):
+    if noise is None or not (noise.p_prep_flip or noise.p_depol_1q or noise.p_depol_2q):
         bits = _ideal_bits(circuit, rng.random(shots))
         return _read_out(bits, noise, rng.random((shots, q)), seed)
 

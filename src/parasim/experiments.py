@@ -45,10 +45,14 @@ class EmptyShotSetError(ValueError):
 class NumberStats:
     mean_n: float
     mean_n2: float
-    mandel_q: float  # NaN where undefined, as are the errors
-    stderr_mean: float
+    stderr_mean: float  # each error is NaN where undefined
     mandel_stderr: float = float("nan")
     retained_fraction: float = 1.0
+
+    @property
+    def mandel_q(self) -> float:
+        """Mandel Q of the moments, NaN where undefined (see _mandel)."""
+        return float(_mandel(self.mean_n, self.mean_n2))
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,8 @@ def number_stats(shots: ShotSet, num_qubits: int, source: str = SOURCE_RAW,
     post-selects, else 1.  The standard error of <N> is the spread of the
     per-shot value over the shots kept; where the readout inversion is the
     last step it is the binomial error of each bit marginal before the
-    inversion, scaled by the per-qubit inversion factor.
+    inversion, scaled by the per-qubit inversion factor.  It is NaN where
+    the post-selected series' weighted variance is negative.
     """
     counts, bits = _observed(shots)
     steps = mitigation_steps(source, spam, order)
@@ -173,13 +178,14 @@ def number_stats(shots: ShotSet, num_qubits: int, source: str = SOURCE_RAW,
         raise EmptyShotSetError(f"no one-hot weight left in {source}")
     levels = np.arange(num_qubits, dtype=float)
     mean, mean2 = float(weights @ rows @ levels), float(weights @ rows @ levels ** 2)
-    if steps[-1:] == ("spam",):
+    var = float(weights @ (rows @ levels - mean) ** 2)
+    if "postselect" in steps and var < 0:  # quasi-probability weights: no error
+        var = float("nan")
+    elif steps[-1:] == ("spam",):
         p1 = mitigate(counts, bits, steps[:-1])[0] @ bits  # still the observed rows
         var = (levels ** 2 @ np.clip(p1 * (1 - p1), 0.0, None)
                / (1.0 - spam.eps01 - spam.eps10) ** 2)
-    else:
-        var = max(float(weights @ (rows @ levels - mean) ** 2), 0.0)
-    return NumberStats(mean_n=mean, mean_n2=mean2, mandel_q=float(_mandel(mean, mean2)),
+    return NumberStats(mean_n=mean, mean_n2=mean2,
                        stderr_mean=float(np.sqrt(var / max(kept * shots.shots, 1.0))),
                        retained_fraction=kept)
 
@@ -189,18 +195,16 @@ def exact_number_stats(spec: ParaSpec, alpha: float) -> NumberStats:
     probs = np.abs(displaced_vacuum_exact(spec, alpha)) ** 2
     levels = np.arange(spec.dim, dtype=float)
     mean, mean2 = float(probs @ levels), float(probs @ levels ** 2)
-    q = float(_mandel(mean, mean2))
-    return NumberStats(mean_n=mean, mean_n2=mean2, mandel_q=q, stderr_mean=0.0,
-                       mandel_stderr=0.0 if np.isfinite(q) else float("nan"))
+    stats = NumberStats(mean_n=mean, mean_n2=mean2, stderr_mean=0.0)
+    return stats if np.isnan(stats.mandel_q) else replace(stats, mandel_stderr=0.0)
 
 
 def mandel_q(stats: NumberStats) -> float:
     """(variance - mean)/mean of the number distribution; sign separates
     sub- from super-Poissonian statistics.  Undefined at zero mean."""
-    value = float(_mandel(stats.mean_n, stats.mean_n2))
-    if np.isnan(value):
+    if np.isnan(stats.mandel_q):
         raise ValueError("Mandel Q is undefined at <N> = 0")
-    return value
+    return stats.mandel_q
 
 
 def uncertainty(shotset: ShotSet, statistic: str, resamples: int = 500,

@@ -6,6 +6,7 @@ import io
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -782,6 +783,32 @@ class TestMalformedInput:
             assert run_cli(*BASES[study], *both, *order, "--out", str(out)) == 0
             bodies[order[1:]] = out.read_text().split("\n", 1)[1]  # past the argv
         assert bodies[()] == bodies[("spam-first",)]
+
+    @pytest.mark.parametrize("command", ["simulate", "pb-mandel", "pf-evolution"])
+    def test_absurd_shots_are_one_line_naming_the_flag_and_no_file(self, tmp_path, capsys,
+                                                                    command):
+        # refused before the first draw: numpy could not allocate 10^15 shots anyway
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            code = run_cli(*BASES[command], "--shots", str(10 ** 15), "--out", str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: --shots 1000000000000000 ")
+        assert list(tmp_path.iterdir()) == []
+        assert peak < 16 << 20
+
+    @pytest.mark.parametrize("command", ["simulate", "pb-mandel", "pf-evolution", "cutoff",
+                                         "factorize", "compile"])
+    def test_a_negative_seed_is_one_line_naming_it_and_no_file(self, tmp_path, capsys,
+                                                               command):
+        out = tmp_path / "out.csv"
+        assert run_cli(*BASES[command], "--seed", "-5", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: --seed must be nonnegative, not -5\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 # no int or float (not even inf/nan) can be spelled from these characters

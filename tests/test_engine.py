@@ -1,11 +1,14 @@
 """Simulator engine tests: the vacuum start, noiseless amplitudes, seeded
 sampling with and without noise and the shot-set text format, plus the readout correction
 and post-selection that turn its shots into mitigated counts."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parasim.engine
 from parasim.algebra import ParaSpec, displaced_vacuum_exact
 from parasim.circuits import Circuit, compile_displacement, rx, xx
 from parasim.engine import (
@@ -194,6 +197,37 @@ class TestRunAndSample:
         first = run_and_sample(circuit, 500, noise, seed=9)
         second = run_and_sample(circuit, 500, noise, seed=9)
         assert first.counts == second.counts
+
+    @staticmethod
+    def traced_peak(run) -> int:
+        """The tracemalloc peak, in bytes, of calling run()."""
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_wide_ideal_run_holds_no_outcome_table(self):
+        # at Q = 18 the state is 4 MiB, and a (2^Q, Q) int64 table of every
+        # outcome's bits would be 36 MiB more: the levels are shifted into bits
+        assert self.traced_peak(lambda: run_and_sample(Circuit(18), 10)) < 12 << 20
+
+    @pytest.mark.parametrize("noise", [None, NoiseModel(p_prep_flip=0.01)],
+                             ids=["ideal", "noisy"])
+    def test_absurd_shots_are_refused_before_any_draw(self, noise):
+        def run():
+            with pytest.raises(ValueError, match=r"^--shots 1000000000000000 at 3 qubits "
+                                                 r"would hold .* GiB of shot arrays"):
+                run_and_sample(Circuit(3), 10 ** 15, noise)
+
+        assert self.traced_peak(run) < 1 << 20
+
+    def test_the_shot_budget_counts_four_arrays_of_q_plus_one_numbers(self, monkeypatch):
+        monkeypatch.setattr(parasim.engine, "_SHOT_BYTES", 32 * 100 * 4)
+        assert run_and_sample(Circuit(3), 100).shots == 100
+        with pytest.raises(ValueError, match="^--shots 101 "):
+            run_and_sample(Circuit(3), 101)
 
 
 def corrected_p1(shots: ShotSet, noise: NoiseModel) -> np.ndarray:

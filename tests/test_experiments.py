@@ -1,5 +1,6 @@
 """Observable and study tests: number statistics, Mandel Q, bootstrap
 uncertainty, the three studies and CSV emission."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,11 +11,14 @@ from parasim.algebra import ParaSpec, build_fock_ops
 from parasim.circuits import compile_displacement, gate_counts
 from parasim.engine import NoiseModel, ShotSet
 from parasim.experiments import (
+    MITIGATION_ORDERS,
     SOURCE_EXACT,
     SOURCE_POST,
     SOURCE_RAW,
     SOURCE_SPAM,
     EmptyShotSetError,
+    NumberStats,
+    SeriesPoint,
     cutoff_study,
     exact_number_stats,
     histogram,
@@ -72,6 +76,28 @@ class TestNumberStats:
     def test_empty_rejected(self):
         with pytest.raises(EmptyShotSetError):
             number_stats(ShotSet({}, 0, seed=0), 3)
+
+    @pytest.mark.parametrize("order", MITIGATION_ORDERS)
+    def test_a_negative_quasi_probability_variance_has_no_error(self, order):
+        # the readout inversion gives levels 0 and 2 negative weights, so the
+        # weighted variance is -0.042 (spam-first) or -0.021 (postselect-first):
+        # no error fits it, so stderr is NaN and its CSV field empty, not 0
+        shots = ShotSet({"101": 3, "010": 3}, 6, seed=1)
+        noise = NoiseModel(eps01=0.01, eps10=0.02)
+        stats = number_stats(shots, 3, SOURCE_POST, noise, order)
+        assert stats.mean_n2 < stats.mean_n ** 2
+        assert np.isnan(stats.stderr_mean)
+        row = series_to_csv([SeriesPoint(0.3, {SOURCE_POST: stats})], "simulate", 6, 1)
+        assert row.splitlines()[1].split(",")[6] == ""
+        # the series of the same shots whose weights are not post-selected keep their errors
+        assert number_stats(shots, 3).stderr_mean > 0
+        assert number_stats(shots, 3, SOURCE_SPAM, noise).stderr_mean > 0
+
+    def test_mandel_q_is_read_from_the_moments_not_stored(self):
+        assert "mandel_q" not in {f.name for f in dataclasses.fields(NumberStats)}
+        stats = NumberStats(mean_n=0.5, mean_n2=0.75, stderr_mean=0.0)
+        assert stats.mandel_q == pytest.approx(0.0)
+        assert np.isnan(NumberStats(mean_n=1e-13, mean_n2=1.0, stderr_mean=0.0).mandel_q)
 
 
 class TestMandelQ:
