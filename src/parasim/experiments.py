@@ -167,7 +167,7 @@ def number_stats(shots: ShotSet, num_qubits: int, source: str = SOURCE_RAW,
     per-shot value over the shots kept; where the readout inversion is the
     last step it is the binomial error of each bit marginal before the
     inversion, scaled by the per-qubit inversion factor.  It is NaN where
-    the post-selected series' weighted variance is negative.
+    post-selection follows the inversion and the weights' variance is negative.
     """
     counts, bits = _observed(shots)
     steps = mitigation_steps(source, spam, order)
@@ -178,13 +178,13 @@ def number_stats(shots: ShotSet, num_qubits: int, source: str = SOURCE_RAW,
         raise EmptyShotSetError(f"no one-hot weight left in {source}")
     levels = np.arange(num_qubits, dtype=float)
     mean, mean2 = float(weights @ rows @ levels), float(weights @ rows @ levels ** 2)
-    var = float(weights @ (rows @ levels - mean) ** 2)
-    if "postselect" in steps and var < 0:  # quasi-probability weights: no error
-        var = float("nan")
-    elif steps[-1:] == ("spam",):
+    if steps[-1:] == ("spam",):
         p1 = mitigate(counts, bits, steps[:-1])[0] @ bits  # still the observed rows
         var = (levels ** 2 @ np.clip(p1 * (1 - p1), 0.0, None)
                / (1.0 - spam.eps01 - spam.eps10) ** 2)
+    else:
+        var = float(weights @ (rows @ levels - mean) ** 2)
+        var = float("nan") if var < 0 else var  # quasi-probability weights: no error
     return NumberStats(mean_n=mean, mean_n2=mean2,
                        stderr_mean=float(np.sqrt(var / max(kept * shots.shots, 1.0))),
                        retained_fraction=kept)
@@ -200,8 +200,8 @@ def exact_number_stats(spec: ParaSpec, alpha: float) -> NumberStats:
 
 
 def mandel_q(stats: NumberStats) -> float:
-    """(variance - mean)/mean of the number distribution; sign separates
-    sub- from super-Poissonian statistics.  Undefined at zero mean."""
+    """(variance - mean)/mean of the number distribution; sign separates sub-
+    from super-Poissonian statistics.  The strict `stats.mandel_q`: raises at zero mean."""
     if np.isnan(stats.mandel_q):
         raise ValueError("Mandel Q is undefined at <N> = 0")
     return stats.mandel_q

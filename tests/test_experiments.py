@@ -11,7 +11,6 @@ from parasim.algebra import ParaSpec, build_fock_ops
 from parasim.circuits import compile_displacement, gate_counts
 from parasim.engine import NoiseModel, ShotSet
 from parasim.experiments import (
-    MITIGATION_ORDERS,
     SOURCE_EXACT,
     SOURCE_POST,
     SOURCE_RAW,
@@ -77,14 +76,13 @@ class TestNumberStats:
         with pytest.raises(EmptyShotSetError):
             number_stats(ShotSet({}, 0, seed=0), 3)
 
-    @pytest.mark.parametrize("order", MITIGATION_ORDERS)
-    def test_a_negative_quasi_probability_variance_has_no_error(self, order):
-        # the readout inversion gives levels 0 and 2 negative weights, so the
-        # weighted variance is -0.042 (spam-first) or -0.021 (postselect-first):
+    def test_a_negative_quasi_probability_variance_has_no_error(self):
+        # spam first, the readout inversion gives levels 0 and 2 negative
+        # weights before post-selection, so the weighted variance is -0.042:
         # no error fits it, so stderr is NaN and its CSV field empty, not 0
         shots = ShotSet({"101": 3, "010": 3}, 6, seed=1)
         noise = NoiseModel(eps01=0.01, eps10=0.02)
-        stats = number_stats(shots, 3, SOURCE_POST, noise, order)
+        stats = number_stats(shots, 3, SOURCE_POST, noise, "spam-first")
         assert stats.mean_n2 < stats.mean_n ** 2
         assert np.isnan(stats.stderr_mean)
         row = series_to_csv([SeriesPoint(0.3, {SOURCE_POST: stats})], "simulate", 6, 1)
@@ -92,6 +90,18 @@ class TestNumberStats:
         # the series of the same shots whose weights are not post-selected keep their errors
         assert number_stats(shots, 3).stderr_mean > 0
         assert number_stats(shots, 3, SOURCE_SPAM, noise).stderr_mean > 0
+
+    def test_postselect_first_keeps_the_binomial_error(self):
+        # the inversion is the last step, so the error is the binomial one of
+        # the kept marginals p1 = [0.001, 0.999, 0], though the corrected
+        # weights' variance is negative (-0.0196)
+        shots = ShotSet({"100": 1, "010": 999}, 1000, seed=1)
+        stats = number_stats(shots, 3, SOURCE_POST, NoiseModel(eps01=0.01, eps10=0.02),
+                             "postselect-first")
+        assert stats.mean_n2 < stats.mean_n ** 2
+        p1 = np.array([0.001, 0.999, 0.0])
+        binomial = np.arange(3.0) ** 2 @ (p1 * (1 - p1)) / (1 - 0.01 - 0.02) ** 2
+        assert stats.stderr_mean == pytest.approx(np.sqrt(binomial / 1000))
 
     def test_mandel_q_is_read_from_the_moments_not_stored(self):
         assert "mandel_q" not in {f.name for f in dataclasses.fields(NumberStats)}
