@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .mapping import (_IDENTITY, _PHASE_I, GeneratorBasis, PauliString, _pair, _times,
                       _word, apply_pauli, dense_identity)
+from .textfile import keyed, read_file, text_lines
 
 _RX = "RX"
 _RY = "RY"
@@ -337,9 +337,17 @@ def circuit_to_text(circuit: Circuit) -> str:
 
 
 def circuit_from_text(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    stated = [p[1] for p in (ln[1:].split() for ln in lines if ln[0] == "#")
-              if len(p) == 2 and p[0] == "gates"]  # '# gates N', as circuit_to_text writes
+    return _circuit(text_lines(text))
+
+
+def read_circuit(path) -> Circuit:
+    """The circuit of a file in the text format, with its `# gates N` line,
+    as circuit_to_text writes it, at most once; a ValueError names the file."""
+    return read_file(path, "circuit", _circuit)
+
+
+def _circuit(lines) -> Circuit:
+    stated = keyed((ln[1:] for ln in lines if ln[0] == "#"), "header '# {}'", ("gates",))
     lines = [ln for ln in lines if ln[0] != "#"]
     if not lines or not lines[0].startswith("qubits "):
         raise ValueError("circuit text must start with a 'qubits Q' header")
@@ -360,14 +368,7 @@ def circuit_from_text(text: str) -> Circuit:
             gates.append(gate)
         except ValueError as exc:
             raise ValueError(f"bad gate line {ln!r}: {exc}") from None
-    if stated and stated[-1] != str(len(gates)):  # a cut file, or not a count
-        raise ValueError(f"bad header line '# gates {stated[-1]}': {len(gates)} gate lines follow")
+    if stated.get("gates", str(len(gates))) != str(len(gates)):  # a cut file, or not a count
+        raise ValueError(f"bad header line {('# gates ' + stated['gates']).rstrip()!r}: "
+                         f"{len(gates)} gate lines follow")
     return Circuit(int(q), gates)
-
-
-def read_circuit(path) -> Circuit:
-    """The circuit of a file in the text format; a ValueError names the file."""
-    try:
-        return circuit_from_text(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"circuit {path}: {exc}") from None

@@ -20,14 +20,13 @@ inverse CDF of one uniform draw, qubit 0 the most significant bit.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from .circuits import Circuit, Decomposition, apply_gate_batch, decompose
 from .mapping import dense_identity
+from .textfile import keyed, read_file
 
 
 @dataclass(frozen=True)
@@ -53,27 +52,20 @@ class NoiseModel:
 def read_noise_file(path) -> NoiseModel:
     """Lines `key value` or `key=value`, each key of NoiseModel at most once;
     a ValueError names the file."""
-    known = {field.name for field in fields(NoiseModel)}
-    values = {}
-    try:
-        for line in Path(path).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, *value = line.split(maxsplit=1)  # at the first run of whitespace
-            if not value:
-                key, _, *value = line.partition("=")
-            if key not in known:
+    def parse(lines):
+        values = keyed(ln if len(ln.split()) > 1 else ln.replace("=", " ", 1)
+                       for ln in lines if ln[0] != "#")
+        for key, value in values.items():
+            if key not in {field.name for field in fields(NoiseModel)}:
                 raise ValueError(f"unknown key {key!r}")
-            if key in values:
-                raise ValueError(f"key {key!r} given twice")
             try:
-                values[key] = float(value[0])
+                values[key] = float(value)
             except ValueError:
-                raise ValueError(f"cannot parse {line!r}: want '<key> <number>'") from None
+                raise ValueError(f"cannot parse {f'{key} {value}'.rstrip()!r}: "
+                                 "want '<key> <number>'") from None
         return NoiseModel(**values)
-    except ValueError as exc:
-        raise ValueError(f"noise file {path}: {exc}") from None
+
+    return read_file(path, "noise file", parse)
 
 
 @dataclass(frozen=True)
@@ -234,7 +226,11 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
     if shots < 1:
         raise ValueError("shots must be >= 1")
     q = circuit.num_qubits
-    need = 32 * shots * (q + 1)  # about four (shots, Q + 1) arrays of 8-byte numbers
+    width = np.array([len(g.qubits) for g in circuit.gates], dtype=int)
+    rates = (0.0, 0.0) if noise is None else (noise.p_depol_1q, noise.p_depol_2q)
+    gate_probs = np.where(width == 1, *rates)
+    # four (shots, Q + 1) arrays of 8-byte numbers, and some 40 bytes a kick event
+    need = shots * (32 * (q + 1) + 40 * gate_probs.sum())
     if need > _SHOT_BYTES:
         raise ValueError(f"--shots {shots} at {q} qubits would hold {need / 2**30:.3g} GiB "
                          f"of shot arrays, over the {_SHOT_BYTES >> 30} GiB a run may hold")
@@ -244,8 +240,6 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
         return _read_out(bits, noise, rng.random((shots, q)), seed)
 
     dec = decompose(circuit)
-    width = np.array([len(g.qubits) for g in circuit.gates], dtype=int)
-    gate_probs = np.where(width == 1, noise.p_depol_1q, noise.p_depol_2q)
     words = 4 ** width - 1  # kick words per gate, circuits.KICK_WORDS
     prep_coins = rng.random((shots, q)) < noise.p_prep_flip
     shot_ev, gate_ev, word_u = _kicks(rng, shots, gate_probs)
@@ -289,39 +283,29 @@ def shotset_to_text(shotset: ShotSet, noise: NoiseModel | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SHOT_LINE = re.compile(r"([01]+)\s+([0-9]+)")
-
-
 def read_shotset(path) -> ShotSet:
-    """The shot set of a file in the text format, each bitstring at most
-    once and the counts summing to the `# shots` total when the file gives
-    one; a ValueError names the file."""
-    header: dict = {}
-    counts: dict = {}
-    try:
-        for line in Path(path).read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] in ("seed", "shots"):
-                    try:
-                        header[parts[0]] = int(parts[1])
-                    except ValueError:
-                        raise ValueError(f"bad header line {line!r}: want "
-                                         f"'# {parts[0]} <integer>'") from None
-                continue
-            match = _SHOT_LINE.fullmatch(line)
-            if match is None or len(match[1]) != len(next(iter(counts), match[1])):
-                raise ValueError(f"bad shot line {line!r}: want '<bits> <count>' with "
-                                 "bits of 0/1, as many as on the first line")
-            if match[1] in counts:
-                raise ValueError(f"bitstring {match[1]!r} given twice")
-            counts[match[1]] = int(match[2])
+    """The shot set of a file in the text format, each bitstring and each
+    `# seed` or `# shots` header at most once and the counts summing to the
+    `# shots` total when the file gives one; a ValueError names the file."""
+    def parse(lines):
+        header = keyed((ln[1:] for ln in lines if ln[0] == "#"), "header '# {}'",
+                       ("seed", "shots"))
+        for key, value in header.items():
+            try:
+                header[key] = int(value)
+            except ValueError:
+                raise ValueError(f"bad header line {f'# {key} {value}'.rstrip()!r}: "
+                                 f"want '# {key} <integer>'") from None
+        counts = keyed((ln for ln in lines if ln[0] != "#"), "bitstring {!r}")
+        for bits, count in counts.items():
+            if not (set(bits) <= {"0", "1"} and count.isascii() and count.isdigit()
+                    and len(bits) == len(next(iter(counts)))):
+                raise ValueError(f"bad shot line {f'{bits} {count}'.rstrip()!r}: want '<bits> "
+                                 "<count>' with bits of 0/1, as many as on the first line")
+            counts[bits] = int(count)
         shots = sum(counts.values())
         if header.get("shots", shots) != shots:
             raise ValueError(f"counts sum to {shots}, not the {header['shots']} of '# shots'")
-    except ValueError as exc:
-        raise ValueError(f"shot set {path}: {exc}") from None
-    return ShotSet(counts=counts, shots=shots, seed=header.get("seed", 0))
+        return ShotSet(counts=counts, shots=shots, seed=header.get("seed", 0))
+
+    return read_file(path, "shot set", parse)

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from .algebra import ParaSpec, gauge, restricted_target
 from .mapping import (GeneratorBasis, apply_pauli, dense_identity, generator_family,
                       onehot_block)
+from .textfile import keyed, read_file
 
 
 class FactorizationError(RuntimeError):
@@ -203,22 +203,11 @@ def read_gamma_document(path):
     A repeated, missing or unparsable key, a non-finite gamma, labels other
     than the register's generator labels, or any value ParaSpec or
     GammaVector rejects raise ValueError naming the document."""
-    try:
-        return _parse_gamma_document(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"gamma document {path}: {exc}") from None
+    return read_file(path, "gamma document", _parse_gamma_document)
 
 
-def _parse_gamma_document(text: str):
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, *value = line.split(maxsplit=1)  # at the first run of whitespace
-        if key in fields:
-            raise ValueError(f"key {key!r} given twice")
-        fields[key] = value[0] if value else ""
+def _parse_gamma_document(lines):
+    fields = keyed(ln for ln in lines if ln[0] != "#")
 
     def field(key, parse):
         if key not in fields:

@@ -801,6 +801,28 @@ class TestMalformedInput:
         assert list(tmp_path.iterdir()) == []
         assert peak < 16 << 20
 
+    def test_the_shot_budget_refuses_a_run_by_its_kick_events(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # a budget of exactly the (shots, Q + 1) arrays of 10^5 shots at Q = 3:
+        # the gate noise's kick events are what puts the run over it
+        import parasim.engine
+        monkeypatch.setattr(parasim.engine, "_SHOT_BYTES", 32 * 4 * 10 ** 5)
+        noise, out = tmp_path / "noise.txt", tmp_path / "out.csv"
+        noise.write_text("p_prep_flip 0.005\neps01 0.01\neps10 0.02\np_depol_1q 0.001\n"
+                         "p_depol_2q 0.01\n")
+        tracemalloc.start()
+        try:
+            code = run_cli("simulate", "--kind", "pf", "--p", "2", "--alpha", "0.5",
+                           "--shots", str(10 ** 5), "--noise", str(noise), "--out", str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: --shots 100000 at 3 qubits ")
+        assert not out.exists()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("command", ["simulate", "pb-mandel", "pf-evolution", "cutoff",
                                          "factorize", "compile"])
     def test_a_negative_seed_is_one_line_naming_it_and_no_file(self, tmp_path, capsys,

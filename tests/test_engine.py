@@ -229,6 +229,21 @@ class TestRunAndSample:
         with pytest.raises(ValueError, match="^--shots 101 "):
             run_and_sample(Circuit(3), 101)
 
+    def test_the_shot_budget_counts_the_kick_events(self, monkeypatch):
+        # at Q = 16 the benchmark noise kicks some 32 times a shot, and the kick
+        # events, not the (shots, Q + 1) arrays, set the bytes a shot adds
+        spec = ParaSpec("pb", 2, np=15)
+        circuit = compile_displacement(solve_displacement(spec, 0.5), generator_family(16))
+        noise = NoiseModel(p_prep_flip=0.005, eps01=0.01, eps10=0.02, p_depol_1q=0.001,
+                           p_depol_2q=0.01)
+        low, high = (self.traced_peak(lambda: run_and_sample(circuit, shots, noise, seed=1))
+                     for shots in (1000, 2000))
+        # a budget of the bytes the run was seen to add per shot must refuse it,
+        # so the estimate per shot is at least the measured growth
+        monkeypatch.setattr(parasim.engine, "_SHOT_BYTES", int(2 * (high - low)))
+        with pytest.raises(ValueError, match="^--shots 2000 at 16 qubits "):
+            run_and_sample(circuit, 2000, noise, seed=1)
+
 
 def corrected_p1(shots: ShotSet, noise: NoiseModel) -> np.ndarray:
     """Per-qubit P(read 1) of a shot set after readout inversion."""
