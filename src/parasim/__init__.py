@@ -49,7 +49,6 @@ from .experiments import (
     SeriesPoint,
     cutoff_study,
     exact_number_stats,
-    mandel_q,
     number_stats,
     postselect,
     run_pb_mandel_sweep,

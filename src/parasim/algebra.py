@@ -8,12 +8,16 @@ by `verify_truncation_identity`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 PARA_FERMI = "pf"
 PARA_BOSE = "pb"
+# the highest level a ladder may reach: its register of at most 63 qubits
+# then packs a read into a nonnegative int64 (engine._counts)
+MAX_LEVEL = 62
 
 
 @dataclass(frozen=True)
@@ -22,7 +26,7 @@ class ParaSpec:
 
     kind: "pf" (para-fermion, p even, dimension p+1) or "pb" (para-boson,
     truncated to levels 0..np, dimension np+1).  One qubit is used per
-    level, so num_qubits == dim.
+    level, so num_qubits == dim.  The top level, p or np, is at most MAX_LEVEL.
     """
 
     kind: str
@@ -45,6 +49,10 @@ class ParaSpec:
                 raise ValueError("para-bosons require order p >= 1")
             if self.np < 1:
                 raise ValueError("para-boson cutoff np must be >= 1")
+        if self.dim - 1 > MAX_LEVEL:
+            top = "para-fermion order p" if self.kind == PARA_FERMI else "para-boson cutoff np"
+            raise ValueError(f"{top} {self.dim - 1} exceeds the limit of {MAX_LEVEL} "
+                             "levels above the vacuum")
 
     @property
     def dim(self) -> int:
@@ -70,17 +78,6 @@ class TruncationReport:
     beta: float
     residual_norm: float
     passes: bool
-
-
-def double_factorial(x: int) -> float:
-    """x!! with the conventions (-1)!! = 0!! = 1."""
-    if x <= 0:
-        return 1.0
-    r = 1.0
-    while x > 0:
-        r *= x
-        x -= 2
-    return r
 
 
 def ladder_amplitude(spec: ParaSpec, n: int) -> float:
@@ -113,14 +110,15 @@ def build_fock_ops(spec: ParaSpec) -> FockOperatorSet:
 
 def beta_constant(np_cutoff: int, p: int) -> float:
     """Coefficient of the cutoff correction term in the truncated para-Bose
-    commutator; vanishes as the cutoff grows."""
+    commutator; vanishes as the cutoff grows.  Its double factorials,
+    (np + 1) (p - 2)!! / ((np - 1)!! (np + p - 1)!!) for odd np and
+    (np + p) (p - 2)!! / (np!! (np + p - 2)!!) for even np, reduce to
+    top / (2 4 ... 2 floor(np/2) * p (p + 2) ... (p + 2 ceil(np/2) - 2)):
+    one division of exact integers, correctly rounded, with no overflow."""
     if np_cutoff < 1 or p < 1:
         raise ValueError("beta_constant requires np >= 1 and p >= 1")
-    if np_cutoff % 2 == 1:
-        return (np_cutoff + 1) / double_factorial(np_cutoff - 1) \
-            * double_factorial(p - 2) / double_factorial(np_cutoff + p - 1)
-    return (np_cutoff + p) / double_factorial(np_cutoff) \
-        * double_factorial(p - 2) / double_factorial(np_cutoff + p - 2)
+    top = np_cutoff + (1 if np_cutoff % 2 else p)
+    return top / (math.prod(range(2, np_cutoff + 1, 2)) * math.prod(range(p, p + np_cutoff, 2)))
 
 
 def verify_truncation_identity(spec: ParaSpec, tol: float = 1e-12) -> TruncationReport:

@@ -24,6 +24,7 @@ from .experiments import (
     run_pf_evolution,
     sample_points,
     series_to_csv,
+    study_series,
     write_atomic,
 )
 # not called here; bound for perfbench/spans.py, which wraps names where cli binds them
@@ -47,8 +48,9 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 
-def parse_int_range(text: str, flag: str) -> list[int]:
-    """'3' -> [3]; '1..5' -> [1, 2, 3, 4, 5] (inclusive); errors name `flag`."""
+def parse_int_range(text: str, flag: str) -> range:
+    """'3' -> range(3, 4); '1..5' -> range(1, 6) (inclusive), never listed;
+    errors name `flag`."""
     lo, dots, hi = text.partition("..")
     try:
         lo, hi = int(lo), int(hi if dots else lo)
@@ -56,7 +58,7 @@ def parse_int_range(text: str, flag: str) -> list[int]:
         raise ValueError(f"{flag} takes an integer or a range a..b, not {text!r}") from None
     if hi < lo:
         raise ValueError(f"{flag} {text!r} is an empty range")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def parse_float_list(text: str, flag: str) -> list[float]:
@@ -95,7 +97,8 @@ def _emit(out, text: str, files=()) -> None:
 def cmd_verify(args) -> int:
     p_values = parse_int_range(args.p_range, "--p")
     if args.kind == "pf" and len(p_values) > 1:
-        p_values = [p for p in p_values if p % 2 == 0]
+        p_values = p_values[p_values[0] % 2::2]  # the even orders
+    _spec(args.kind, p_values[-1], args.np)  # the widest point, before any is computed
     lines = ["check,kind,p,np,value,pass"]
     ok = True
     algebra = {}  # width -> (closure, jacobi): they depend on nothing else
@@ -175,21 +178,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _study_series(points, value: str):
-    series = {}
-    for point in points:
-        for label, stats in point.stats.items():
-            y = getattr(stats, value)
-            if np.isnan(y):
-                continue
-            xs, ys, errs = series.setdefault(label, ([], [], []))
-            xs.append(point.x)
-            ys.append(y)
-            err = stats.mandel_stderr if value == "mandel_q" else stats.stderr_mean
-            errs.append(0.0 if np.isnan(err) else err)  # a zero error draws no bar
-    return {k: tuple(v) for k, v in series.items()}
-
-
 def _shot_options(args) -> dict:
     """Keyword arguments of a command that takes shots."""
     if args.shots < 0:
@@ -245,9 +233,8 @@ def cmd_study(args) -> int:
     csv = series_to_csv(points, args.study, shots, args.seed, _provenance(args))
     plots = []
     if args.svg:
-        value = STUDY_STATISTIC[args.study]
-        ylabel = "<N>" if value == "mean_n" else "Mandel Q"
-        series = _study_series(points, value)
+        ylabel = "<N>" if STUDY_STATISTIC[args.study] == "mean_n" else "Mandel Q"
+        series = study_series(points, args.study)
         if not series:
             raise ValueError(f"--svg: no point has a defined {ylabel}")
         plots.append((args.svg, svgplot.line_plot(series, args.xlabel, ylabel, title=args.study)))

@@ -199,14 +199,6 @@ def exact_number_stats(spec: ParaSpec, alpha: float) -> NumberStats:
     return stats if np.isnan(stats.mandel_q) else replace(stats, mandel_stderr=0.0)
 
 
-def mandel_q(stats: NumberStats) -> float:
-    """(variance - mean)/mean of the number distribution; sign separates sub-
-    from super-Poissonian statistics.  The strict `stats.mandel_q`: raises at zero mean."""
-    if np.isnan(stats.mandel_q):
-        raise ValueError("Mandel Q is undefined at <N> = 0")
-    return stats.mandel_q
-
-
 def uncertainty(shotset: ShotSet, statistic: str, resamples: int = 500,
                 seed: int = 0, source: str = SOURCE_RAW,
                 spam: NoiseModel | None = None, order: str = "spam-first") -> float:
@@ -321,13 +313,14 @@ def run_pb_mandel_sweep(alpha: float, p_values, np_cutoff: int,
 
 def cutoff_study(alpha: float, p_values, np_values) -> list[SeriesPoint]:
     """Exact Mandel Q over (p, np) pairs plus a large-cutoff reference column
-    (np_ref = max(np_values) + 6) standing in for the untruncated values.
-    Undefined points (alpha = 0) are excluded."""
+    (np_ref = the last of the increasing np_values + 6) standing in for the
+    untruncated values; NaN where undefined, as at alpha = 0.  The widest
+    spec, the first order at np_ref, is built before any point, and read by
+    index, so a range is never walked to find it."""
     if not np.isfinite(alpha) or alpha < 0:
         raise ValueError(f"alpha must be finite and nonnegative, not {alpha!r}")
-    if alpha == 0:
-        return []
-    np_ref = max(np_values) + 6
+    np_ref = np_values[-1] + 6
+    ParaSpec(kind="pb", p=p_values[0], np=np_ref)  # raises if too wide
     points = []
     for p in p_values:
         stats = {}
@@ -349,10 +342,28 @@ CSV_COLUMNS = ("study", "x", "source", "mean_n", "mean_n2", "mandel_q",
 # the statistic of each study: what its plot draws, and whose error is its CSV's stderr
 STUDY_STATISTIC = {"pf-evolution": "mean_n", "simulate": "mean_n",
                    "pb-mandel": "mandel_q", "cutoff": "mandel_q"}
+_ERROR = {"mean_n": "stderr_mean", "mandel_q": "mandel_stderr"}  # each statistic's error
 
 
 def _field(value: float) -> str:
     return "" if np.isnan(value) else f"{value:.17g}"
+
+
+def study_series(points, study: str) -> dict:
+    """label -> (xs, ys, errors) of STUDY_STATISTIC[study] at the points where
+    it is defined, for svgplot.line_plot; an undefined error draws no bar."""
+    value = STUDY_STATISTIC[study]
+    series = {}
+    for point in points:
+        for label, stats in point.stats.items():
+            y, err = getattr(stats, value), getattr(stats, _ERROR[value])
+            if np.isnan(y):
+                continue
+            xs, ys, errs = series.setdefault(label, ([], [], []))
+            xs.append(point.x)
+            ys.append(y)
+            errs.append(0.0 if np.isnan(err) else err)
+    return {k: tuple(v) for k, v in series.items()}
 
 
 def series_to_csv(points, study: str, shots: int, seed: int,
@@ -360,16 +371,16 @@ def series_to_csv(points, study: str, shots: int, seed: int,
     """Deterministic CSV (rows sorted by x then source) with provenance
     comment lines, so identical invocations yield identical bytes.  stderr is
     the error of STUDY_STATISTIC[study]; undefined values are empty."""
+    error = _ERROR[STUDY_STATISTIC[study]]
     lines = [f"# {line}" for line in provenance]
     lines.append(",".join(CSV_COLUMNS))
     rows = []
     for point in points:
         for label in sorted(point.stats):
             s = point.stats[label]
-            stderr = s.mandel_stderr if STUDY_STATISTIC[study] == "mandel_q" else s.stderr_mean
             rows.append((point.x, label,
                          f"{study},{point.x:.17g},{label},{s.mean_n:.17g},"
-                         f"{s.mean_n2:.17g},{_field(s.mandel_q)},{_field(stderr)},"
+                         f"{s.mean_n2:.17g},{_field(s.mandel_q)},{_field(getattr(s, error))},"
                          f"{s.retained_fraction:.17g},{shots},{seed}"))
     rows.sort(key=lambda r: (r[0], r[1]))
     lines.extend(r[2] for r in rows)

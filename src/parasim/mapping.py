@@ -64,13 +64,14 @@ def _pair(word: tuple, what: str) -> tuple[int, int]:
     return (a, b) if same else (b, a)
 
 
-# span-k generators are labeled u (2 qubits), v (3), w (4), a (5); wider
-# spans continue alphabetically from b.
+# span-k generators are labeled u (2 qubits), v (3), w (4), a (5); spans 6-24
+# continue alphabetically from b to t, and wider spans k are x<k>_, so that
+# no two spans share a name and the anchor that follows stays readable.
 _SPAN_LETTER = {2: "u", 3: "v", 4: "w", 5: "a"}
 
 
 def _span_letter(k: int) -> str:
-    return _SPAN_LETTER.get(k) or chr(ord("b") + k - 6)
+    return _SPAN_LETTER.get(k) or (chr(ord("b") + k - 6) if k <= 24 else f"x{k}_")
 
 
 @lru_cache(maxsize=None)

@@ -1,15 +1,18 @@
 """Ladder algebra tests: amplitudes, commutators, truncation constant and
 the dense displacement oracle."""
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from parasim.algebra import (
+    MAX_LEVEL,
     ParaSpec,
     beta_constant,
     build_fock_ops,
     displaced_vacuum_exact,
-    double_factorial,
     ladder_amplitude,
     verify_truncation_identity,
 )
@@ -44,6 +47,21 @@ class TestParaSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ParaSpec("boson", 1, np=2)
+
+    def test_top_level_up_to_the_limit(self):
+        assert MAX_LEVEL == 62
+        assert ParaSpec("pb", 2, np=MAX_LEVEL).num_qubits == 63
+        assert ParaSpec("pf", MAX_LEVEL).num_qubits == 63
+
+    @pytest.mark.parametrize("kind,p,np_cut,top", [
+        ("pb", 2, 63, "para-boson cutoff np 63"),
+        ("pb", 1, 10 ** 10, "para-boson cutoff np 10000000000"),
+        ("pf", 64, 0, "para-fermion order p 64"),
+    ])
+    def test_a_wider_ladder_is_refused_naming_its_top_and_the_limit(self, kind, p,
+                                                                    np_cut, top):
+        with pytest.raises(ValueError, match=f"^{top} exceeds the limit of 62 levels "):
+            ParaSpec(kind, p, np=np_cut)
 
 
 class TestLadderAmplitude:
@@ -142,12 +160,22 @@ class TestFockOperators:
         assert np.allclose(ops.num, np.diag([0, 1, 2, 3, 4]))
 
 
+def exact_beta(np_cut, p):
+    """beta from exact double factorials, (-1)!! = 0!! = 1."""
+    def df(x):
+        return math.prod(range(x, 0, -2))
+    if np_cut % 2:
+        return Fraction((np_cut + 1) * df(p - 2), df(np_cut - 1) * df(np_cut + p - 1))
+    return Fraction((np_cut + p) * df(p - 2), df(np_cut) * df(np_cut + p - 2))
+
+
 class TestBetaConstant:
-    def test_double_factorial_conventions(self):
-        assert double_factorial(-1) == 1.0
-        assert double_factorial(0) == 1.0
-        assert double_factorial(5) == 15.0
-        assert double_factorial(6) == 48.0
+    @pytest.mark.parametrize("p", [*range(1, 13), 99, 100, 301, 400, 1001, 9999, 10000])
+    def test_matches_exact_double_factorials(self, p):
+        # the double factorials themselves overflow a float from about p = 300
+        for np_cut in range(1, 62):
+            assert beta_constant(np_cut, p) == pytest.approx(float(exact_beta(np_cut, p)),
+                                                             rel=1e-13, abs=0)
 
     def test_spot_values(self):
         assert beta_constant(2, 2) == pytest.approx(1.0)
@@ -190,6 +218,13 @@ class TestTruncationIdentity:
         report = verify_truncation_identity(ParaSpec("pf", p), tol=1e-12)
         assert report.passes
         assert report.beta == 0.0
+
+    @pytest.mark.parametrize("p", [300, 400, 1000])
+    @pytest.mark.parametrize("np_cut", [2, 3, 10])
+    def test_pb_identity_holds_at_high_order(self, p, np_cut):
+        report = verify_truncation_identity(ParaSpec("pb", p, np=np_cut), tol=1e-12)
+        assert report.passes, (p, np_cut, report.residual_norm, report.beta)
+        assert report.beta > 0
 
     def test_failure_reported_not_thrown(self):
         report = verify_truncation_identity(ParaSpec("pb", 2, np=2), tol=1e-30)

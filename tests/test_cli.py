@@ -6,6 +6,7 @@ import io
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -31,8 +32,11 @@ def run_cli(*argv):
 
 class TestParsing:
     def test_int_range(self):
-        assert parse_int_range("3", "--p") == [3]
-        assert parse_int_range("1..5", "--p") == [1, 2, 3, 4, 5]
+        assert parse_int_range("3", "--p") == range(3, 4)
+        assert parse_int_range("1..5", "--p") == range(1, 6)
+
+    def test_a_huge_range_is_read_by_index_not_listed(self):
+        assert parse_int_range("1..10000000000", "--p")[-1] == 10 ** 10
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="^--np-range '5..1' is an empty range$"):
@@ -96,6 +100,20 @@ class TestVerify:
         out = capsys.readouterr().out.splitlines()
         assert "commutator_closure,pf,6,3,Q=7,True" in out
         assert "jacobi,pf,6,3,Q=7,True" in out
+
+    def test_generator_algebra_holds_at_twenty_five_qubits(self, capsys):
+        # the first width whose names pass the alphabet's u, v, w again
+        assert run_cli("verify", "--kind", "pb", "--p", "2", "--np", "24") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "jacobi,pb,2,24,Q=25,True" in out
+        assert all(line.endswith(",True") for line in out[1:])
+
+    @pytest.mark.parametrize("p,np_cut", [(300, 3), (400, 2)])
+    def test_high_orders_pass(self, capsys, p, np_cut):
+        # beta's double factorials overflow a float here; its product does not
+        assert run_cli("verify", "--kind", "pb", "--p", str(p), "--np", str(np_cut)) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 5 and all(line.endswith(",True") for line in out[1:])
 
     def test_generator_algebra_checked_once_per_width(self, monkeypatch, capsys):
         calls = []
@@ -569,6 +587,15 @@ class TestStudy:
         assert rows["exact"]["mandel_q"] == "" and rows["exact"]["stderr"] == ""
         assert float(rows["shots_raw"]["stderr"]) > 0
 
+    def test_cutoff_at_zero_alpha_writes_undefined_rows(self, tmp_path):
+        # as pb-mandel --alpha 0 and cutoff --alpha 1e-7 do: the point is kept
+        out = tmp_path / "cut.csv"
+        assert run_cli("study", "cutoff", "--alpha", "0", "--p", "1..2",
+                       "--np-range", "1..2", "--out", str(out)) == 0
+        body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+        assert body == [f"cutoff,{p},{label},0,0,,,1,0,0" for p in (1, 2)
+                        for label in ("np1", "np2", "np8_ref")]
+
     def test_cutoff_stderr_is_empty_where_mandel_q_is_undefined(self, tmp_path):
         # alpha 1e-7 puts <N> below the floor of Mandel Q, at either cutoff
         rows = {}
@@ -822,6 +849,40 @@ class TestMalformedInput:
         assert err.count("\n") == 1 and err.startswith("error: --shots 100000 at 3 qubits ")
         assert not out.exists()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("argv,top", [
+        (("verify", "--kind", "pb", "--p", "2", "--np", "10000000"), "cutoff np 10000000"),
+        (("factorize", "--kind", "pb", "--p", "2", "--np", "10000000", "--alpha", "0.5"),
+         "cutoff np 10000000"),
+        (("study", "cutoff", "--alpha", "0.3", "--p", "1", "--np-range", "1..10000000"),
+         "cutoff np 10000006"),
+        (("study", "cutoff", "--alpha", "0.3", "--p", "1", "--np-range", "1..10000000000"),
+         "cutoff np 10000000006"),
+        (("study", "cutoff", "--alpha", "0.3", "--p", "1", "--np-range", "1..57"),
+         "cutoff np 63"),
+        (("verify", "--kind", "pf", "--p", "2..100"), "order p 100"),
+    ], ids=["verify", "factorize", "cutoff", "cutoff-1e10", "cutoff-ref-63", "verify-pf"])
+    def test_a_ladder_past_the_width_limit_is_refused_before_any_point(
+            self, capsys, monkeypatch, argv, top):
+        def computed(*args, **kwargs):
+            raise AssertionError("a point was computed")
+        for module, name in ((parasim.cli, "verify_truncation_identity"),
+                             (parasim.cli, "solve_displacement"),
+                             (parasim.experiments, "exact_number_stats")):
+            monkeypatch.setattr(module, name, computed)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = run_cli(*argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: para-") and f"{top} exceeds the limit of 62 " in err
+        assert peak < 64 << 20
 
     @pytest.mark.parametrize("command", ["simulate", "pb-mandel", "pf-evolution", "cutoff",
                                          "factorize", "compile"])

@@ -21,7 +21,6 @@ from parasim.experiments import (
     cutoff_study,
     exact_number_stats,
     histogram,
-    mandel_q,
     number_stats,
     postselect,
     run_pb_mandel_sweep,
@@ -29,6 +28,7 @@ from parasim.experiments import (
     series_to_csv,
     shot_sources,
     spam_correct,
+    study_series,
     uncertainty,
     write_atomic,
 )
@@ -113,20 +113,18 @@ class TestNumberStats:
 class TestMandelQ:
     def test_bimodal_is_poissonian(self):
         stats = number_stats(ShotSet({"100": 2500, "001": 2500}, 5000, seed=0), 3)
-        assert mandel_q(stats) == pytest.approx(0.0)
+        assert stats.mandel_q == pytest.approx(0.0)
 
     def test_number_state_is_maximally_sub_poissonian(self):
         stats = number_stats(ShotSet({"010": 5000}, 5000, seed=0), 3)
-        assert mandel_q(stats) == pytest.approx(-1.0)
+        assert stats.mandel_q == pytest.approx(-1.0)
 
     def test_coherent_state_limit(self):
         stats = exact_number_stats(ParaSpec("pb", 1, np=6), 0.3)
-        assert abs(mandel_q(stats)) <= 1e-4
+        assert abs(stats.mandel_q) <= 1e-4
 
     def test_undefined_at_zero_mean(self):
         stats = number_stats(ShotSet({"100": 100}, 100, seed=0), 3)
-        with pytest.raises(ValueError):
-            mandel_q(stats)
         assert np.isnan(stats.mandel_q)
 
 
@@ -466,8 +464,19 @@ class TestCutoffStudy:
             d1 = abs(point.stats["np1"].mandel_q - ref)
             assert d3 < d1, f"p={point.x}: {d3} >= {d1}"
 
-    def test_zero_alpha_excluded(self):
-        assert cutoff_study(0.0, [1, 2], [1, 2]) == []
+    def test_zero_alpha_gives_undefined_points(self):
+        points = cutoff_study(0.0, [1, 2], [1, 2])
+        assert [point.x for point in points] == [1.0, 2.0]
+        for point in points:
+            assert sorted(point.stats) == ["np1", "np2", "np8_ref"]
+            for stats in point.stats.values():
+                assert (stats.mean_n, stats.mean_n2) == (0.0, 0.0)
+                assert np.isnan(stats.mandel_q) and np.isnan(stats.mandel_stderr)
+
+    def test_refuses_a_wide_range_without_walking_it(self):
+        # the reference cutoff is the range's last + 6, read by index
+        with pytest.raises(ValueError, match="^para-boson cutoff np 1000000000005 exceeds"):
+            cutoff_study(0.3, [1], range(1, 10 ** 12))
 
 
 class TestCsvEmission:
@@ -487,6 +496,25 @@ class TestCsvEmission:
         assert target.read_text() == "hello\n"
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".parasim")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("study,error", [("pb-mandel", "mandel_stderr"),
+                                             ("pf-evolution", "stderr_mean")])
+    def test_plot_and_csv_take_the_same_error(self, study, error):
+        points = run_pb_mandel_sweep(0.3, [1, 2], 2, shots=200, seed=3)
+        series = study_series(points, study)
+        body = series_to_csv(points, study, 200, 3).splitlines()[1:]
+        for point in points:
+            for label, stats in point.stats.items():
+                xs, _, errs = series[label]
+                row = next(r for r in body if r.split(",")[1:3] == [f"{point.x:.17g}", label])
+                want = getattr(stats, error)
+                assert errs[xs.index(point.x)] == (0.0 if np.isnan(want) else want)
+                assert row.split(",")[6] == ("" if np.isnan(want) else f"{want:.17g}")
+
+    def test_plot_series_skip_undefined_points(self):
+        points = cutoff_study(0.0, [1], [1]) + cutoff_study(0.3, [2], [1])
+        series = study_series(points, "cutoff")
+        assert series["np1"][0] == [2.0] and series["np7_ref"][0] == [2.0]
 
     def test_empty_mandel_field(self):
         points = run_pf_evolution(2, 0.02, [0.0], shots=0)

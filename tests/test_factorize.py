@@ -383,8 +383,19 @@ class TestGammaDocument:
         path.write_text(gamma_document_text(solve_displacement(spec, 0.3), spec, 0.3))
         path.write_text(path.read_text().replace("np 2\n", "np 100000\n"))
         monkeypatch.setattr(parasim.factorize, "generator_family", None)  # not called
-        with pytest.raises(ValueError, match="are not the 100001-qubit generator labels"):
+        with pytest.raises(ValueError, match=f"^gamma document {re.escape(str(path))}: "
+                           "para-boson cutoff np 100000 exceeds the limit of 62 "):
             read_gamma_document(path)
+
+    def test_round_trip_past_the_twenty_four_letter_names(self, tmp_path):
+        spec = ParaSpec("pb", 2, np=24)  # Q = 25: the first span named x25_
+        gv = solve_displacement(spec, 0.5)
+        path = tmp_path / "gammas.txt"
+        path.write_text(gamma_document_text(gv, spec, 0.5))
+        assert " x25_0\n" in path.read_text()
+        loaded, spec2, alpha2 = read_gamma_document(path)
+        assert (loaded.gammas, loaded.labels, spec2, alpha2) == (gv.gammas, gv.labels,
+                                                                 spec, 0.5)
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)

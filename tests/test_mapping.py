@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import parasim.mapping
-from parasim.algebra import ParaSpec, build_fock_ops
+from parasim.algebra import MAX_LEVEL, ParaSpec, build_fock_ops
 from parasim.circuits import Circuit, circuit_unitary
 from parasim.engine import apply_circuit, run_and_sample
 from parasim.factorize import product_unitary
@@ -109,6 +109,18 @@ class TestGeneratorFamily:
     def test_too_few_qubits(self):
         with pytest.raises(ValueError):
             generator_family(1)
+
+    def test_labels_are_distinct_at_every_width_up_to_the_limit(self):
+        # uncached, so the session keeps none of these 61 families
+        build = generator_family.__wrapped__
+        for q in range(2, MAX_LEVEL + 2):
+            labels = build(q).labels
+            assert len(set(labels)) == len(labels), q
+            assert all(label.isprintable() and " " not in label for label in labels)
+
+    def test_spans_past_twenty_four_get_names_of_their_own(self):
+        # the last qubit's generators, by growing span: ..., s3, t2, then spans 25 and 26
+        assert generator_family(26).labels[-4:] == ("s3", "t2", "x25_1", "x26_0")
 
     def test_built_once_per_width(self):
         assert generator_family(7) is generator_family(7)
