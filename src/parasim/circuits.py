@@ -7,22 +7,27 @@ XX(-2 gamma).  CNOT and CZ exist internally as macros over that set.
 
 Every native gate is thus a rotation about a Pauli word P, and dense
 execution applies it in closed form, cos(theta/2) psi - i sin(theta/2) P psi,
-with P psi a phase times a reversed strided view of the amplitudes.
-`decompose` reads any gate list as Givens rotations of the Jordan-Wigner
-Majoranas on a Clifford frame, the form in which the engine runs noisy
-trajectories.
+with P psi a phase times a reversed strided view of the amplitudes.  One
+walk of a gate list, `Frame`, splits it by one rule: gates whose angle is
+an exact multiple of pi/2 join a Clifford frame, and every other gate is
+a centre, a rotation by its full angle about its Pauli pulled back
+through the frame.  The engine's ideal pass applies only the centres
+densely, then the frame's Clifford; `decompose` reads the same walk as
+Givens rotations of the Jordan-Wigner Majoranas, the form in which the
+engine runs noisy trajectories.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
-from .mapping import (_IDENTITY, _PHASE_I, GeneratorBasis, PauliString, _pair, _times,
-                      _word, apply_pauli, dense_identity)
+from .mapping import (_IDENTITY, GeneratorBasis, PauliString, _pair, _times,
+                      _word, apply_word, dense_identity)
 from .textfile import keyed, read_file, text_lines
 
 _RX = "RX"
@@ -111,6 +116,43 @@ def _cz(a: int, b: int) -> list[Gate]:
     return _hadamard(b) + _cnot(a, b) + _hadamard(b)
 
 
+@lru_cache(maxsize=None)
+def _scaffold(letters: str) -> tuple[tuple[Gate, ...], str, tuple[int, ...], tuple[Gate, ...]]:
+    """The angle-free lowering of exp(i gamma P) for the word P of these
+    letters: (gates before, centre kind, centre qubits, gates after), the
+    centre a rotation by -2 gamma c for P's coefficient c.  Built once per
+    word and shared, as Gate is frozen."""
+    support = [i for i, c in enumerate(letters) if c != "I"]
+    if len(support) < 2:
+        raise ValueError("need at least two non-identity letters")
+    if support != list(range(support[0], support[-1] + 1)):
+        raise ValueError("support must be contiguous")
+    first, last = support[0], support[-1]
+    interior = support[1:-1]
+    if any(letters[i] != "Z" for i in interior):
+        raise ValueError("interior letters must be Z")
+    ends = (letters[first], letters[last])
+    if any(e not in "XY" for e in ends):
+        raise ValueError("end letters must be X or Y")
+
+    if len(support) == 2 and ends == ("X", "X"):
+        return (), _XX, (first, last), ()
+    if len(support) == 2 and ends == ("Y", "Y"):
+        return ((rz(-np.pi / 2, first), rz(-np.pi / 2, last)), _XX, (first, last),
+                (rz(np.pi / 2, first), rz(np.pi / 2, last)))
+
+    pre: list[Gate] = []
+    for i in (first, last):
+        if letters[i] == "Y":
+            pre.append(rz(-np.pi / 2, i))
+    fold = _cnot(first, last)
+    for j in interior:
+        fold += _cz(first, j)
+    unfold = [_inverse(g) for g in reversed(fold)]
+    post = [_inverse(g) for g in reversed(pre)]
+    return tuple(pre + fold), _RX, (first,), tuple(unfold + post)
+
+
 def compile_pauli_exp(gamma: float, string: PauliString) -> Circuit:
     """Circuit for exp(i gamma * string), exact up to global phase.
 
@@ -119,40 +161,9 @@ def compile_pauli_exp(gamma: float, string: PauliString) -> Circuit:
     fold the X Z..Z X core onto the anchor qubit with CNOT/CZ macros, apply
     the central RX(-2 gamma) and uncompute.
     """
-    q = string.num_qubits
-    support = [i for i, c in enumerate(string.letters) if c != "I"]
-    if len(support) < 2:
-        raise ValueError("need at least two non-identity letters")
-    if support != list(range(support[0], support[-1] + 1)):
-        raise ValueError("support must be contiguous")
-    first, last = support[0], support[-1]
-    interior = support[1:-1]
-    if any(string.letters[i] != "Z" for i in interior):
-        raise ValueError("interior letters must be Z")
-    ends = (string.letters[first], string.letters[last])
-    if any(e not in "XY" for e in ends):
-        raise ValueError("end letters must be X or Y")
-    angle = gamma * string.coeff
-
-    if len(support) == 2 and ends == ("X", "X"):
-        return Circuit(q, [xx(-2 * angle, first, last)])
-    if len(support) == 2 and ends == ("Y", "Y"):
-        gates = [rz(-np.pi / 2, first), rz(-np.pi / 2, last),
-                 xx(-2 * angle, first, last),
-                 rz(np.pi / 2, first), rz(np.pi / 2, last)]
-        return Circuit(q, gates)
-
-    pre: list[Gate] = []
-    for i in (first, last):
-        if string.letters[i] == "Y":
-            pre.append(rz(-np.pi / 2, i))
-    fold = _cnot(first, last)
-    for j in interior:
-        fold += _cz(first, j)
-    unfold = [_inverse(g) for g in reversed(fold)]
-    post = [_inverse(g) for g in reversed(pre)]
-    gates = pre + fold + [rx(-2 * angle, first)] + unfold + post
-    return Circuit(q, gates)
+    before, kind, qubits, after = _scaffold(string.letters)
+    return Circuit(string.num_qubits,
+                   before + (Gate(kind, qubits, -2 * (gamma * string.coeff)),) + after)
 
 
 def compile_displacement(gammas, basis: GeneratorBasis, optimize: bool = True) -> Circuit:
@@ -160,19 +171,22 @@ def compile_displacement(gammas, basis: GeneratorBasis, optimize: bool = True) -
 
     Each generator contributes its two commuting Pauli words as separate
     exponential factors (2 * Q(Q-1)/2 factors in total); the factor for the
-    leftmost matrix in the product is emitted last.  Runs the cancellation
-    pass unless a fixed circuit template is wanted (e.g. constant gate
-    counts across evolution times).
+    leftmost matrix in the product is emitted last, each as its word's
+    scaffold around one new centre gate (compile_pauli_exp).  Runs the
+    cancellation pass unless a fixed circuit template is wanted (e.g.
+    constant gate counts across evolution times).
     """
     gam = list(gammas.gammas) if hasattr(gammas, "gammas") else list(gammas)
     if len(gam) != len(basis):
         raise ValueError("gamma count does not match the basis")
-    q = basis.num_qubits
     gates: list[Gate] = []
     for g, term_sum in reversed(list(zip(gam, basis.generators))):
         for term in term_sum.terms:
-            gates.extend(compile_pauli_exp(g, term).gates)
-    circuit = Circuit(q, gates)
+            before, kind, qubits, after = _scaffold(term.letters)
+            gates += before
+            gates.append(Gate(kind, qubits, -2 * (g * term.coeff)))
+            gates += after
+    circuit = Circuit(basis.num_qubits, gates)
     return optimize_cancel(circuit) if optimize else circuit
 
 
@@ -222,19 +236,23 @@ def gate_counts(circuit: Circuit) -> dict:
     return {"one_qubit": one, "two_qubit": two}
 
 
-# --- dense execution of small circuits -------------------------------------
+# --- dense execution ------------------------------------------------------
+
+def rotate(amps: np.ndarray, word: tuple, theta: float) -> np.ndarray:
+    """exp(-i theta W / 2) amps for the Pauli word W = (x, z, r, m), amps of
+    shape (2**Q,) or (2**Q, batch), in closed form: cos(theta/2) amps -
+    i sin(theta/2) W amps, with W amps a phase times a reversed strided view
+    of amps (mapping.apply_word).  No matrix is built and nothing is
+    gathered.  Returns a new array."""
+    out = apply_word(amps, word, -1j * math.sin(theta / 2))
+    out += math.cos(theta / 2) * amps
+    return out
+
 
 def apply_gate_batch(amps: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply one gate to amplitudes of shape (2**Q,) or (2**Q, batch).
-
-    Every native gate is a Pauli-word rotation with the closed form
-    cos(theta/2) psi - i sin(theta/2) P psi, with P psi a phase times a
-    reversed strided view of psi (mapping.pauli_view): no gate matrix is
-    built and nothing is gathered.  Returns a new array.
-    """
-    out = apply_pauli(amps, _WORDS[gate.kind], gate.qubits, -1j * math.sin(gate.angle / 2))
-    out += math.cos(gate.angle / 2) * amps
-    return out
+    """Apply one gate to amplitudes of shape (2**Q,) or (2**Q, batch): the
+    rotation about its Pauli word.  Returns a new array."""
+    return rotate(amps, _word(_WORDS[gate.kind], gate.qubits), gate.angle)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -249,6 +267,60 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 #
 # Frame images, centres and kicks are Pauli words (x, z, r, m) of
 # `parasim.mapping`, where m is the Jordan-Wigner Majorana set of the word.
+
+_QUARTER = np.pi / 2
+
+
+class Frame:
+    """The Clifford frame C of a gate-list prefix, walked one gate at a time:
+    xs[k] and zs[k] are the words C^dag X_k C and C^dag Z_k C.
+
+    The one split rule: a gate whose angle is an exact multiple of pi/2 is
+    Clifford and joins the frame; any other gate is a centre, the rotation
+    exp(-i theta W / 2) by its full angle about its Pauli W pulled back
+    through the frame before it.  A prefix is then C prod_k exp(-i theta_k
+    W_k / 2), the first centre rightmost, and C is the product of the gates
+    that joined the frame.
+    """
+
+    def __init__(self, num_qubits: int):
+        self.xs = [_word("X", (k,)) for k in range(num_qubits)]
+        self.zs = [_word("Z", (k,)) for k in range(num_qubits)]
+
+    def step(self, gate: Gate) -> tuple | None:
+        """Walk one gate: its pulled-back word W if it is a centre, None if
+        it joined the frame."""
+        xs, zs, k = self.xs, self.zs, gate.qubits[0]
+        if gate.kind == _XX:
+            word, flipped = _times(xs[k], xs[gate.qubits[1]]), ((zs, k), (zs, gate.qubits[1]))
+        elif gate.kind == _RX:
+            word, flipped = xs[k], ((zs, k),)
+        elif gate.kind == _RZ:
+            word, flipped = zs[k], ((xs, k),)
+        else:
+            word, flipped = _times(xs[k], zs[k], 1), ((xs, k), (zs, k))
+        turns = round(gate.angle / _QUARTER)
+        if gate.angle != turns * _QUARTER:
+            return word
+        # the images of the generators the gate's Pauli P anticommutes with
+        # become -g (half turn) or +-i P g (quarter turn)
+        turns %= 4
+        for images, i in flipped if turns else ():
+            g = images[i]
+            images[i] = (g[0], g[1], g[2] ^ 2, g[3]) if turns == 2 else _times(word, g, turns)
+        return None
+
+    def pauli(self) -> tuple | None:
+        """C as a Pauli word, up to phase, when the images show it is one:
+        each X_k and Z_k maps to itself up to sign, X_k negated where C
+        holds a Z on qubit k and Z_k where it holds an X.  None otherwise."""
+        letters = []
+        for k, (x, z) in enumerate(zip(self.xs, self.zs)):
+            if x[:2] != (1 << k, 0) or z[:2] != (0, 1 << k):
+                return None
+            letters.append("IXZY"[(z[2] >> 1) + (x[2] & 2)])
+        return _word("".join(letters))
+
 
 # The 4^k - 1 non-identity Pauli kicks on a gate's k qubits, in the order a
 # uniform draw picks them (base-4 digits 'IXYZ', the gate's first qubit most
@@ -266,58 +338,41 @@ class Decomposition(NamedTuple):
 
     gates: np.ndarray    # (n,) gate index of each centre
     planes: np.ndarray   # (n, 2) its Majorana plane a < b
-    angles: np.ndarray   # (n,) its signed angle theta: the centre is exp(theta/2 c_a c_b)
+    angles: np.ndarray   # (n,) its gate's full angle, signed by the plane:
+                         # the centre is exp(theta/2 c_a c_b)
     kicks: np.ndarray    # (gates, 15, 2Q) bool Majorana set of each kick word;
                          # a one-qubit gate's three kicks are its first rows
     readout: np.ndarray  # (Q, 2) pairs (a, b): Z_k pulls back to i c_a c_b
 
 
 def decompose(circuit: Circuit) -> Decomposition:
-    """The circuit as C prod_k exp(-i delta_k W_k / 2), read from its gate
-    list in one forward tableau pass.
+    """The circuit as C prod_k exp(-i theta_k W_k / 2), read from its gate
+    list in one walk of its Frame.
 
-    Each gate angle splits at its nearest multiple of pi/2 into a Clifford
-    part, which joins the frame C, and a centre delta != 0, whose word W is
-    the gate's Pauli pulled back through the frame before it: W = +-i c_a c_b,
-    a Givens rotation of the Majorana covariance.  `kicks[j, w]` is the
-    Majorana set of kick word KICK_WORDS[k][w] of gate j pulled back through
-    the frame after gate j, and `readout[k]` the pulled-back Z_k.  Raises
-    ValueError when a centre or a Z_k does not pull back to a quadratic
-    word, i.e. the circuit is not fermionic linear optics.
+    Each centre's word W, pulled back through the frame before it, is
+    W = +-i c_a c_b, a Givens rotation of the Majorana covariance by the
+    gate's angle.  `kicks[j, w]` is the Majorana set of kick word
+    KICK_WORDS[k][w] of gate j pulled back through the frame after gate j,
+    and `readout[k]` the pulled-back Z_k.  Raises ValueError when a centre
+    or a Z_k does not pull back to a quadratic word, i.e. the circuit is not
+    fermionic linear optics.
     """
     q = circuit.num_qubits
-    xs = [_word("X", (k,)) for k in range(q)]  # images of X_k
-    zs = [_word("Z", (k,)) for k in range(q)]  # images of Z_k
+    frame = Frame(q)
     centres, frames = [], []
     for j, gate in enumerate(circuit.gates):
-        k = gate.qubits[0]
-        if gate.kind == _XX:
-            word, flipped = _times(xs[k], xs[gate.qubits[1]]), ((zs, k), (zs, gate.qubits[1]))
-        elif gate.kind == _RX:
-            word, flipped = xs[k], ((zs, k),)
-        elif gate.kind == _RZ:
-            word, flipped = zs[k], ((xs, k),)
-        else:
-            word, flipped = _times(_PHASE_I, _times(xs[k], zs[k])), ((xs, k), (zs, k))
-        turns = round(gate.angle / (np.pi / 2))
-        delta = gate.angle - turns * (np.pi / 2)
-        if delta != 0.0:
+        word = frame.step(gate)
+        if word is not None:
             a, b = _pair(word, f"gate {j} ({gate.kind} {' '.join(map(str, gate.qubits))})")
-            centres.append((j, min(a, b), max(a, b), delta if a < b else -delta))
-        # the images of the generators the gate's Pauli P anticommutes with
-        # become -g (half turn) or +-i P g (quarter turn)
-        turns %= 4
-        for images, i in flipped if turns else ():
-            images[i] = _times((0, 0, turns, 0),
-                               images[i] if turns == 2 else _times(word, images[i]))
-        last = gate.qubits[-1]
-        frames += [xs[k], zs[k]] if gate.kind == _XX else [_IDENTITY, _IDENTITY]
-        frames += [xs[last], zs[last]]
+            centres.append((j, min(a, b), max(a, b), gate.angle if a < b else -gate.angle))
+        k, last = gate.qubits[0], gate.qubits[-1]
+        frames += [frame.xs[k], frame.zs[k]] if gate.kind == _XX else [_IDENTITY, _IDENTITY]
+        frames += [frame.xs[last], frame.zs[last]]
     nbytes = (2 * q + 7) // 8
     raw = b"".join(w[3].to_bytes(nbytes, "little") for w in frames)
     sets = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, 4, nbytes),
                          axis=-1, count=2 * q, bitorder="little")
-    readout = [_pair(zs[k], f"Z on qubit {k}") for k in range(q)]
+    readout = [_pair(frame.zs[k], f"Z on qubit {k}") for k in range(q)]
     gates, a, b, angles = zip(*centres) if centres else ((), (), (), ())
     return Decomposition(
         gates=np.array(gates, dtype=int),

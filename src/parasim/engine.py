@@ -9,7 +9,9 @@ in `experiments`.
 style): preparation bit flips, a uniform non-identity Pauli after each gate
 with the depolarizing probability, and classical readout bit flips.  Shots
 whose preparation and gate coins all come up clean share one state, whose
-amplitudes `apply_circuit` returns; `_ideal_bits` reads them, one binary
+amplitudes `apply_circuit` returns, up to a global phase, from one walk of
+the circuit's Clifford frame: a dense rotation per centre, then the
+frame's Clifford; `_ideal_bits` reads their weights |amps|^2, one binary
 search per shot.  Every compiled circuit is fermionic linear optics:
 `circuits.decompose` reads it as Givens rotations of the Jordan-Wigner
 Majoranas on a Clifford frame.  A Pauli kick passes through the frame as a
@@ -24,8 +26,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .circuits import Circuit, Decomposition, apply_gate_batch, decompose
-from .mapping import dense_identity
+from .circuits import Circuit, Decomposition, Frame, apply_gate_batch, decompose, rotate
+from .mapping import apply_word, dense_identity
 from .textfile import keyed, read_file
 
 
@@ -88,10 +90,28 @@ def outcome_bits(num_qubits: int) -> np.ndarray:
 
 
 def apply_circuit(circuit: Circuit) -> np.ndarray:
-    """Amplitudes (2^Q,) of the noiseless circuit run gate by gate on the
-    vacuum one-hot state |10..0>, within the limit of dense_identity."""
-    amps = dense_identity(circuit.num_qubits, 1 << circuit.num_qubits - 1)
+    """Amplitudes (2^Q,) of the noiseless circuit run on the vacuum one-hot
+    state |10..0>, within the limit of dense_identity; equal to the
+    gate-by-gate amplitudes up to a global phase.
+
+    One walk of the circuit's Frame: each centre is one dense rotation about
+    its pulled-back word, and the frame's Clifford then acts at the end, as
+    one Pauli when the walk shows it is one (every compiled circuit ends so),
+    else by replaying the gates that joined it.
+    """
+    q = circuit.num_qubits
+    amps = dense_identity(q, 1 << q - 1)
+    frame, clifford = Frame(q), []
     for gate in circuit.gates:
+        word = frame.step(gate)
+        if word is None:
+            clifford.append(gate)
+        else:
+            amps = rotate(amps, word, gate.angle)
+    pauli = frame.pauli()
+    if pauli is not None:
+        return apply_word(amps, pauli)
+    for gate in clifford:
         amps = apply_gate_batch(amps, gate)
     return amps
 
@@ -111,11 +131,17 @@ def _levels(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), cdf.size - 1)
 
 
-def _read_out(bits: np.ndarray, noise: NoiseModel | None, meas_u: np.ndarray,
+def _misreads(noise: NoiseModel | None) -> bool:
+    """Whether the readout flips any bit."""
+    return noise is not None and bool(noise.eps01 or noise.eps10)
+
+
+def _read_out(bits: np.ndarray, noise: NoiseModel | None, meas_u: np.ndarray | None,
               seed: int) -> ShotSet:
     """Shot set of the measured bits (shots, Q), each flipped where its
-    draw in meas_u falls under its confusion rate."""
-    if noise is not None and (noise.eps01 or noise.eps10):
+    draw in meas_u falls under its confusion rate; meas_u is read only
+    where the readout misreads."""
+    if _misreads(noise):
         bits = bits ^ np.where(bits == 0, meas_u < noise.eps01, meas_u < noise.eps10)
     return ShotSet(counts=_counts(bits), shots=len(bits), seed=seed)
 
@@ -226,18 +252,22 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
     if shots < 1:
         raise ValueError("shots must be >= 1")
     q = circuit.num_qubits
-    width = np.array([len(g.qubits) for g in circuit.gates], dtype=int)
-    rates = (0.0, 0.0) if noise is None else (noise.p_depol_1q, noise.p_depol_2q)
-    gate_probs = np.where(width == 1, *rates)
+    noisy = noise is not None and bool(noise.p_prep_flip or noise.p_depol_1q
+                                       or noise.p_depol_2q)
+    if noisy:
+        width = np.array([len(g.qubits) for g in circuit.gates], dtype=int)
+        gate_probs = np.where(width == 1, noise.p_depol_1q, noise.p_depol_2q)
     # four (shots, Q + 1) arrays of 8-byte numbers, and some 40 bytes a kick event
-    need = shots * (32 * (q + 1) + 40 * gate_probs.sum())
+    need = shots * (32 * (q + 1) + 40 * (gate_probs.sum() if noisy else 0.0))
     if need > _SHOT_BYTES:
         raise ValueError(f"--shots {shots} at {q} qubits would hold {need / 2**30:.3g} GiB "
                          f"of shot arrays, over the {_SHOT_BYTES >> 30} GiB a run may hold")
     rng = np.random.default_rng(seed)
-    if noise is None or not (noise.p_prep_flip or noise.p_depol_1q or noise.p_depol_2q):
+    if not noisy:
+        # the readout draw is the last, so a clean readout may skip it
         bits = _ideal_bits(circuit, rng.random(shots))
-        return _read_out(bits, noise, rng.random((shots, q)), seed)
+        return _read_out(bits, noise, rng.random((shots, q)) if _misreads(noise) else None,
+                         seed)
 
     dec = decompose(circuit)
     words = 4 ** width - 1  # kick words per gate, circuits.KICK_WORDS

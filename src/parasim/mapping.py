@@ -11,7 +11,7 @@ A Pauli word is the int tuple (x, z, r, m): the operator i^r X^x Z^z with
 bit q of x and z for qubit q, and m its set of Jordan-Wigner Majoranas
 (bit a for c_a; c_2q = Z_0..Z_q-1 X_q, c_2q+1 = Z_0..Z_q-1 Y_q), set when
 the word is built and carried through products by XOR.  The generator
-algebra and the one-hot block are read from the bits; `pauli_view` applies
+algebra and the one-hot block are read from the bits; `apply_word` applies
 a word to amplitudes as a phase times a reversed strided view.
 """
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .algebra import ParaSpec, ladder_amplitude
 
 MAX_DENSE_QUBITS = 12
 
-_PHASE_I = (0, 0, 1, 0)
 _IDENTITY = (0, 0, 0, 0)
 _I_POWERS = (1, 1j, -1, -1j)
 
@@ -42,9 +41,9 @@ def _word(letters: str, qubits: tuple[int, ...] | None = None) -> tuple:
     return (x, z, r % 4, m)
 
 
-def _times(p: tuple, q: tuple) -> tuple:
-    """The product p q of two words."""
-    return (p[0] ^ q[0], p[1] ^ q[1], (p[2] + q[2] + 2 * (p[1] & q[0]).bit_count()) % 4,
+def _times(p: tuple, q: tuple, r: int = 0) -> tuple:
+    """The product i^r p q of two words."""
+    return (p[0] ^ q[0], p[1] ^ q[1], (p[2] + q[2] + r + 2 * (p[1] & q[0]).bit_count()) % 4,
             p[3] ^ q[3])
 
 
@@ -60,7 +59,7 @@ def _pair(word: tuple, what: str) -> tuple[int, int]:
         raise ValueError(f"circuit is not fermionic-Gaussian: {what} pulls back to a "
                          f"product of {m.bit_count()} Majoranas, not 2")
     a, b = (m & -m).bit_length() - 1, m.bit_length() - 1
-    same = _times(_PHASE_I, _times(_majorana(a), _majorana(b)))[2] == word[2]
+    same = _times(_majorana(a), _majorana(b), 1)[2] == word[2]
     return (a, b) if same else (b, a)
 
 
@@ -74,35 +73,48 @@ def _span_letter(k: int) -> str:
     return _SPAN_LETTER.get(k) or (chr(ord("b") + k - 6) if k <= 24 else f"x{k}_")
 
 
+# one pair of slices, shared by every cached view
+_KEEP, _REVERSE = slice(None), slice(None, None, -1)
+_Z_SIGNS = np.array([1.0, -1.0])
+
+
 @lru_cache(maxsize=None)
-def pauli_view(letters: str, qubits: tuple[int, ...] | None = None
-               ) -> tuple[tuple[int, ...], tuple[slice, ...], np.ndarray]:
-    """The Pauli word P with letters[i] on qubit qubits[i] (by default on
-    qubit i), qubit 0 most significant, as (shape, flip, phase) with
-    P psi = phase * psi.reshape(shape)[flip] for psi of shape (2^Q,) or
-    (2^Q, batch).  Each qubit of the word gets a length-2 axis and the
-    qubits between them one axis (the batch folds into the last); flip
-    reverses the X axes, and phase broadcasts i^r times the sign
-    (-1)^(z (b ^ x)) of row b of each qubit.
+def pauli_view(x: int, z: int) -> tuple[tuple[int, ...], tuple[slice, ...], tuple[int, ...]]:
+    """The word X^x Z^z, qubit 0 most significant, as (shape, flip,
+    sign_shape) for psi of shape (2^Q,) or (2^Q, batch): each qubit of the
+    word gets a length-2 axis of psi.reshape(shape) and the qubits between
+    them one axis (the batch folds into the last); flip reverses the X
+    axes, and the Z axes' signs broadcast from sign_shape.  The view holds
+    no array: a word's phase has 2^k entries for its k Z qubits, and is
+    made for each call (apply_word).
     """
-    x, z, r, _ = _word(letters, qubits)
-    shape, flip, phase, edge = [], [], np.full((), _I_POWERS[r], dtype=complex), 0
+    shape, flip, sign_shape, edge = [], [], [], 0
     for qubit in (k for k in range((x | z).bit_length()) if (x | z) >> k & 1):
-        fx, fz = x >> qubit & 1, z >> qubit & 1
         shape += [2 ** (qubit - edge), 2]
-        flip += [slice(None), slice(None, None, -1 if fx else 1)]
-        phase = np.multiply.outer(phase, [(-1) ** (fz & fx), (-1) ** (fz & (1 - fx))])
+        flip += [_KEEP, _REVERSE if x >> qubit & 1 else _KEEP]
+        sign_shape += [1, 2 if z >> qubit & 1 else 1]
         edge = qubit + 1
-    phase = phase.reshape([1, 2] * phase.ndim + [1])
-    phase.flags.writeable = False  # cached and shared by every caller
-    return (*shape, -1), tuple(flip), phase
+    return (*shape, -1), tuple(flip), (*sign_shape, 1)
+
+
+def apply_word(amps: np.ndarray, word: tuple, scale: complex = 1.0) -> np.ndarray:
+    """scale * P amps for the Pauli word P = (x, z, r, m), as a new array: a
+    phase times the reversed strided view of amps (pauli_view).  As
+    X^x Z^z = (-1)^|x & z| Z^z X^x, row b of the flipped amplitudes takes the
+    sign (-1)^|z & b|, the outer product of (1, -1) over the Z axes."""
+    x, z, r, _ = word
+    shape, flip, sign_shape = pauli_view(x, z)
+    phase = np.full((), scale * _I_POWERS[(r + 2 * (x & z).bit_count()) % 4], dtype=complex)
+    for _ in range(z.bit_count()):
+        phase = np.multiply.outer(phase, _Z_SIGNS)
+    return (phase.reshape(sign_shape) * amps.reshape(shape)[flip]).reshape(amps.shape)
 
 
 def apply_pauli(amps: np.ndarray, letters: str, qubits: tuple[int, ...] | None = None,
                 scale: complex = 1.0) -> np.ndarray:
-    """scale * P amps for the Pauli word of pauli_view, as a new array."""
-    shape, flip, phase = pauli_view(letters, qubits)
-    return ((scale * phase) * amps.reshape(shape)[flip]).reshape(amps.shape)
+    """apply_word for the word with letters[i] ('IXYZ') on qubit qubits[i], by
+    default on qubit i."""
+    return apply_word(amps, _word(letters, qubits), scale)
 
 
 def dense_identity(num_qubits: int, column: int | None = None) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from parasim import algebra
 from parasim.algebra import (
     MAX_LEVEL,
     ParaSpec,
@@ -229,6 +230,16 @@ class TestTruncationIdentity:
     def test_failure_reported_not_thrown(self):
         report = verify_truncation_identity(ParaSpec("pb", 2, np=2), tol=1e-30)
         assert not report.passes
+
+    def test_tolerance_grows_with_the_entries(self, monkeypatch):
+        # at p = 10^4 the commutator's entries are about 10^4 and their rounding
+        # 1.8e-12, past an absolute 1e-12 though beta is exact
+        spec = ParaSpec("pb", 10000, np=3)
+        report = verify_truncation_identity(spec)
+        assert report.passes and report.residual_norm > 1e-12
+        exact = algebra.beta_constant
+        monkeypatch.setattr(algebra, "beta_constant", lambda n, p: exact(n, p) * (1 + 1e-6))
+        assert not verify_truncation_identity(spec).passes
 
 
 class TestDisplacedVacuum:

@@ -137,6 +137,22 @@ class TestCompileDisplacement:
         with pytest.raises(ValueError):
             compile_displacement([0.1], generator_family(3))
 
+    @pytest.mark.parametrize("q,spec", [
+        (3, ParaSpec("pb", 2, np=2)), (5, ParaSpec("pf", 4)), (8, ParaSpec("pb", 3, np=7)),
+    ])
+    def test_template_is_each_words_lowering_in_turn(self, q, spec):
+        # the cached scaffolds splice to the gates compile_pauli_exp emits word
+        # by word, the leftmost generator's words last, at every point
+        basis = generator_family(q)
+        for alpha in (0.0, 0.4, 2.9):
+            gammas = solve_displacement(spec, alpha).gammas
+            words = [compile_pauli_exp(g, term).gates
+                     for g, h in reversed(list(zip(gammas, basis.generators)))
+                     for term in h.terms]
+            template = compile_displacement(gammas, basis, optimize=False)
+            assert template.gates == tuple(g for gates in words for g in gates)
+            assert compile_displacement(gammas, basis) == optimize_cancel(template)
+
 
 def backward_scan_cancel(circuit):
     """Reference cancellation pass: for each gate, scan back through the kept

@@ -7,10 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 import parasim.engine
 from parasim.algebra import ParaSpec, displaced_vacuum_exact
-from parasim.circuits import Circuit, compile_displacement, rx, xx
+from parasim.circuits import (
+    Circuit,
+    Frame,
+    Gate,
+    circuit_unitary,
+    compile_displacement,
+    rx,
+    xx,
+)
 from parasim.engine import (
     NoiseModel,
     ShotSet,
@@ -27,7 +36,7 @@ from parasim.experiments import (
     spam_correct,
 )
 from parasim.factorize import solve_displacement
-from parasim.mapping import generator_family, onehot_index
+from parasim.mapping import encode_fock, generator_family, onehot_index
 
 
 def random_circuit(rng, q: int, gates: int) -> Circuit:
@@ -116,6 +125,119 @@ class TestApplyCircuit:
         assert np.all(np.abs(observed - shots * expected) <= 5 * sigma + 1e-9)
         # the kicks move most of the weight off the clean distribution
         assert np.max(np.abs(expected - np.abs(clean) ** 2)) > 0.1
+
+
+def count_gate_calls(monkeypatch) -> list:
+    """A one-item list that counts the calls apply_circuit makes to
+    apply_gate_batch, the replay of a frame that is not a Pauli."""
+    calls = [0]
+    replay = parasim.engine.apply_gate_batch
+
+    def counted(amps, gate):
+        calls[0] += 1
+        return replay(amps, gate)
+
+    monkeypatch.setattr(parasim.engine, "apply_gate_batch", counted)
+    return calls
+
+
+def spec_of(kind: str, q: int) -> ParaSpec:
+    return ParaSpec("pb", 2, np=q - 1) if kind == "pb" else ParaSpec("pf", q - 1)
+
+
+def compiled(kind: str, q: int, alpha: float, optimize: bool) -> Circuit:
+    return compile_displacement(solve_displacement(spec_of(kind, q), alpha),
+                                generator_family(q), optimize=optimize)
+
+
+class TestFramePass:
+    """apply_circuit walks the Clifford frame once, rotates densely about
+    each centre's pulled-back word, and applies the frame's Clifford last."""
+
+    HALF_TURNS = (0.0, np.pi, -np.pi, 2 * np.pi)
+    EXACT = (0.0, np.pi / 2, -np.pi / 2, np.pi, 3 * np.pi / 2, 2 * np.pi)
+
+    @staticmethod
+    def mixed_circuit(rng, q: int, gates: int, exact) -> Circuit:
+        """Gates of every kind on random qubits, their angles an exact
+        multiple of pi/2 from `exact` or, one time in three, generic."""
+        out = []
+        for _ in range(gates):
+            kind = str(rng.choice(["RX", "RY", "RZ", "XX"] if q > 1 else ["RX", "RY", "RZ"]))
+            qubits = rng.choice(q, size=2 if kind == "XX" else 1, replace=False)
+            angle = rng.normal() if rng.random() < 1 / 3 else exact[rng.integers(len(exact))]
+            out.append(Gate(kind, tuple(int(k) for k in qubits), float(angle)))
+        return Circuit(q, out)
+
+    @pytest.mark.parametrize("q", range(1, 7))
+    def test_random_circuits_match_the_unitary_column_up_to_phase(self, q, monkeypatch):
+        calls = count_gate_calls(monkeypatch)
+        rng = np.random.default_rng(40 + q)
+        replayed = set()
+        for trial in range(16):
+            # half turns keep the frame a Pauli; quarter turns mostly do not
+            exact = self.HALF_TURNS if trial % 2 else self.EXACT
+            circuit = self.mixed_circuit(rng, q, 3 * q + trial, exact)
+            before = calls[0]
+            amps = apply_circuit(circuit)
+            replayed.add(calls[0] > before)
+            want = circuit_unitary(circuit)[:, 1 << q - 1]
+            phase = np.vdot(amps, want)
+            assert abs(abs(phase) - 1) < 1e-12
+            assert np.abs(phase * amps - want).max() < 1e-12
+        assert replayed == {False, True}
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["template", "cancelled"])
+    @pytest.mark.parametrize("kind,q", [("pb", q) for q in range(3, 13)]
+                             + [("pf", q) for q in (3, 5, 7, 9, 11)])
+    def test_compiled_circuits_end_on_a_pauli_frame(self, kind, q, optimize, monkeypatch):
+        calls = count_gate_calls(monkeypatch)
+        for alpha in (0.0, 0.7, 2.9):
+            circuit = compiled(kind, q, alpha, optimize)
+            frame = Frame(q)
+            for gate in circuit.gates:
+                frame.step(gate)
+            assert frame.pauli() is not None
+            onehot = apply_circuit(circuit)[[onehot_index(n, q) for n in range(q)]]
+            exact = displaced_vacuum_exact(spec_of(kind, q), alpha)
+            assert np.abs(np.abs(onehot) - np.abs(exact)).max() < 1e-9
+        assert calls[0] == 0
+
+    def test_a_wide_pass_holds_one_state_and_keeps_none(self):
+        # gate by gate the pass peaked at 3.1 MiB here; the state is 1 MiB, and
+        # no word's 2^Q phase may stay cached after the call
+        circuit = compiled("pb", 16, 0.5, True)
+        tracemalloc.start()
+        try:
+            apply_circuit(circuit)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 << 20
+        assert retained < 1 << 20
+
+
+class TestIdealOracle:
+    """Noiseless shots past the widths a dense unitary reaches, against the
+    exact displaced vacuum."""
+
+    @pytest.mark.parametrize("q,seed", [(12, 3), (16, 4)])
+    def test_level_counts_pass_a_g_test(self, q, seed):
+        shots = run_and_sample(compiled("pb", q, 0.5, True), 5000, seed=seed)
+        probs = np.abs(displaced_vacuum_exact(spec_of("pb", q), 0.5)) ** 2
+        levels = {encode_fock(n, q): n for n in range(q)}
+        assert set(shots.counts) <= set(levels)
+        observed = np.zeros(q)
+        for bits, count in shots.counts.items():
+            observed[levels[bits]] = count
+        expected = shots.shots * probs
+        # levels expected fewer than 5 times are pooled into one bin
+        rare = expected < 5
+        observed = np.append(observed[~rare], observed[rare].sum())
+        expected = np.append(expected[~rare], expected[rare].sum())
+        seen = observed > 0
+        g = 2 * np.sum(observed[seen] * np.log(observed[seen] / expected[seen]))
+        assert g <= chi2.ppf(0.999, observed.size - 1), (g, observed, expected)
 
 
 class TestCleanShots:
@@ -207,6 +329,28 @@ class TestRunAndSample:
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_a_clean_run_draws_only_what_it_reads(self, monkeypatch):
+        # one uniform a shot; the readout block only where the readout misreads,
+        # and as the last draw, so skipping it moves no other number
+        sizes = []
+        make = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = make(seed)
+
+            def random(self, size):
+                sizes.append(size)
+                return self.rng.random(size)
+
+        monkeypatch.setattr(parasim.engine.np.random, "default_rng", Recording)
+        circuit = compiled("pb", 5, 0.5, True)
+        for noise, drawn in [(None, [100]), (NoiseModel(), [100]),
+                             (NoiseModel(eps10=0.02), [100, (100, 5)])]:
+            sizes.clear()
+            run_and_sample(circuit, 100, noise, seed=1)
+            assert sizes == drawn
 
     def test_a_wide_ideal_run_holds_no_outcome_table(self):
         # at Q = 18 the state is 4 MiB, and a (2^Q, Q) int64 table of every

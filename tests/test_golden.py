@@ -4,8 +4,8 @@ Each case runs its commands through `parasim.cli.main` and compares the
 data rows they print or write (comment lines, such as the provenance,
 dropped) with the case's golden file.  The cases are the benchmark
 workloads' commands at seeds 1, 5 and 9, the shot studies' other modes, a
-Q = 8 shot set, `verify` at Q = 3 and Q = 20 and the gate counts of
-`compile` at Q = 3..9.  Keys and integers (counts, shots, seeds,
+Q = 8 shot set, a noiseless Q = 16 shot set, `verify` at Q = 3 and Q = 20
+and the gate counts of `compile` at Q = 3..9.  Keys and integers (counts, shots, seeds,
 bitstrings) compare exactly; floats at 1e-12 relative, with a 1e-13
 absolute floor so that round-off residuals such as `verify`'s may differ
 between BLAS builds.
@@ -53,6 +53,9 @@ CASES.update({
     "simulate-q8-shotset": [("simulate", "--kind", "pb", "--p", "2", "--np", "7",
                              "--alpha", "0.6", "--shots", "2000", *MITIGATION, "--seed", "1",
                              "--shotset-out", "{dir}/q8-shots.txt")],
+    "simulate-q16-ideal": [("simulate", "--kind", "pb", "--p", "2", "--np", "15",
+                            "--alpha", "0.5", "--shots", "5000", "--seed", "1",
+                            "--shotset-out", "{dir}/q16-shots.txt")],
     "verify-q3": [("verify", "--kind", "pb", "--p", "1..3", "--np", "2")],
     "verify-q20": [("verify", "--kind", "pb", "--p", "2", "--np", "19")],
     "compile-q3-q9": [("compile", "--kind", "pb", "--p", "2", "--np", str(q - 1),

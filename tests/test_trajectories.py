@@ -262,6 +262,22 @@ class TestDecompose:
         assert np.all(dec.angles != 0)
         assert sorted(dec.readout.ravel().tolist()) == list(range(2 * q))
 
+    @pytest.mark.parametrize("kind,q,cancelled", [
+        ("pb", 3, True), ("pf", 5, False), ("pb", 8, True), ("pb", 8, False), ("pf", 9, True),
+    ])
+    def test_centres_keep_their_gates_full_angles(self, kind, q, cancelled):
+        # the split rule: a gate is a centre with its whole angle, signed by
+        # its plane's order, unless that angle is an exact multiple of pi/2
+        circuit = compiled(kind, q, 0.7, cancelled)
+        dec = decompose(circuit)
+        angles = np.array([circuit.gates[j].angle for j in dec.gates])
+        assert np.array_equal(np.abs(dec.angles), np.abs(angles))
+        for j, gate in enumerate(circuit.gates):
+            turns = gate.angle / (np.pi / 2)
+            assert (turns != round(turns)) == (j in dec.gates)
+        # every fold unfolds, so each qubit reads its own Majorana pair
+        assert np.array_equal(np.sort(dec.readout, axis=1), np.arange(2 * q).reshape(q, 2))
+
     def test_text_round_trip_keeps_the_decomposition(self):
         circuit = compiled("pb", 5, 0.6)
         first, second = decompose(circuit), decompose(circuit_from_text(circuit_to_text(circuit)))
