@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from parasim import run_pf_evolution
-from parasim.experiments import SOURCE_EXACT, SOURCE_RAW, series_to_csv, write_atomic
+from parasim.experiments import (SOURCE_EXACT, SOURCE_RAW, series_to_csv, study_series,
+                                 write_atomic)
 from parasim.svgplot import line_plot
 
 g = 0.02
@@ -32,12 +33,7 @@ write_atomic([(csv_path, series_to_csv(points, "pf-evolution", 5000, 7,
                                        ["demo 06_parafermi_evolution.py", "seed 7"]))])
 print(f"\nwrote {csv_path}")
 
-series = {
-    "exact": ([p.x for p in points], [p.stats[SOURCE_EXACT].mean_n for p in points]),
-    "5000 shots": ([p.x for p in points], [p.stats[SOURCE_RAW].mean_n for p in points],
-                   [p.stats[SOURCE_RAW].stderr_mean for p in points]),
-}
 svg_path = here / "parafermi_evolution.svg"
-write_atomic([(svg_path, line_plot(series, "g t", "<N>",
-                                   title="driven para-fermion number, order 2"))])
+write_atomic([(svg_path, line_plot(study_series(points, "pf-evolution"), "g t", "<N>",
+                                   "driven para-fermion number, order 2"))])
 print(f"wrote {svg_path}")

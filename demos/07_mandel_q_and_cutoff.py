@@ -11,7 +11,8 @@ exact values within their bootstrap error bars.
 from pathlib import Path
 
 from parasim import cutoff_study, run_pb_mandel_sweep
-from parasim.experiments import SOURCE_EXACT, SOURCE_RAW, series_to_csv, write_atomic
+from parasim.experiments import (SOURCE_EXACT, SOURCE_RAW, series_to_csv, study_series,
+                                 write_atomic)
 from parasim.svgplot import line_plot
 
 alpha = 0.3
@@ -31,16 +32,9 @@ write_atomic([(csv_path, series_to_csv(points, "pb-mandel", 5000, 7,
                                        ["demo 07_mandel_q_and_cutoff.py", "seed 7"]))])
 print(f"\nwrote {csv_path}")
 
-series = {
-    "exact": ([p.x for p in points],
-              [p.stats[SOURCE_EXACT].mandel_q for p in points]),
-    "5000 shots": ([p.x for p in points],
-                   [p.stats[SOURCE_RAW].mandel_q for p in points],
-                   [p.stats[SOURCE_RAW].mandel_stderr for p in points]),
-}
 svg_path = here / "mandel_q_sweep.svg"
-write_atomic([(svg_path, line_plot(series, "order p", "Mandel Q",
-                                   title=f"displaced para-boson statistics, alpha={alpha}"))])
+write_atomic([(svg_path, line_plot(study_series(points, "pb-mandel"), "order p", "Mandel Q",
+                                   f"displaced para-boson statistics, alpha={alpha}"))])
 print(f"wrote {svg_path}")
 
 print("\nCutoff study: |Q(np) - Q(reference)| by order")

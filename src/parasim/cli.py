@@ -19,6 +19,7 @@ from .experiments import (
     MITIGATION_ORDERS,
     STUDY_STATISTIC,
     EmptyShotSetError,
+    check_distinct,
     cutoff_study,
     run_pb_mandel_sweep,
     run_pf_evolution,
@@ -347,6 +348,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be nonnegative, not {args.seed}")
+        # write_atomic refuses these too, but only after a study has run
+        check_distinct([getattr(args, name, None) for name in ("out", "svg", "shotset_out")])
         return args.run(args)
     except (FactorizationError, EmptyShotSetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -387,11 +387,23 @@ def series_to_csv(points, study: str, shots: int, seed: int,
     return "\n".join(lines) + "\n"
 
 
+def check_distinct(paths) -> None:
+    """A ValueError naming the first of the given paths (None skipped) that
+    names the same file as an earlier one, since its rename would replace it."""
+    paths = [path for path in paths if path is not None]
+    real = [os.path.realpath(path) for path in paths]
+    for i, path in enumerate(real):
+        if path in real[:i]:
+            raise ValueError(f"two outputs name one file: {paths[i]}")
+
+
 def write_atomic(outputs) -> None:
     """Write each (path, text) of `outputs` via a sibling temp file.  Every
     file is staged before any is renamed, so a failure to stage one, a
     directory target included, leaves none of them and no temp file
-    behind; an OSError names the path asked for."""
+    behind; an OSError names the path asked for.  Two outputs that name one
+    file are refused before anything is staged."""
+    check_distinct([path for path, _ in outputs])
     staged = []
     try:
         for path, text in outputs:

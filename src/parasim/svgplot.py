@@ -13,10 +13,9 @@ _WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 28, 46
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / max(n - 1, 1)
+def _ticks(lo: float, hi: float):
+    """About five round values from lo < hi."""
+    raw = (hi - lo) / 4
     mag = 10.0 ** np.floor(np.log10(raw))
     step = min(s for s in (mag, 2 * mag, 2.5 * mag, 5 * mag, 10 * mag) if s >= raw)
     start = np.ceil(lo / step) * step
@@ -25,20 +24,16 @@ def _ticks(lo: float, hi: float, n: int = 5):
     while v <= hi + 1e-12 * step:
         values.append(0.0 if abs(v) < step * 1e-9 else float(v))
         v += step
-    return values or [lo, hi]
+    return values
 
 
-def line_plot(series: dict, xlabel: str, ylabel: str, title: str = "") -> str:
-    """series: label -> (xs, ys) or (xs, ys, yerr); returns SVG text."""
-    xs_all = np.concatenate([np.asarray(s[0], dtype=float) for s in series.values()])
-    ys_all = []
-    for s in series.values():
-        ys = np.asarray(s[1], dtype=float)
-        err = np.asarray(s[2], dtype=float) if len(s) > 2 and s[2] is not None \
-            else np.zeros_like(ys)
-        ys_all.append(ys - err)
-        ys_all.append(ys + err)
-    ys_all = np.concatenate(ys_all)
+def line_plot(series: dict, xlabel: str, ylabel: str, title: str) -> str:
+    """series: label -> (xs, ys, errs), as experiments.study_series builds
+    it, where an error of 0 draws no bar; returns SVG text."""
+    data = {label: np.asarray(s, dtype=float) for label, s in series.items()}
+    xs_all = np.concatenate([xs for xs, _, _ in data.values()])
+    ys_all = np.concatenate([ys + sign * errs for _, ys, errs in data.values()
+                             for sign in (-1, 1)])
     x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
     y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if x_hi == x_lo:
@@ -60,9 +55,8 @@ def line_plot(series: dict, xlabel: str, ylabel: str, title: str = "") -> str:
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
-    if title:
-        parts.append(f'<text x="{_WIDTH / 2}" y="18" text-anchor="middle" '
-                     f'font-size="14">{title}</text>')
+    parts.append(f'<text x="{_WIDTH / 2}" y="18" text-anchor="middle" '
+                 f'font-size="14">{title}</text>')
     # frame
     parts.append(
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" '
@@ -88,21 +82,17 @@ def line_plot(series: dict, xlabel: str, ylabel: str, title: str = "") -> str:
                  f'text-anchor="middle" transform="rotate(-90 14 '
                  f'{(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2})">{ylabel}</text>')
 
-    for i, (label, data) in enumerate(series.items()):
+    for i, (label, (xs, ys, errs)) in enumerate(data.items()):
         color = _COLORS[i % len(_COLORS)]
-        xs = np.asarray(data[0], dtype=float)
-        ys = np.asarray(data[1], dtype=float)
-        err = np.asarray(data[2], dtype=float) if len(data) > 2 and data[2] is not None \
-            else None
         pts = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in zip(xs, ys))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
-        for j, (x, y) in enumerate(zip(xs, ys)):
+        for x, y, err in zip(xs, ys, errs):
             parts.append(f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="2.5" '
                          f'fill="{color}"/>')
-            if err is not None and err[j] > 0:
-                parts.append(f'<line x1="{px(x):.1f}" y1="{py(y - err[j]):.1f}" '
-                             f'x2="{px(x):.1f}" y2="{py(y + err[j]):.1f}" '
+            if err > 0:
+                parts.append(f'<line x1="{px(x):.1f}" y1="{py(y - err):.1f}" '
+                             f'x2="{px(x):.1f}" y2="{py(y + err):.1f}" '
                              f'stroke="{color}"/>')
         ly = _MARGIN_T + 16 + 16 * i
         lx = _WIDTH - _MARGIN_R - 150

@@ -351,6 +351,29 @@ class TestFileErrors:
         assert err.endswith(f": '{argv[-1]}'\n")  # the file that failed
         assert [p.name for p in tmp_path.iterdir()] == ["made"]
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--kind", "pb", "--p", "2", "--np", "2", "--alpha", "0.3", "--shots", "10",
+         "--out", "{tmp}/x.csv", "--shotset-out", "{tmp}/{name}"),
+        ("study", "pf-evolution", "--p", "2", "--times", "0.5", "--shots", "10",
+         "--out", "{tmp}/x.csv", "--svg", "{tmp}/./{name}"),
+    ], ids=["simulate-shotset", "study-svg"])
+    def test_two_outputs_that_name_one_file_are_one_line_and_no_file(self, tmp_path, capsys,
+                                                                     monkeypatch, argv):
+        # the later rename would win, and the first output would be lost unsaid;
+        # it is refused before any point, so a long study is not run for nothing
+        def fail(*args, **kwargs):
+            raise AssertionError("a point was computed")
+
+        monkeypatch.setattr(parasim.cli, "sample_points", fail)
+        monkeypatch.setattr(parasim.cli, "run_pf_evolution", fail)
+        twice = [a.format(tmp=tmp_path, name="x.csv") for a in argv]
+        assert run_cli(*twice) == 2
+        assert capsys.readouterr().err == f"error: two outputs name one file: {twice[-1]}\n"
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        assert run_cli(*[a.format(tmp=tmp_path, name="y.out") for a in argv]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "y.out"]
+
 
 def test_importing_the_cli_does_not_load_scipy():
     src = Path(__file__).resolve().parent.parent / "src"
