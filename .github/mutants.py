@@ -1,0 +1,127 @@
+"""Exit 0 only if every mutant of the package is killed by the tests named
+for it.  Usage: python .github/mutants.py [name ...]  (default: every mutant)
+
+A mutant is one exact snippet of a file under src/, its replacement, and the
+test node ids that must kill it.  For each mutant, src/ is copied to a
+temporary directory, the snippet (which must occur there exactly once) is
+replaced, and pytest runs the named tests with the copy first on the import
+path.  A mutant is killed when those tests fail.  The script fails when a
+mutant survives, when its snippet no longer matches (a change that moves a
+snippet updates this list with it), or when pytest cannot run its tests.
+Stdlib only, like expect_failures.py.
+"""
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ORACLE = "tests/test_postselection_oracle.py::"
+DENSITY_MATRIX = ORACLE + "test_mean_trajectory_probabilities_match_the_density_matrix"
+SAMPLED_COUNTS = ORACLE + "test_sampled_onehot_counts_match_the_run_trajectories"
+REPLAY = "tests/test_trajectories.py::test_counts_equal_the_dense_replay"
+
+# (name, file under src/, snippet, replacement, test node ids that must kill it)
+MUTANTS = [
+    # the covariance kernel: the conditioning update and the Givens pass
+    ("condition-lam-sign", "parasim/engine.py",
+     "x *= lam / (1.0 + lam * gamma[i, i + 1])",
+     "x *= -lam / (1.0 - lam * gamma[i, i + 1])",
+     [DENSITY_MATRIX]),
+    ("givens-sine-sign", "parasim/engine.py",
+     "gi += s * gj",
+     "gi -= s * gj",
+     [DENSITY_MATRIX]),
+    # the kick push: a kick negates only the centres after its gate
+    ("kick-push-own-gate", "parasim/engine.py",
+     "(dec.gates > gate_ev[:, None])",
+     "(dec.gates >= gate_ev[:, None])",
+     [REPLAY, DENSITY_MATRIX]),
+    # the sampled descent: the uniform left over for the next qubit
+    ("descent-u-rescale", "parasim/engine.py",
+     "u = np.where(bit, u - p0, u) / np.where(bit, 1.0 - p0, p0)",
+     "u = np.where(bit, u - p0, u)",
+     [SAMPLED_COUNTS]),
+    # the inverse CDF: an outcome of zero weight is never drawn
+    ("levels-tie-side", "parasim/engine.py",
+     'side="right"',
+     'side="left"',
+     ["tests/test_trajectories.py::TestLevels"]),
+    # the frame walk's net Clifford, as one final Pauli
+    ("apply-circuit-final-pauli", "parasim/engine.py",
+     "return apply_word(amps, pauli)",
+     "return amps",
+     ["tests/test_engine.py::TestFramePass::"
+      "test_random_circuits_match_the_unitary_column_up_to_phase"]),
+    ("postselect-one-hot", "parasim/experiments.py",
+     'b.count("1") == 1',
+     'b.count("1") <= 1',
+     ["tests/test_engine.py::TestPostselect"]),
+    ("spam-correct-inverse", "parasim/experiments.py",
+     "inv = np.linalg.inv([[1 - noise.eps01, noise.eps10], [noise.eps01, 1 - noise.eps10]])",
+     "inv = np.array([[1 - noise.eps01, noise.eps10], [noise.eps01, 1 - noise.eps10]])",
+     ["tests/test_noise_oracle.py::"
+      "test_spam_inversion_recovers_the_exact_pre_readout_distribution"]),
+    ("check-distinct-first-pair", "parasim/experiments.py",
+     "if path in real[:i]:",
+     "if path in real[:i - 1]:",
+     ["tests/test_cli.py::TestFileErrors::"
+      "test_two_outputs_that_name_one_file_are_one_line_and_no_file"]),
+    # the CLI's one reader of ranges: at most MAX_RANGE_POINTS points
+    ("range-point-limit", "parasim/cli.py",
+     "if hi - lo >= MAX_RANGE_POINTS:",
+     "if hi - lo > MAX_RANGE_POINTS:",
+     ["tests/test_cli.py::TestParsing::test_a_range_holds_at_most_the_point_limit"]),
+]
+
+
+def outcome(path: str, snippet: str, replacement: str, tests: list) -> str | None:
+    """None if the mutant is killed, else why it is not."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        target = src / path
+        text = target.read_text()
+        if text.count(snippet) != 1:
+            return f"its snippet occurs {text.count(snippet)} times in src/{path}, not once"
+        target.write_text(text.replace(snippet, replacement))
+        # the ini's `pythonpath = src` would put the unmutated tree first; the
+        # environment carries the copy into any subprocess a test starts
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "-o", f"pythonpath={src}", *tests],
+            cwd=ROOT, env=env, capture_output=True, text=True)
+    if run.returncode == 1:  # a test failed
+        return None
+    if run.returncode == 0:
+        return "it survives its tests"
+    return f"pytest exited {run.returncode}:\n{run.stdout[-2000:]}{run.stderr[-2000:]}"
+
+
+def main(names) -> int:
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 2
+    failed = 0
+    for name, path, snippet, replacement, tests in MUTANTS:
+        if names and name not in names:
+            continue
+        start = time.perf_counter()
+        why = outcome(path, snippet, replacement, tests)
+        took = time.perf_counter() - start
+        print(f"{'killed' if why is None else 'NOT KILLED'}: {name} ({took:.1f} s)"
+              + ("" if why is None else f": {why}"), flush=True)
+        failed += why is not None
+    print(f"{failed} of {len(names or MUTANTS)} mutants not killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

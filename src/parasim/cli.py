@@ -47,11 +47,14 @@ from .mapping import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
+# most points one range may hold, ten times the longest range (2..100) the tests, CI,
+# demos and benchmark give: a para-Bose order, unlike a cutoff, has no width to bound it
+MAX_RANGE_POINTS = 1000
 
 
 def parse_int_range(text: str, flag: str) -> range:
-    """'3' -> range(3, 4); '1..5' -> range(1, 6) (inclusive), never listed;
-    errors name `flag`."""
+    """'3' -> range(3, 4); '1..5' -> range(1, 6) (inclusive), never listed,
+    of at most MAX_RANGE_POINTS points; errors name `flag`."""
     lo, dots, hi = text.partition("..")
     try:
         lo, hi = int(lo), int(hi if dots else lo)
@@ -59,6 +62,9 @@ def parse_int_range(text: str, flag: str) -> range:
         raise ValueError(f"{flag} takes an integer or a range a..b, not {text!r}") from None
     if hi < lo:
         raise ValueError(f"{flag} {text!r} is an empty range")
+    if hi - lo >= MAX_RANGE_POINTS:
+        raise ValueError(f"{flag} {text!r} holds {hi - lo + 1} points, over the limit of "
+                         f"{MAX_RANGE_POINTS} a range may hold")
     return range(lo, hi + 1)
 
 

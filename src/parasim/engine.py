@@ -19,6 +19,13 @@ Pauli, so each dirty trajectory is the same rotations with some angles
 negated and some read bits flipped, and is measured from its own 2Q x 2Q
 Majorana covariance, with no 2^Q array.  Every shot is measured by the
 inverse CDF of one uniform draw, qubit 0 the most significant bit.
+
+The covariance kernel is two functions: `rotate_covariances`, the Givens
+pass with each trajectory's own sines, and `condition`, the rank-2 update
+on one qubit's outcome.  `_gaussian_shots` is `trajectory_covariances` and
+a sampled descent on `condition`; the tests' post-selection oracle forces
+each one-hot read with the same two, for each trajectory's exact one-hot
+probabilities.
 """
 from __future__ import annotations
 
@@ -155,21 +162,50 @@ def _ideal_bits(circuit: Circuit, u: np.ndarray) -> np.ndarray:
     return bits
 
 
-def _gaussian_shots(dec: Decomposition, init: np.ndarray, shot_ev: np.ndarray,
-                    gate_ev: np.ndarray, word_ev: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Read bits (n, Q) of n trajectories on a fermionic-Gaussian circuit.
+def rotate_covariances(gamma: np.ndarray, a: np.ndarray, b: np.ndarray,
+                       cosines: np.ndarray, sines: np.ndarray) -> None:
+    """Turn each covariance gamma[:, :, s] (2Q, 2Q, n) in place by one Givens
+    rotation per centre j, in the plane (a[j], b[j]) by cosines[j] and the
+    trajectory's own sine sines[j, s]: its rows, then its columns, centre by
+    centre."""
+    for i, j, c, s in zip(a, b, cosines, sines):
+        for rows in (gamma, gamma.transpose(1, 0, 2)):  # rows, then columns
+            gi, gj = rows[i], rows[j]
+            gi_s = s * gi
+            gi *= c
+            gi += s * gj
+            gj *= c
+            gj -= gi_s
+
+
+def condition(gamma: np.ndarray, k: int, lam: np.ndarray) -> None:
+    """Condition each covariance gamma[:, :, s] (2Q, 2Q, n) in place on the
+    outcome lam[s] = +-1 of qubit k's i c_2k c_2k+1, in the Majoranas that
+    `trajectory_covariances` relabels: the rank-2 update of the later
+    qubits' block, all that a later read needs.  An outcome of probability
+    (1 + lam gamma[2k, 2k+1]) / 2 = 0 divides by zero."""
+    i, rest = 2 * k, slice(2 * k + 2, None)
+    x = gamma[i + 1, rest][:, None] * gamma[i, rest][None]
+    x -= x.transpose(1, 0, 2)
+    x *= lam / (1.0 + lam * gamma[i, i + 1])
+    gamma[rest, rest] += x
+
+
+def trajectory_covariances(dec: Decomposition, init: np.ndarray, shot_ev: np.ndarray,
+                           gate_ev: np.ndarray, word_ev: np.ndarray):
+    """Majorana covariances (2Q, 2Q, n) and read flips (n, Q) of n
+    trajectories on a fermionic-Gaussian circuit.
 
     Trajectory s starts on basis state init[s] (n, Q) and takes kick word
     word_ev[e] after gate gate_ev[e] for each event e with shot_ev[e] = s
     (sorted).  Pushed to the end of the circuit, a kick negates every later
     centre whose plane its Majorana set meets in one index and flips the
     read of every qubit whose pulled-back Z it meets in one index.  The
-    Majorana covariance Gamma_ab = i<c_a c_b> of each trajectory then goes
-    through one Givens rotation per centre and is measured qubit by qubit,
-    qubit 0 first, by the inverse CDF of the shot's uniform u.
+    Majoranas are relabelled so that qubit k reads i c_2k c_2k+1, and each
+    trajectory's covariance Gamma_ab = i<c_a c_b> goes through one Givens
+    rotation per centre (`rotate_covariances`).
     """
     n, q = init.shape
-    # relabel the Majoranas so that qubit k reads i c_2k c_2k+1
     order = dec.readout.ravel()
     label = np.argsort(order)
     sets = dec.kicks[gate_ev, word_ev][:, order]         # (events, 2Q)
@@ -180,31 +216,28 @@ def _gaussian_shots(dec: Decomposition, init: np.ndarray, shot_ev: np.ndarray,
     negated[shot] = np.bitwise_xor.reduceat(hits, first)
     total = np.zeros((n, 2 * q), dtype=bool)
     total[shot] = np.bitwise_xor.reduceat(sets, first)
-    flips = total[:, 0::2] ^ total[:, 1::2]              # (n, Q)
     # the initial basis state, Gamma = +-1 on each qubit's Majorana pair
     gamma = np.zeros((2 * q, 2 * q, n))
     gamma[label[0::2], label[1::2]] = np.where(init.T, 1.0, -1.0)
     gamma[label[1::2], label[0::2]] = np.where(init.T, -1.0, 1.0)
     sines = np.where(negated, -1.0, 1.0).T * np.sin(dec.angles)[:, None]
-    for i, j, c, s in zip(a, b, np.cos(dec.angles), sines):
-        for rows in (gamma, gamma.transpose(1, 0, 2)):  # rows, then columns
-            gi, gj = rows[i], rows[j]
-            gi_s = s * gi
-            gi *= c
-            gi += s * gj
-            gj *= c
-            gj -= gi_s
-    bits = np.empty((n, q), dtype=int)
-    for k in range(q):
-        i, rest = 2 * k, slice(2 * k + 2, None)
-        p0 = (1.0 + gamma[i, i + 1]) / 2                 # P(Z_k = +1)
+    rotate_covariances(gamma, a, b, np.cos(dec.angles), sines)
+    return gamma, total[:, 0::2] ^ total[:, 1::2]
+
+
+def _gaussian_shots(dec: Decomposition, init: np.ndarray, shot_ev: np.ndarray,
+                    gate_ev: np.ndarray, word_ev: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Read bits (n, Q) of the n trajectories of `trajectory_covariances`,
+    each measured qubit by qubit, qubit 0 first, by the inverse CDF of the
+    shot's uniform u, and conditioned on each outcome (`condition`)."""
+    gamma, flips = trajectory_covariances(dec, init, shot_ev, gate_ev, word_ev)
+    bits = np.empty(flips.shape, dtype=int)
+    for k in range(flips.shape[1]):
+        p0 = (1.0 + gamma[2 * k, 2 * k + 1]) / 2         # P(Z_k = +1)
         p0 = np.where(flips[:, k], 1.0 - p0, p0)
         bit = u >= p0
         u = np.where(bit, u - p0, u) / np.where(bit, 1.0 - p0, p0)
-        lam = np.where(bit ^ flips[:, k], -1.0, 1.0)     # the measured i c_2k c_2k+1
-        ga, gb = gamma[i, rest], gamma[i + 1, rest]
-        gamma[rest, rest] += lam / (1.0 + lam * gamma[i, i + 1]) * (
-            gb[:, None] * ga[None] - ga[:, None] * gb[None])
+        condition(gamma, k, np.where(bit ^ flips[:, k], -1.0, 1.0))  # the measured i c_2k c_2k+1
         bits[:, k] = bit
     return bits
 

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 
 import parasim.cli
 import parasim.experiments
-from parasim.cli import main, parse_float_list, parse_int_range, read_noise_file
+from parasim.cli import (
+    MAX_RANGE_POINTS,
+    main,
+    parse_float_list,
+    parse_int_range,
+    read_noise_file,
+)
 from parasim.factorize import FactorizationError
 from parasim.circuits import circuit_unitary, read_circuit
 from parasim.engine import read_shotset
@@ -36,7 +42,13 @@ class TestParsing:
         assert parse_int_range("1..5", "--p") == range(1, 6)
 
     def test_a_huge_range_is_read_by_index_not_listed(self):
-        assert parse_int_range("1..10000000000", "--p")[-1] == 10 ** 10
+        assert parse_int_range("9999999001..10000000000", "--p")[-1] == 10 ** 10
+
+    def test_a_range_holds_at_most_the_point_limit(self):
+        assert len(parse_int_range(f"1..{MAX_RANGE_POINTS}", "--p")) == MAX_RANGE_POINTS
+        with pytest.raises(ValueError, match=f"^--np-range '0..{MAX_RANGE_POINTS}' holds "
+                                             f"{MAX_RANGE_POINTS + 1} points, over the limit "):
+            parse_int_range(f"0..{MAX_RANGE_POINTS}", "--np-range")
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="^--np-range '5..1' is an empty range$"):
@@ -877,10 +889,10 @@ class TestMalformedInput:
         (("verify", "--kind", "pb", "--p", "2", "--np", "10000000"), "cutoff np 10000000"),
         (("factorize", "--kind", "pb", "--p", "2", "--np", "10000000", "--alpha", "0.5"),
          "cutoff np 10000000"),
-        (("study", "cutoff", "--alpha", "0.3", "--p", "1", "--np-range", "1..10000000"),
+        (("study", "cutoff", "--alpha", "0.3", "--p", "1", "--np-range", "9999001..10000000"),
          "cutoff np 10000006"),
-        (("study", "cutoff", "--alpha", "0.3", "--p", "1", "--np-range", "1..10000000000"),
-         "cutoff np 10000000006"),
+        (("study", "cutoff", "--alpha", "0.3", "--p", "1", "--np-range",
+          "9999999001..10000000000"), "cutoff np 10000000006"),
         (("study", "cutoff", "--alpha", "0.3", "--p", "1", "--np-range", "1..57"),
          "cutoff np 63"),
         (("verify", "--kind", "pf", "--p", "2..100"), "order p 100"),
@@ -906,6 +918,31 @@ class TestMalformedInput:
         assert err.count("\n") == 1
         assert err.startswith("error: para-") and f"{top} exceeds the limit of 62 " in err
         assert peak < 64 << 20
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--kind", "pb", "--np", "2", "--p", "1..10000000000"),
+        ("study", "pb-mandel", "--alpha", "0.3", "--np", "2", "--p", "1..10000000000"),
+        ("study", "cutoff", "--alpha", "0.3", "--p", "1..10000000000"),
+        ("study", "cutoff", "--alpha", "0.3", "--p", "1", "--np-range", "1..10000000000"),
+    ], ids=["verify", "pb-mandel", "cutoff", "cutoff-np-range"])
+    def test_a_range_past_the_point_limit_is_refused_before_any_point(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # a para-Bose order has no width limit: without the point limit these
+        # walk (or list) 10^10 orders, and here reach a point function
+        def computed(*args, **kwargs):
+            raise AssertionError("a point was computed")
+        monkeypatch.setattr(parasim.cli, "verify_truncation_identity", computed)
+        monkeypatch.setattr(parasim.experiments, "ParaSpec", computed)
+        out = tmp_path / "out.csv"
+        start = time.perf_counter()
+        code = run_cli(*argv, "--out", str(out))
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        flag, text = argv[-2:]
+        assert capsys.readouterr().err == (
+            f"error: {flag} {text!r} holds 10000000000 points, over the limit of "
+            f"{MAX_RANGE_POINTS} a range may hold\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["simulate", "pb-mandel", "pf-evolution", "cutoff",
                                          "factorize", "compile"])
