@@ -14,12 +14,16 @@ a centre, a rotation by its full angle about its Pauli pulled back
 through the frame.  The engine's ideal pass applies only the centres
 densely, then the frame's Clifford; `decompose` reads the same walk as
 Givens rotations of the Jordan-Wigner Majoranas, the form in which the
-engine runs noisy trajectories.
+engine runs noisy trajectories.  A compiled template needs no walk: each
+of its terms is a scaffold, a centre and the scaffold's exact inverse, so
+its frame is the identity between terms, and each centre's word is its
+scaffold's, walked once per word (`_centre_word`) and recorded on the
+circuit (`Circuit.centres`).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
@@ -77,8 +81,20 @@ def xx(chi: float, q1: int, q2: int) -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
+    """A gate list on num_qubits qubits.
+
+    `centres` is set only on a compiled template (compile_displacement
+    without the cancellation pass): each term's (gate index, word), the
+    word its centre gate pulls back to through the Clifford frame before
+    it, which is the identity at every term boundary.  A centre whose angle
+    is an exact multiple of pi/2 is then rotated, not absorbed into the
+    frame: the same unitary.  Every other circuit, dataclasses.replace
+    included, gets None."""
+
     num_qubits: int
     gates: tuple[Gate, ...] = ()
+    centres: tuple[tuple[int, tuple], ...] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.num_qubits < 1:
@@ -153,6 +169,19 @@ def _scaffold(letters: str) -> tuple[tuple[Gate, ...], str, tuple[int, ...], tup
     return tuple(pre + fold), _RX, (first,), tuple(unfold + post)
 
 
+@lru_cache(maxsize=None)
+def _centre_word(letters: str) -> tuple:
+    """The word the centre of these letters' scaffold pulls back to through
+    the Frame of the gates before it, whatever its angle: one walk per word.
+    The gates after undo that frame exactly, so in a template of such terms
+    every centre pulls back to its own scaffold's word."""
+    before, kind, qubits, _ = _scaffold(letters)
+    frame = Frame(len(letters))
+    for gate in before:
+        frame.step(gate)
+    return frame.step(Gate(kind, qubits, 1.0))
+
+
 def compile_pauli_exp(gamma: float, string: PauliString) -> Circuit:
     """Circuit for exp(i gamma * string), exact up to global phase.
 
@@ -174,20 +203,27 @@ def compile_displacement(gammas, basis: GeneratorBasis, optimize: bool = True) -
     leftmost matrix in the product is emitted last, each as its word's
     scaffold around one new centre gate (compile_pauli_exp).  Runs the
     cancellation pass unless a fixed circuit template is wanted (e.g.
-    constant gate counts across evolution times).
+    constant gate counts across evolution times), which then carries each
+    term's centre (Circuit.centres).
     """
     gam = list(gammas.gammas) if hasattr(gammas, "gammas") else list(gammas)
     if len(gam) != len(basis):
         raise ValueError("gamma count does not match the basis")
     gates: list[Gate] = []
+    centres = []
     for g, term_sum in reversed(list(zip(gam, basis.generators))):
         for term in term_sum.terms:
             before, kind, qubits, after = _scaffold(term.letters)
             gates += before
+            centres.append((len(gates), term.letters))
             gates.append(Gate(kind, qubits, -2 * (g * term.coeff)))
             gates += after
     circuit = Circuit(basis.num_qubits, gates)
-    return optimize_cancel(circuit) if optimize else circuit
+    if optimize:
+        return optimize_cancel(circuit)
+    object.__setattr__(circuit, "centres",
+                       tuple((j, _centre_word(letters)) for j, letters in centres))
+    return circuit
 
 
 def _same_axis(a: Gate, b: Gate) -> bool:

@@ -2,6 +2,7 @@
 sampling with and without noise and the shot-set text format, plus the readout correction
 and post-selection that turn its shots into mitigated counts."""
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +12,16 @@ from scipy.stats import chi2
 
 import parasim.engine
 from parasim.algebra import ParaSpec, displaced_vacuum_exact
+import parasim.circuits
 from parasim.circuits import (
     Circuit,
     Frame,
     Gate,
+    circuit_from_text,
+    circuit_to_text,
     circuit_unitary,
     compile_displacement,
+    optimize_cancel,
     rx,
     xx,
 )
@@ -215,6 +220,77 @@ class TestFramePass:
             tracemalloc.stop()
         assert peak <= 4 << 20
         assert retained < 1 << 20
+
+
+def count_frame_steps(monkeypatch) -> list:
+    """A one-item list that counts the calls to Frame.step."""
+    calls = [0]
+    step = Frame.step
+
+    def counted(self, gate):
+        calls[0] += 1
+        return step(self, gate)
+
+    monkeypatch.setattr(Frame, "step", counted)
+    return calls
+
+
+TEMPLATES = [("pb", q) for q in range(3, 10)] + [("pf", q) for q in (3, 5, 7, 9)]
+
+
+class TestRecordedCentres:
+    """A compiled template carries each term's centre, so apply_circuit
+    rotates about those words and walks no gate; the walk stays the
+    reference."""
+
+    @pytest.mark.parametrize("kind,q", TEMPLATES)
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.1])
+    def test_recorded_centres_equal_a_frame_walk(self, kind, q, alpha):
+        circuit = compiled(kind, q, alpha, False)
+        recorded = dict(circuit.centres)
+        assert len(recorded) == len(circuit.centres) == q * (q - 1)
+        frame = Frame(q)
+        for j, gate in enumerate(circuit.gates):
+            if j in recorded:
+                # a generic angle reads the pulled-back word and leaves the frame
+                assert frame.step(replace(gate, angle=1.0)) == recorded[j]
+            assert frame.step(gate) is None or j in recorded
+        assert frame.pauli() == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("kind,q", TEMPLATES)
+    def test_the_recorded_pass_gives_the_walks_weights_bit_for_bit(self, kind, q, monkeypatch):
+        for alpha in (0.0, 0.3, 1.1):
+            circuit = compiled(kind, q, alpha, False)
+            walked = np.abs(apply_circuit(Circuit(q, circuit.gates))) ** 2
+            steps = count_frame_steps(monkeypatch)
+            assert np.array_equal(np.abs(apply_circuit(circuit)) ** 2, walked)
+            assert steps[0] == 0
+
+    def test_a_template_walks_each_scaffold_once(self, monkeypatch):
+        parasim.circuits._centre_word.cache_clear()
+        steps = count_frame_steps(monkeypatch)
+        basis = generator_family(7)
+        first = compile_displacement(solve_displacement(spec_of("pf", 7), 0.3), basis,
+                                     optimize=False)
+        words = {t.letters for g in basis.generators for t in g.terms}
+        assert steps[0] == sum(len(parasim.circuits._scaffold(w)[0]) + 1 for w in words)
+        steps[0] = 0
+        for alpha in (0.0, 1.1, 2.9):
+            circuit = compile_displacement(solve_displacement(spec_of("pf", 7), alpha), basis,
+                                           optimize=False)
+            apply_circuit(circuit)
+            assert [j for j, _ in circuit.centres] == [j for j, _ in first.centres]
+        assert steps[0] == 0
+
+    def test_only_a_compiled_template_carries_centres(self):
+        circuit = compiled("pf", 5, 0.3, False)
+        assert circuit.centres is not None
+        assert compiled("pf", 5, 0.3, True).centres is None
+        for other in (replace(circuit), circuit_from_text(circuit_to_text(circuit)),
+                      optimize_cancel(circuit), Circuit(5, circuit.gates)):
+            assert other.centres is None
+        assert replace(circuit) == circuit
+        assert "centres" not in repr(circuit)
 
 
 class TestIdealOracle:
