@@ -24,6 +24,7 @@ ORACLE = "tests/test_postselection_oracle.py::"
 DENSITY_MATRIX = ORACLE + "test_mean_trajectory_probabilities_match_the_density_matrix"
 SAMPLED_COUNTS = ORACLE + "test_sampled_onehot_counts_match_the_run_trajectories"
 REPLAY = "tests/test_trajectories.py::test_counts_equal_the_dense_replay"
+RECORDED = "tests/test_engine.py::TestRecordedCentres::"
 
 # (name, file under src/, snippet, replacement, test node ids that must kill it)
 MUTANTS = [
@@ -57,6 +58,37 @@ MUTANTS = [
      "return amps",
      ["tests/test_engine.py::TestFramePass::"
       "test_random_circuits_match_the_unitary_column_up_to_phase"]),
+    # the centres a compiled template carries: each term's word and gate
+    ("centre-word-phase", "parasim/circuits.py",
+     "return frame.step(Gate(kind, qubits, 1.0))",
+     "return _times(frame.step(Gate(kind, qubits, 1.0)), _IDENTITY, 2)",
+     [RECORDED + "test_recorded_centres_equal_a_frame_walk",
+      RECORDED + "test_the_recorded_pass_gives_the_walks_weights_bit_for_bit"]),
+    ("centre-index", "parasim/circuits.py",
+     "centres.append((len(gates), term.letters))",
+     "centres.append((len(gates) - 1, term.letters))",
+     [RECORDED + "test_recorded_centres_equal_a_frame_walk",
+      RECORDED + "test_the_recorded_pass_gives_the_walks_weights_bit_for_bit"]),
+    # the frame walk's one split rule: only an exact multiple of pi/2 is Clifford
+    ("frame-split-rule", "parasim/circuits.py",
+     "if gate.angle != turns * _QUARTER:",
+     "if abs(gate.angle - turns * _QUARTER) > 0.1:",
+     ["tests/test_engine.py::TestFramePass::"
+      "test_random_circuits_match_the_unitary_column_up_to_phase"]),
+    # the cancellation pass merges a gate only with the latest kept gate on its qubits
+    ("cancel-partner", "parasim/circuits.py",
+     "last = max((stacks[q][-1] for q in g.qubits if stacks[q]), default=None)",
+     "last = min((stacks[q][-1] for q in g.qubits if stacks[q]), default=None)",
+     ["tests/test_circuits.py::TestOptimizeCancel::"
+      "test_matches_the_backward_scan_on_compiled_templates"]),
+    # post-selection after the readout inversion keeps a probability vector
+    ("postselect-clip", "parasim/experiments.py",
+     "np.where(bits.sum(axis=1) == 1, np.maximum(weights, 0.0), 0.0)",
+     "np.where(bits.sum(axis=1) == 1, weights, 0.0)",
+     ["tests/test_cli.py::TestSimulate::"
+      "test_post_selection_after_the_inversion_writes_physical_moments",
+      "tests/test_experiments.py::TestNumberStats::"
+      "test_post_selection_after_the_inversion_clips_negative_weights"]),
     ("postselect-one-hot", "parasim/experiments.py",
      'b.count("1") == 1',
      'b.count("1") <= 1',

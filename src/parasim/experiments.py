@@ -141,7 +141,9 @@ def mitigate(counts: np.ndarray, bits: np.ndarray, steps, spam: NoiseModel | Non
     columns sum to one, so it leaves the Q one-hot rows: the corrected bit
     marginals as the last step, else each one-hot outcome's corrected weight
     (a product over the bits), observed or not.  Post-selection keeps the
-    one-hot rows, rescaled to sum to one, or NaN where no weight is left.
+    one-hot rows, clipped at 0 and rescaled to sum to one, so that a series
+    post-selected after the inversion is a probability vector too, or NaN
+    where no positive weight is left.
     """
     weights = counts / counts.sum(axis=-1, keepdims=True)
     for step in steps:
@@ -151,7 +153,7 @@ def mitigate(counts: np.ndarray, bits: np.ndarray, steps, spam: NoiseModel | Non
             weights = weights @ (inv[..., 1] if step == steps[-1]  # [x, m]: inv[1, x_m]
                                  else inv[:, range(len(bits)), bits].prod(axis=-1))
         else:
-            weights = np.where(bits.sum(axis=1) == 1, weights, 0.0)
+            weights = np.where(bits.sum(axis=1) == 1, np.maximum(weights, 0.0), 0.0)
             total = weights.sum(axis=-1)
             weights = weights / np.where(total > 0, total, np.nan)[..., None]
     return weights, bits
@@ -166,8 +168,7 @@ def number_stats(shots: ShotSet, num_qubits: int, source: str = SOURCE_RAW,
     post-selects, else 1.  The standard error of <N> is the spread of the
     per-shot value over the shots kept; where the readout inversion is the
     last step it is the binomial error of each bit marginal before the
-    inversion, scaled by the per-qubit inversion factor.  It is NaN where
-    post-selection follows the inversion and the weights' variance is negative.
+    inversion, scaled by the per-qubit inversion factor.
     """
     counts, bits = _observed(shots)
     steps = mitigation_steps(source, spam, order)
@@ -184,7 +185,6 @@ def number_stats(shots: ShotSet, num_qubits: int, source: str = SOURCE_RAW,
                / (1.0 - spam.eps01 - spam.eps10) ** 2)
     else:
         var = float(weights @ (rows @ levels - mean) ** 2)
-        var = float("nan") if var < 0 else var  # quasi-probability weights: no error
     return NumberStats(mean_n=mean, mean_n2=mean2,
                        stderr_mean=float(np.sqrt(var / max(kept * shots.shots, 1.0))),
                        retained_fraction=kept)

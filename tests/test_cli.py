@@ -447,6 +447,24 @@ class TestSimulate:
                                            "more than 4^12 entries\n")
         assert list(tmp_path.iterdir()) == []
 
+    # seeds at which 40 spam-first post-selected shots at Q = 7, with the
+    # benchmark's noise, left levels with negative weight after the inversion
+    # and wrote a negative <N> and <N^2>, before the weights were clipped
+    @pytest.mark.parametrize("seed", [183, 351, 365, 366, 461, 710, 767, 811, 990])
+    def test_post_selection_after_the_inversion_writes_physical_moments(self, tmp_path,
+                                                                         seed):
+        noise, out = tmp_path / "noise.txt", tmp_path / "sim.csv"
+        noise.write_text("p_prep_flip 0.005\neps01 0.01\neps10 0.02\n"
+                         "p_depol_1q 0.001\np_depol_2q 0.01\n")
+        assert run_cli("simulate", "--kind", "pb", "--p", "2", "--np", "6", "--alpha", "0.6",
+                       "--shots", "40", "--noise", str(noise), "--spam-correct",
+                       "--postselect", "--seed", str(seed), "--out", str(out)) == 0
+        rows = csv.DictReader(ln for ln in out.read_text().splitlines() if ln[0] != "#")
+        (post,) = [row for row in rows if row["source"] == "shots_postselected"]
+        mean, mean2 = float(post["mean_n"]), float(post["mean_n2"])
+        assert 0.0 <= mean <= 6.0
+        assert mean2 >= mean ** 2
+
     def test_spam_flag_requires_noise(self, tmp_path):
         assert run_cli("simulate", "--kind", "pf", "--p", "2", "--alpha", "0.3",
                        "--shots", "100", "--spam-correct") == 2

@@ -76,17 +76,18 @@ class TestNumberStats:
         with pytest.raises(EmptyShotSetError):
             number_stats(ShotSet({}, 0, seed=0), 3)
 
-    def test_a_negative_quasi_probability_variance_has_no_error(self):
+    def test_post_selection_after_the_inversion_clips_negative_weights(self):
         # spam first, the readout inversion gives levels 0 and 2 negative
-        # weights before post-selection, so the weighted variance is -0.042:
-        # no error fits it, so stderr is NaN and its CSV field empty, not 0
+        # weights before post-selection (their weighted variance was -0.042);
+        # clipped at 0, level 1 keeps all the weight, so the moments are a
+        # number state's and the error is 0, not undefined
         shots = ShotSet({"101": 3, "010": 3}, 6, seed=1)
         noise = NoiseModel(eps01=0.01, eps10=0.02)
         stats = number_stats(shots, 3, SOURCE_POST, noise, "spam-first")
-        assert stats.mean_n2 < stats.mean_n ** 2
-        assert np.isnan(stats.stderr_mean)
+        assert (stats.mean_n, stats.mean_n2, stats.stderr_mean) == (1.0, 1.0, 0.0)
+        assert stats.retained_fraction == 0.5
         row = series_to_csv([SeriesPoint(0.3, {SOURCE_POST: stats})], "simulate", 6, 1)
-        assert row.splitlines()[1].split(",")[6] == ""
+        assert row.splitlines()[1].split(",")[6] == "0"
         # the series of the same shots whose weights are not post-selected keep their errors
         assert number_stats(shots, 3).stderr_mean > 0
         assert number_stats(shots, 3, SOURCE_SPAM, noise).stderr_mean > 0
@@ -173,7 +174,7 @@ def reference_weights(counts, source, spam, order):
     if inv is not None and order == "spam-first":
         probs = inv @ probs
     onehot = np.array([bin(i).count("1") == 1 for i in range(2 ** q)])
-    probs = np.where(onehot, probs, 0.0)
+    probs = np.where(onehot, np.clip(probs, 0.0, None), 0.0)
     with np.errstate(invalid="ignore"):   # NaN when nothing is one-hot
         probs = probs / probs.sum()
     if inv is not None and order == "postselect-first":
