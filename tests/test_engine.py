@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+import parasim.circuits
 import parasim.engine
 from parasim.algebra import ParaSpec, displaced_vacuum_exact
-import parasim.circuits
 from parasim.circuits import (
     Circuit,
     Frame,
@@ -259,12 +259,13 @@ class TestRecordedCentres:
 
     @pytest.mark.parametrize("kind,q", TEMPLATES)
     def test_the_recorded_pass_gives_the_walks_weights_bit_for_bit(self, kind, q, monkeypatch):
+        steps = count_frame_steps(monkeypatch)
         for alpha in (0.0, 0.3, 1.1):
             circuit = compiled(kind, q, alpha, False)
             walked = np.abs(apply_circuit(Circuit(q, circuit.gates))) ** 2
-            steps = count_frame_steps(monkeypatch)
+            before = steps[0]
             assert np.array_equal(np.abs(apply_circuit(circuit)) ** 2, walked)
-            assert steps[0] == 0
+            assert steps[0] == before
 
     def test_a_template_walks_each_scaffold_once(self, monkeypatch):
         parasim.circuits._centre_word.cache_clear()
