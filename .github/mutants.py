@@ -25,6 +25,7 @@ DENSITY_MATRIX = ORACLE + "test_mean_trajectory_probabilities_match_the_density_
 SAMPLED_COUNTS = ORACLE + "test_sampled_onehot_counts_match_the_run_trajectories"
 REPLAY = "tests/test_trajectories.py::test_counts_equal_the_dense_replay"
 RECORDED = "tests/test_engine.py::TestRecordedCentres::"
+CANCELLED = "tests/test_engine.py::TestCancellationKeepsCentres::"
 
 # (name, file under src/, snippet, replacement, test node ids that must kill it)
 MUTANTS = [
@@ -58,17 +59,24 @@ MUTANTS = [
      "return amps",
      ["tests/test_engine.py::TestFramePass::"
       "test_random_circuits_match_the_unitary_column_up_to_phase"]),
-    # the centres a compiled template carries: each term's word and gate
+    # the centres every compiled circuit carries: each term's word and gate,
+    # and in a cancelled circuit each kept centre's new index
     ("centre-word-phase", "parasim/circuits.py",
-     "return frame.step(Gate(kind, qubits, 1.0))",
-     "return _times(frame.step(Gate(kind, qubits, 1.0)), _IDENTITY, 2)",
+     "centres.append((len(gates), term.word))",
+     "centres.append((len(gates), _times(term.word, _IDENTITY, 2)))",
      [RECORDED + "test_recorded_centres_equal_a_frame_walk",
       RECORDED + "test_the_recorded_pass_gives_the_walks_weights_bit_for_bit"]),
     ("centre-index", "parasim/circuits.py",
-     "centres.append((len(gates), term.letters))",
-     "centres.append((len(gates) - 1, term.letters))",
+     "centres.append((len(gates), term.word))",
+     "centres.append((len(gates) - 1, term.word))",
      [RECORDED + "test_recorded_centres_equal_a_frame_walk",
       RECORDED + "test_the_recorded_pass_gives_the_walks_weights_bit_for_bit"]),
+    ("centre-remap", "parasim/circuits.py",
+     "centres = [(index[id(gates[j])], word)",
+     "centres = [(j, word)",
+     [RECORDED + "test_recorded_centres_equal_a_frame_walk",
+      RECORDED + "test_the_recorded_pass_gives_the_walks_weights_bit_for_bit",
+      CANCELLED + "test_every_kept_non_clifford_gate_is_a_recorded_centre"]),
     # the frame walk's one split rule: only an exact multiple of pi/2 is Clifford
     ("frame-split-rule", "parasim/circuits.py",
      "if gate.angle != turns * _QUARTER:",
@@ -103,6 +111,60 @@ MUTANTS = [
      "if path in real[:i - 1]:",
      ["tests/test_cli.py::TestFileErrors::"
       "test_two_outputs_that_name_one_file_are_one_line_and_no_file"]),
+    # the mitigated moments: the readout inversion as the last step takes the
+    # binomial error of the bit marginals before it
+    ("stats-spam-last-branch", "parasim/experiments.py",
+     'if steps[-1:] == ("spam",):',
+     'if steps[:1] == ("spam",):',
+     ["tests/test_experiments.py::TestNumberStats::"
+      "test_postselect_first_keeps_the_binomial_error",
+      "tests/test_experiments.py::TestOnePipeline::"
+      "test_standard_error_and_retained_fraction_are_unchanged"]),
+    # the factorizer folds each gamma into (-pi/2, pi/2]
+    ("factor-onehot-fold", "parasim/factorize.py",
+     "gammas <= -np.pi / 2, gammas + np.pi, gammas",
+     "gammas <= -np.pi / 2, gammas, gammas",
+     ["tests/test_factorize.py::TestThreeQubitAnalytic::test_single_generator_targets",
+      "tests/test_factorize.py::TestGivensSolve::test_random_bond_coefficients"]),
+    # the full-register residual's closed form: the bracket's second term
+    # (dropping it is an equivalent mutant: on real rotations it is 0)
+    ("residual-second-term", "parasim/factorize.py",
+     "np.sin(np.sum(phases) / 4)",
+     "np.cos(np.sum(phases) / 4)",
+     ["tests/test_factorize.py::TestFullSpaceResidual::test_matches_the_dense_definition",
+      "tests/test_factorize.py::TestGivensSolve::test_full_residual_matches_dense_formula"]),
+    # readout: a true 0 misreads with eps01, a true 1 with eps10
+    ("read-out-rates-swapped", "parasim/engine.py",
+     "meas_u < noise.eps01, meas_u < noise.eps10",
+     "meas_u < noise.eps10, meas_u < noise.eps01",
+     ["tests/test_engine.py::TestCleanShots::test_certain_readout_flips",
+      "tests/test_noise_oracle.py::TestPinnedCounts::test_three_qubits"]),
+    # the kick word pick: a uniform over all 4^k - 1 words (dropping the
+    # cap's "- 1" is an equivalent mutant: u * k never rounds up to k)
+    ("kick-word-cap", "parasim/engine.py",
+     "words[gate_ev] - 1)",
+     "words[gate_ev] - 2)",
+     [REPLAY, DENSITY_MATRIX]),
+    # a quadratic word's Majorana pair keeps its orientation, the centre's sign
+    ("pair-orientation", "parasim/mapping.py",
+     "(a, b) if same else (b, a)",
+     "(b, a) if same else (a, b)",
+     [REPLAY, DENSITY_MATRIX]),
+    # the readers' duplicate and count checks
+    ("keyed-given-twice", "parasim/textfile.py",
+     "if key in found:",
+     "if False:",
+     ["tests/test_textfile.py::TestTextFile::test_keyed_rejects_a_key_given_twice_by_its_name",
+      "tests/test_engine.py::TestShotSetText::test_bitstring_given_twice_rejected"]),
+    ("shotset-shots-sum", "parasim/engine.py",
+     'if header.get("shots", shots) != shots:',
+     "if False:",
+     ["tests/test_engine.py::TestShotSetText::test_truncated_shot_set_rejected"]),
+    ("circuit-gates-count", "parasim/circuits.py",
+     'if stated.get("gates", str(len(gates))) != str(len(gates)):',
+     "if False:",
+     ["tests/test_circuits.py::TestCircuitText::"
+      "test_a_file_cut_at_a_line_is_one_error_naming_the_file"]),
     # the CLI's one reader of ranges: at most MAX_RANGE_POINTS points
     ("range-point-limit", "parasim/cli.py",
      "if hi - lo >= MAX_RANGE_POINTS:",

@@ -14,11 +14,11 @@ a centre, a rotation by its full angle about its Pauli pulled back
 through the frame.  The engine's ideal pass applies only the centres
 densely, then the frame's Clifford; `decompose` reads the same walk as
 Givens rotations of the Jordan-Wigner Majoranas, the form in which the
-engine runs noisy trajectories.  A compiled template needs no walk: each
+engine runs noisy trajectories.  A compiled circuit needs no walk: each
 of its terms is a scaffold, a centre and the scaffold's exact inverse, so
-its frame is the identity between terms, and each centre's word is its
-scaffold's, walked once per word (`_centre_word`) and recorded on the
-circuit (`Circuit.centres`).
+its frame is the identity between terms, and each centre pulls back to
+its term's own word, which the compiler records on every circuit it
+returns (`Circuit.centres`), cancelled or not.
 """
 from __future__ import annotations
 
@@ -83,13 +83,13 @@ def xx(chi: float, q1: int, q2: int) -> Gate:
 class Circuit:
     """A gate list on num_qubits qubits.
 
-    `centres` is set only on a compiled template (compile_displacement
-    without the cancellation pass): each term's (gate index, word), the
-    word its centre gate pulls back to through the Clifford frame before
-    it, which is the identity at every term boundary.  A centre whose angle
-    is an exact multiple of pi/2 is then rotated, not absorbed into the
-    frame: the same unitary.  Every other circuit, dataclasses.replace
-    included, gets None."""
+    `centres` is set on every circuit the compiler returns: each term's
+    (gate index, word), the term's own word, which its centre gate pulls
+    back to through the Clifford frame before it, the identity at every
+    term boundary.  A centre whose angle is an exact multiple of pi/2 is
+    then rotated, not absorbed into the frame: the same unitary.  Every
+    other circuit (read from text, built by hand, dataclasses.replace, or
+    optimize_cancel) gets None."""
 
     num_qubits: int
     gates: tuple[Gate, ...] = ()
@@ -169,19 +169,6 @@ def _scaffold(letters: str) -> tuple[tuple[Gate, ...], str, tuple[int, ...], tup
     return tuple(pre + fold), _RX, (first,), tuple(unfold + post)
 
 
-@lru_cache(maxsize=None)
-def _centre_word(letters: str) -> tuple:
-    """The word the centre of these letters' scaffold pulls back to through
-    the Frame of the gates before it, whatever its angle: one walk per word.
-    The gates after undo that frame exactly, so in a template of such terms
-    every centre pulls back to its own scaffold's word."""
-    before, kind, qubits, _ = _scaffold(letters)
-    frame = Frame(len(letters))
-    for gate in before:
-        frame.step(gate)
-    return frame.step(Gate(kind, qubits, 1.0))
-
-
 def compile_pauli_exp(gamma: float, string: PauliString) -> Circuit:
     """Circuit for exp(i gamma * string), exact up to global phase.
 
@@ -191,8 +178,10 @@ def compile_pauli_exp(gamma: float, string: PauliString) -> Circuit:
     the central RX(-2 gamma) and uncompute.
     """
     before, kind, qubits, after = _scaffold(string.letters)
-    return Circuit(string.num_qubits,
-                   before + (Gate(kind, qubits, -2 * (gamma * string.coeff)),) + after)
+    circuit = Circuit(string.num_qubits,
+                      before + (Gate(kind, qubits, -2 * (gamma * string.coeff)),) + after)
+    object.__setattr__(circuit, "centres", ((len(before), string.word),))
+    return circuit
 
 
 def compile_displacement(gammas, basis: GeneratorBasis, optimize: bool = True) -> Circuit:
@@ -203,8 +192,8 @@ def compile_displacement(gammas, basis: GeneratorBasis, optimize: bool = True) -
     leftmost matrix in the product is emitted last, each as its word's
     scaffold around one new centre gate (compile_pauli_exp).  Runs the
     cancellation pass unless a fixed circuit template is wanted (e.g.
-    constant gate counts across evolution times), which then carries each
-    term's centre (Circuit.centres).
+    constant gate counts across evolution times).  Either carries its
+    terms' centres (Circuit.centres), less those the pass drops at angle 0.
     """
     gam = list(gammas.gammas) if hasattr(gammas, "gammas") else list(gammas)
     if len(gam) != len(basis):
@@ -215,14 +204,22 @@ def compile_displacement(gammas, basis: GeneratorBasis, optimize: bool = True) -
         for term in term_sum.terms:
             before, kind, qubits, after = _scaffold(term.letters)
             gates += before
-            centres.append((len(gates), term.letters))
+            centres.append((len(gates), term.word))
             gates.append(Gate(kind, qubits, -2 * (g * term.coeff)))
             gates += after
     circuit = Circuit(basis.num_qubits, gates)
     if optimize:
-        return optimize_cancel(circuit)
-    object.__setattr__(circuit, "centres",
-                       tuple((j, _centre_word(letters)) for j, letters in centres))
+        # The pass keeps each nonzero centre Gate as it is (a merged one is a
+        # KeyError here): it merges a gate only with the latest kept gate on
+        # its qubits, about the same axis.  An RX centre sits between its
+        # fold's ry(pi/2) and unfold's ry(-pi/2), and an XX centre meets only
+        # single-qubit gates on its pair: every other term starts and ends on
+        # each qubit with one, and one generator alone spans an adjacent pair.
+        circuit = optimize_cancel(circuit)
+        index = {id(gate): j for j, gate in enumerate(circuit.gates)}
+        centres = [(index[id(gates[j])], word) for j, word in centres
+                   if not _is_zero_angle(gates[j])]
+    object.__setattr__(circuit, "centres", tuple(centres))
     return circuit
 
 

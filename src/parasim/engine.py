@@ -10,9 +10,9 @@ style): preparation bit flips, a uniform non-identity Pauli after each gate
 with the depolarizing probability, and classical readout bit flips.  Shots
 whose preparation and gate coins all come up clean share one state, whose
 amplitudes `apply_circuit` returns, up to a global phase, as a dense
-rotation per centre of the circuit's Clifford frame: the centres a compiled
-template carries, else those of one walk of its gates, then the frame's
-Clifford; `_ideal_bits` reads their weights |amps|^2, one binary
+rotation per centre of the circuit's Clifford frame: the centres every
+compiled circuit carries, else those of one walk of its gates, then the
+frame's Clifford; `_ideal_bits` reads their weights |amps|^2, one binary
 search per shot.  Every compiled circuit is fermionic linear optics:
 `circuits.decompose` reads it as Givens rotations of the Jordan-Wigner
 Majoranas on a Clifford frame.  A Pauli kick passes through the frame as a
@@ -103,12 +103,12 @@ def apply_circuit(circuit: Circuit) -> np.ndarray:
     gate-by-gate amplitudes up to a global phase.
 
     Each centre is one dense rotation about its word pulled back through
-    the circuit's Clifford frame.  A compiled template carries its centres
-    (Circuit.centres), and its frame is the identity at the end, so no gate
-    is walked.  Any other circuit takes one walk of its Frame, and the
-    frame's Clifford then acts at the end, as one Pauli when the walk shows
-    it is one (every compiled circuit ends so), else by replaying the gates
-    that joined it.
+    the circuit's Clifford frame.  Every circuit the compiler returns,
+    cancelled or not, carries its centres (Circuit.centres), and its frame
+    is the identity at the end, so no gate is walked.  Any other circuit
+    takes one walk of its Frame, and the frame's Clifford then acts at the
+    end, as one Pauli when the walk shows it is one, else by replaying the
+    gates that joined it.
     """
     q = circuit.num_qubits
     amps = dense_identity(q, 1 << q - 1)

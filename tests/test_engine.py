@@ -21,6 +21,7 @@ from parasim.circuits import (
     circuit_to_text,
     circuit_unitary,
     compile_displacement,
+    compile_pauli_exp,
     optimize_cancel,
     rx,
     xx,
@@ -236,19 +237,23 @@ def count_frame_steps(monkeypatch) -> list:
 
 
 TEMPLATES = [("pb", q) for q in range(3, 10)] + [("pf", q) for q in (3, 5, 7, 9)]
+OPTIMIZE = pytest.mark.parametrize("optimize", [False, True], ids=["template", "cancelled"])
 
 
 class TestRecordedCentres:
-    """A compiled template carries each term's centre, so apply_circuit
-    rotates about those words and walks no gate; the walk stays the
-    reference."""
+    """Every compiled circuit, cancelled or not, carries each term's centre,
+    so apply_circuit rotates about those words and walks no gate; the walk
+    stays the reference."""
 
+    @OPTIMIZE
     @pytest.mark.parametrize("kind,q", TEMPLATES)
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.1])
-    def test_recorded_centres_equal_a_frame_walk(self, kind, q, alpha):
-        circuit = compiled(kind, q, alpha, False)
+    def test_recorded_centres_equal_a_frame_walk(self, kind, q, alpha, optimize):
+        circuit = compiled(kind, q, alpha, optimize)
         recorded = dict(circuit.centres)
-        assert len(recorded) == len(circuit.centres) == q * (q - 1)
+        assert len(recorded) == len(circuit.centres)
+        assert len(recorded) <= q * (q - 1)
+        assert optimize or len(recorded) == q * (q - 1)
         frame = Frame(q)
         for j, gate in enumerate(circuit.gates):
             if j in recorded:
@@ -257,41 +262,69 @@ class TestRecordedCentres:
             assert frame.step(gate) is None or j in recorded
         assert frame.pauli() == (0, 0, 0, 0)
 
+    @OPTIMIZE
     @pytest.mark.parametrize("kind,q", TEMPLATES)
-    def test_the_recorded_pass_gives_the_walks_weights_bit_for_bit(self, kind, q, monkeypatch):
+    def test_the_recorded_pass_gives_the_walks_weights_bit_for_bit(self, kind, q, optimize,
+                                                                    monkeypatch):
         steps = count_frame_steps(monkeypatch)
         for alpha in (0.0, 0.3, 1.1):
-            circuit = compiled(kind, q, alpha, False)
+            circuit = compiled(kind, q, alpha, optimize)
             walked = np.abs(apply_circuit(Circuit(q, circuit.gates))) ** 2
             before = steps[0]
             assert np.array_equal(np.abs(apply_circuit(circuit)) ** 2, walked)
             assert steps[0] == before
 
-    def test_a_template_walks_each_scaffold_once(self, monkeypatch):
-        parasim.circuits._centre_word.cache_clear()
+    @OPTIMIZE
+    def test_compiling_and_the_ideal_pass_walk_no_gate(self, optimize, monkeypatch):
         steps = count_frame_steps(monkeypatch)
-        basis = generator_family(7)
-        first = compile_displacement(solve_displacement(spec_of("pf", 7), 0.3), basis,
-                                     optimize=False)
-        words = {t.letters for g in basis.generators for t in g.terms}
-        assert steps[0] == sum(len(parasim.circuits._scaffold(w)[0]) + 1 for w in words)
-        steps[0] = 0
         for alpha in (0.0, 1.1, 2.9):
-            circuit = compile_displacement(solve_displacement(spec_of("pf", 7), alpha), basis,
-                                           optimize=False)
-            apply_circuit(circuit)
-            assert [j for j, _ in circuit.centres] == [j for j, _ in first.centres]
+            apply_circuit(compiled("pf", 7, alpha, optimize))
         assert steps[0] == 0
 
-    def test_only_a_compiled_template_carries_centres(self):
-        circuit = compiled("pf", 5, 0.3, False)
-        assert circuit.centres is not None
-        assert compiled("pf", 5, 0.3, True).centres is None
+    def test_every_compiled_circuit_carries_centres(self):
+        template = compiled("pf", 5, 0.3, False)
+        circuit = compiled("pf", 5, 0.3, True)
+        assert template.centres is not None and circuit.centres is not None
+        term = generator_family(5).generators[0].terms[0]
+        assert compile_pauli_exp(0.3, term).centres is not None
         for other in (replace(circuit), circuit_from_text(circuit_to_text(circuit)),
-                      optimize_cancel(circuit), Circuit(5, circuit.gates)):
+                      optimize_cancel(circuit), optimize_cancel(template),
+                      Circuit(5, circuit.gates)):
             assert other.centres is None
         assert replace(circuit) == circuit
         assert "centres" not in repr(circuit)
+
+
+class TestCancellationKeepsCentres:
+    """optimize_cancel merges no centre of a compiled circuit: it keeps each
+    nonzero centre gate as it is, and compile_displacement finds it there."""
+
+    @pytest.mark.parametrize("q", range(2, 17))
+    def test_every_kept_non_clifford_gate_is_a_recorded_centre(self, q):
+        basis = generator_family(q)
+        specs = [ParaSpec("pb", p, np=q - 1) for p in range(1, 6)]
+        for spec in specs + ([ParaSpec("pf", q - 1)] if q % 2 else []):
+            for alpha in (0.0, 1e-13, 1e-9, 0.02, 0.3, 1.1, 2.9, 7.7):
+                gv = solve_displacement(spec, alpha)
+                template = compile_displacement(gv, basis, optimize=False)
+                circuit = compile_displacement(gv, basis, optimize=True)
+                generic = [j for j, g in enumerate(circuit.gates)
+                           if g.angle != round(g.angle / (np.pi / 2)) * (np.pi / 2)]
+                assert set(generic) <= {j for j, _ in circuit.centres}
+                # a centre is dropped only at angle 0 (mod 2 pi), and kept unmerged
+                kept = [(i, w) for i, w in template.centres
+                        if not parasim.circuits._is_zero_angle(template.gates[i])]
+                assert [w for _, w in circuit.centres] == [w for _, w in kept]
+                assert ([circuit.gates[j] for j, _ in circuit.centres]
+                        == [template.gates[i] for i, _ in kept])
+
+    def test_a_merged_centre_is_an_error_not_a_skip(self, monkeypatch):
+        gv = solve_displacement(spec_of("pf", 5), 0.3)
+        # a pass that rebuilds every gate keeps no centre as it is
+        monkeypatch.setattr(parasim.circuits, "optimize_cancel",
+                            lambda c: Circuit(c.num_qubits, [replace(g) for g in c.gates]))
+        with pytest.raises(KeyError):
+            compile_displacement(gv, generator_family(5), optimize=True)
 
 
 class TestIdealOracle:
