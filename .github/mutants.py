@@ -126,25 +126,37 @@ MUTANTS = [
      "gammas <= -np.pi / 2, gammas, gammas",
      ["tests/test_factorize.py::TestThreeQubitAnalytic::test_single_generator_targets",
       "tests/test_factorize.py::TestGivensSolve::test_random_bond_coefficients"]),
-    # the full-register residual's closed form: the bracket's second term
-    # (dropping it is an equivalent mutant: on real rotations it is 0)
-    ("residual-second-term", "parasim/factorize.py",
-     "np.sin(np.sum(phases) / 4)",
-     "np.cos(np.sum(phases) / 4)",
-     ["tests/test_factorize.py::TestFullSpaceResidual::test_matches_the_dense_definition",
-      "tests/test_factorize.py::TestGivensSolve::test_full_residual_matches_dense_formula"]),
+    # the full-register residual's closed form: an exact product reads 0, not -0
+    ("residual-zero-sign", "parasim/factorize.py",
+     "(0.0 - np.expm1(log_prod))",
+     "-np.expm1(log_prod)",
+     ["tests/test_factorize.py::TestFullSpaceResidual::"
+      "test_an_exact_product_reads_zero_not_minus_zero"]),
     # readout: a true 0 misreads with eps01, a true 1 with eps10
     ("read-out-rates-swapped", "parasim/engine.py",
      "meas_u < noise.eps01, meas_u < noise.eps10",
      "meas_u < noise.eps10, meas_u < noise.eps01",
      ["tests/test_engine.py::TestCleanShots::test_certain_readout_flips",
       "tests/test_noise_oracle.py::TestPinnedCounts::test_three_qubits"]),
-    # the kick word pick: a uniform over all 4^k - 1 words (dropping the
-    # cap's "- 1" is an equivalent mutant: u * k never rounds up to k)
-    ("kick-word-cap", "parasim/engine.py",
-     "words[gate_ev] - 1)",
-     "words[gate_ev] - 2)",
-     [REPLAY, DENSITY_MATRIX]),
+    # the kick draw: the first kick sits at the first gap less one, and a gap
+    # past the grid, clipped, lands past it
+    ("kick-gap-start", "parasim/engine.py",
+     "pos, chunk = np.array([-1]),",
+     "pos, chunk = np.array([0]),",
+     [REPLAY]),
+    ("kick-gap-clip", "parasim/engine.py",
+     "rng.geometric(p, chunk), size + 1)",
+     "rng.geometric(p, chunk), size)",
+     ["tests/test_trajectories.py::TestKicks::test_a_gap_past_the_grid_kicks_nothing"]),
+    # one shot is a run; the descent reads a uniform at P(0) as 1, as `_levels` does
+    ("one-shot", "parasim/engine.py",
+     "if shots < 1:",
+     "if shots <= 1:",
+     ["tests/test_engine.py::TestCleanShots::test_one_shot"]),
+    ("descent-tie-side", "parasim/engine.py",
+     "bit = u >= p0",
+     "bit = u > p0",
+     ["tests/test_trajectories.py::test_the_descent_reads_a_tie_as_levels_does"]),
     # a quadratic word's Majorana pair keeps its orientation, the centre's sign
     ("pair-orientation", "parasim/mapping.py",
      "(a, b) if same else (b, a)",

@@ -7,19 +7,20 @@ in `experiments`.
 
 `run_and_sample` is the one sampler.  Noise is stochastic (quantum-jump
 style): preparation bit flips, a uniform non-identity Pauli after each gate
-with the depolarizing probability, and classical readout bit flips.  Shots
-whose preparation and gate coins all come up clean share one state, whose
-amplitudes `apply_circuit` returns, up to a global phase, as a dense
-rotation per centre of the circuit's Clifford frame: the centres every
-compiled circuit carries, else those of one walk of its gates, then the
-frame's Clifford; `_ideal_bits` reads their weights |amps|^2, one binary
-search per shot.  Every compiled circuit is fermionic linear optics:
-`circuits.decompose` reads it as Givens rotations of the Jordan-Wigner
-Majoranas on a Clifford frame.  A Pauli kick passes through the frame as a
-Pauli, so each dirty trajectory is the same rotations with some angles
-negated and some read bits flipped, and is measured from its own 2Q x 2Q
-Majorana covariance, with no 2^Q array.  Every shot is measured by the
-inverse CDF of one uniform draw, qubit 0 the most significant bit.
+with the depolarizing probability, drawn as rare events (`_kicks`), and
+classical readout bit flips.  Shots with no preparation flip and no kick
+share one state, whose amplitudes `apply_circuit` returns, up to a global
+phase, as a dense rotation per centre of the circuit's Clifford frame: the
+centres every compiled circuit carries, else those of one walk of its
+gates, then the frame's Clifford; `_ideal_bits` reads their weights
+|amps|^2, one binary search per shot.  Every compiled circuit is fermionic
+linear optics: `circuits.decompose` reads it as Givens rotations of the
+Jordan-Wigner Majoranas on a Clifford frame.  A Pauli kick passes through
+the frame as a Pauli, so each dirty trajectory is the same rotations with
+some angles negated and some read bits flipped, and is measured from its
+own 2Q x 2Q Majorana covariance, with no 2^Q array.  Every shot is
+measured by the inverse CDF of one uniform draw, qubit 0 the most
+significant bit.
 
 The covariance kernel is two functions: `rotate_covariances`, the Givens
 pass with each trajectory's own sines, and `condition`, the rank-2 update
@@ -251,32 +252,29 @@ def _gaussian_shots(dec: Decomposition, init: np.ndarray, shot_ev: np.ndarray,
 
 
 _SHOT_BYTES = 1 << 30  # most bytes of the shot-sized arrays a run holds at once
-_DRAW_BYTES = 4 << 20  # most bytes of (shots, gates) uniforms held at once
 _GAUSSIAN_BYTES = 16 << 20  # most bytes of dirty-shot covariances and their temporaries
 
 
-def _row_blocks(rng: np.random.Generator, rows: int, cols: int):
-    """(first row, block) of a (rows, cols) draw of uniforms, made in blocks
-    of rows within _DRAW_BYTES.  Generator.random fills in row order, so
-    the blocks hold the numbers of one draw."""
-    step = max(1, _DRAW_BYTES // (8 * max(cols, 1)))
-    for start in range(0, rows, step):
-        yield start, rng.random((min(step, rows - start), cols))
-
-
-def _kicks(rng: np.random.Generator, shots: int, gate_probs: np.ndarray):
-    """Shot and gate of every kick, sorted, with the uniform that picks its
-    word: a (shots, gates) draw of coins against gate_probs, then one of
-    word uniforms, of which only the entries at kicks are kept."""
-    events = [(start, *np.nonzero(block < gate_probs))
-              for start, block in _row_blocks(rng, shots, gate_probs.size)]
-    shot_ev = np.concatenate([start + s for start, s, _ in events])
-    gate_ev = np.concatenate([g for _, _, g in events])
-    word_u = np.empty(shot_ev.size)
-    for start, block in _row_blocks(rng, shots, gate_probs.size):
-        lo, hi = np.searchsorted(shot_ev, (start, start + len(block)))
-        word_u[lo:hi] = block[shot_ev[lo:hi] - start, gate_ev[lo:hi]]
-    return shot_ev, gate_ev, word_u
+def _kicks(rng: np.random.Generator, shots: int, gate_probs: np.ndarray, words: np.ndarray):
+    """Shot, gate and word of every kick, sorted by (shot, gate).  The kicks
+    on the gates of one nonzero rate p, read row-major as a (shots, gates)
+    grid, are a Bernoulli process: their gaps are geometric, drawn in chunks
+    of about the expected count until their running sum passes the grid,
+    rates increasing.  Each kick's word is then uniform over its gate's
+    `words`, 4^k - 1 for k qubits (circuits.KICK_WORDS)."""
+    found = [np.empty(0, dtype=np.int64)]
+    for p in np.unique(gate_probs[gate_probs > 0]):
+        cols = np.flatnonzero(gate_probs == p)
+        size = shots * cols.size
+        pos, chunk = np.array([-1]), int(size * p + 4 * np.sqrt(size * p)) + 16
+        while pos[-1] < size:
+            # a gap past the grid ends it, so clipping it there keeps the sum in int64
+            gaps = np.minimum(rng.geometric(p, chunk), size + 1)
+            pos = np.append(pos, pos[-1] + np.cumsum(gaps))
+        pos = pos[1:np.searchsorted(pos, size)]
+        found.append(pos // cols.size * gate_probs.size + cols[pos % cols.size])
+    shot_ev, gate_ev = np.divmod(np.sort(np.concatenate(found)), gate_probs.size)
+    return shot_ev, gate_ev, rng.integers(words[gate_ev])
 
 
 def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None,
@@ -285,10 +283,11 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
 
     With preparation or gate noise every shot is its own trajectory.  All
     stochastic decisions are drawn up front from one seeded generator, so
-    results are reproducible.  Shots whose error coins all come up clean
-    are measured on the ideal state (`_ideal_bits`); the others on their own
-    Majorana covariances (`_gaussian_shots`) by the same inverse CDF.  A
-    run whose shot arrays would pass _SHOT_BYTES is refused before any draw.
+    results are reproducible, the kicks as rare events (`_kicks`).  Shots
+    with no preparation flip and no kick are measured on the ideal state
+    (`_ideal_bits`); the others on their own Majorana covariances
+    (`_gaussian_shots`) by the same inverse CDF.  A run whose shot arrays
+    would pass _SHOT_BYTES is refused before any draw.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -311,10 +310,8 @@ def run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel | None = None
                          seed)
 
     dec = decompose(circuit)
-    words = 4 ** width - 1  # kick words per gate, circuits.KICK_WORDS
     prep_coins = rng.random((shots, q)) < noise.p_prep_flip
-    shot_ev, gate_ev, word_u = _kicks(rng, shots, gate_probs)
-    word_ev = np.minimum((word_u * words[gate_ev]).astype(int), words[gate_ev] - 1)
+    shot_ev, gate_ev, word_ev = _kicks(rng, shots, gate_probs, 4 ** width - 1)
     meas_u = rng.random((shots, q))
     shot_u = rng.random(shots)
 

@@ -28,9 +28,11 @@ gauge.  So ||U - T||_F^2 is the sum over the 2^Q subsets S of {0..Q-1} of
 4 sin^2(phi_S / 2), phi_S = sum_{j in S} phi_j, with e^{i phi_j} the
 eigenvalues of t^T u for the gauged blocks t, u in SO(Q).  As
 sum_S e^{i phi_S} = prod_j (1 + e^{i phi_j}), that sum is, in O(Q),
-2^(Q+1) (1 - prod_j cos(phi_j / 2) cos(Phi / 2)) with Phi = sum_j phi_j,
-its bracket summed as two nonnegative terms: 2^(Q+1) - 2 Re det(I + t^T u),
-the same value, cancels to nothing below about 1e-7.
+2^(Q+1) (1 - prod_j cos(phi_j / 2) cos(Phi / 2)) with Phi = sum_j phi_j.
+t^T u is a real rotation: its phases are conjugate pairs, which cancel in
+Phi, and half turns, where the product is 0, so the bracket is -expm1(L),
+L = sum_j log1p(-2 sin^2(phi_j / 4)).  2^(Q+1) - 2 Re det(I + t^T u), the
+same value, cancels to nothing below about 1e-7.
 """
 from __future__ import annotations
 
@@ -150,16 +152,15 @@ def full_space_residual(gammas, basis: GeneratorBasis, spec: ParaSpec,
                         alpha: float) -> float:
     """Frobenius mismatch of the product against the full-register
     exponential of the XY target; reported for transparency, not enforced.
-    Its square is the product form of the module docstring, the bracket
-    -expm1(L) + e^L 2 sin^2(Phi / 4), L = sum_j log1p(-2 sin^2(phi_j / 4))."""
+    Its square is the product form of the module docstring."""
     if len(gammas) != len(basis):
         raise ValueError("gamma count does not match the basis")
     target = gauge(restricted_target(spec, alpha)).real
     phases = np.angle(np.linalg.eigvals(target.T @ _givens_product(gammas, basis)))
     with np.errstate(divide="ignore"):  # a half turn phi_j = pi may give log1p(-1)
         log_prod = np.sum(np.log1p(-2 * np.sin(phases / 4) ** 2))
-    bracket = -np.expm1(log_prod) + np.exp(log_prod) * 2 * np.sin(np.sum(phases) / 4) ** 2
-    return float(np.sqrt(2.0 ** (len(phases) + 1) * bracket))
+    # 0.0 - x, not -x, so that an exact product, L = 0, reads 0 and not -0
+    return float(np.sqrt(2.0 ** (len(phases) + 1) * (0.0 - np.expm1(log_prod))))
 
 
 def solve_displacement(spec: ParaSpec, alpha: float, tol: float = 1e-9,

@@ -380,6 +380,11 @@ class TestCleanShots:
         with pytest.raises(ValueError):
             run_and_sample(Circuit(2), 0)
 
+    def test_one_shot(self):
+        assert run_and_sample(Circuit(3), 1, seed=4).counts == {"100": 1}
+        shots = run_and_sample(Circuit(3), 1, NoiseModel(p_prep_flip=0.999999999), seed=4)
+        assert shots.counts == {"011": 1}
+
     @staticmethod
     def choice_counts(amps, shots, seed, noise=None):
         """Reference sampler: Generator.choice over the normalized |amps|^2,

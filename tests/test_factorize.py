@@ -1,6 +1,7 @@
 """Displacement factorization tests: target coefficients, the closed-form
 Givens solve on every register width and product unitaries, all checked
 against dense matrix-exponential oracles built in the tests."""
+import math
 import re
 import tracemalloc
 from functools import lru_cache
@@ -268,6 +269,13 @@ class TestFullSpaceResidual:
                 assert closed == pytest.approx(dense, rel=0, abs=1e-12)
                 largest = max(largest, dense)
         assert largest > 1.0  # the uniform gammas are far from the target
+
+    @pytest.mark.parametrize("spec", [ParaSpec("pb", 2, np=2), ParaSpec("pf", 4)],
+                             ids=["pb2-q3", "pf4-q5"])
+    def test_an_exact_product_reads_zero_not_minus_zero(self, spec):
+        gv = solve_displacement(spec, 0.0)
+        assert gv.residual_full == 0.0 and math.copysign(1.0, gv.residual_full) == 1.0
+        assert "residual_full 0\n" in gamma_document_text(gv, spec, 0.0)
 
     def test_gamma_count_must_match_the_basis(self):
         spec = ParaSpec("pf", 2)

@@ -63,8 +63,24 @@ def dense_run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel, seed: 
     probs = np.array([noise.p_depol_1q if len(g.qubits) == 1 else noise.p_depol_2q
                       for g in gates])
     prep = rng.random((shots, q)) < noise.p_prep_flip
-    coins = rng.random((shots, len(gates))) < probs
-    pauli_u = rng.random((shots, len(gates)))
+    # the gates of one rate, rates increasing: the kicks on their row-major
+    # (shots, gates) grid sit at the running sums of geometric gaps, less one,
+    # drawn in chunks of the mean count plus four deviations plus 16
+    coins = np.zeros((shots, len(gates)), dtype=bool)
+    for p in sorted(set(probs.tolist()) - {0.0}):
+        columns = np.flatnonzero(probs == p)
+        cells = shots * columns.size
+        chunk = int(cells * p + 4 * np.sqrt(cells * p)) + 16
+        at, end = [], -1
+        while end < cells:
+            for gap in rng.geometric(p, chunk).tolist():
+                end += gap
+                at.append(end)
+        at = np.array([a for a in at if a < cells], dtype=int)
+        coins[at // columns.size, columns[at % columns.size]] = True
+    # then each kick's word, in (shot, gate) order
+    picks = np.zeros((shots, len(gates)), dtype=int)
+    picks[coins] = rng.integers([len(KICKS[len(gates[j].qubits)]) for j in np.nonzero(coins)[1]])
     meas_u = rng.random((shots, q))
     shot_u = rng.random(shots)
 
@@ -77,8 +93,7 @@ def dense_run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel, seed: 
         amps = apply_gate_batch(amps, gate)
         words = KICKS[len(gate.qubits)]
         for s in np.flatnonzero(coins[:, j]):
-            pick = min(int(pauli_u[s, j] * len(words)), len(words) - 1)
-            amps[:, s] = apply_pauli(amps[:, s], words[pick], gate.qubits)
+            amps[:, s] = apply_pauli(amps[:, s], words[picks[s, j]], gate.qubits)
     ideal = np.zeros(2 ** q, dtype=complex)
     ideal[1 << (q - 1)] = 1.0
     for gate in gates:
@@ -165,25 +180,69 @@ def test_counts_equal_the_dense_replay(kind, q, alpha, cancelled, text, noise, s
     (Circuit(3), NoiseModel(p_prep_flip=0.999999999), 50, 0),
     (Circuit(2, [xx(0.4, 0, 1)]), NoiseModel(p_depol_2q=0.999999999), 4000, 3),
     (Circuit(3, [xx(0.4, 1, 2), xx(-1.1, 0, 1)]), NOISES["strong"], 2000, 5),
-], ids=["pinned-q3", "pinned-q7", "empty", "certain-flips", "certain-kick", "adjacent-xx"])
+    (compiled("pb", 4, 0.6), NOISES["strong"], 1, 2),
+    (compiled("pb", 4, 0.6), NoiseModel(p_depol_1q=0.05, p_depol_2q=1e-30), 300, 4),
+], ids=["pinned-q3", "pinned-q7", "empty", "certain-flips", "certain-kick", "adjacent-xx",
+        "one-shot", "xx-rate-past-int64"])
 def test_pinned_and_hand_built_circuits_equal_the_dense_replay(circuit, noise, shots, seed):
     assert run_and_sample(circuit, shots, noise, seed).counts == \
         dense_run_and_sample(circuit, shots, noise, seed)
 
 
-@pytest.mark.parametrize("kind,q,alpha,noise,shots,seed", [
-    ("pb", 4, 0.6, "strong", 500, 21),
-    ("pf", 5, 2.9, "pinned", 400, 22),
-    ("pf", 3, 0.6, "gates", 300, 23),
-    ("pb", 3, 0.0, "strong", 300, 24),   # the empty circuit: rows of no uniforms
-])
-def test_one_row_blocks_draw_the_same_kicks(monkeypatch, kind, q, alpha, noise, shots, seed):
-    circuit = compiled(kind, q, alpha)
-    whole = run_and_sample(circuit, shots, NOISES[noise], seed).counts
-    monkeypatch.setattr(engine, "_DRAW_BYTES", 1)
-    blocks = engine._row_blocks(np.random.default_rng(), shots, len(circuit.gates))
-    assert len(list(blocks)) == shots
-    assert run_and_sample(circuit, shots, NOISES[noise], seed).counts == whole
+class StubGaps:
+    """A generator whose every geometric gap is 1 and every word pick 0."""
+
+    def geometric(self, p, size):
+        return np.ones(size, dtype=np.int64)
+
+    def integers(self, high):
+        return np.zeros_like(high)
+
+
+class TestKicks:
+    def test_chunks_run_until_the_grid_is_passed(self):
+        # gaps of 1 kick every cell: 500 cells a rate, in 19-gap chunks at 0.001
+        probs = np.array([0.01, 0.001, 0.0, 0.001, 0.01])
+        shot_ev, gate_ev, word_ev = engine._kicks(StubGaps(), 250, probs, np.full(5, 3))
+        shot, gate = np.nonzero(np.broadcast_to(probs > 0, (250, 5)))
+        assert shot_ev.tolist() == shot.tolist() and gate_ev.tolist() == gate.tolist()
+        assert not word_ev.any()
+
+    def test_a_gap_past_the_grid_kicks_nothing(self):
+        # at a rate of 1e-30 every gap is numpy's largest integer: clipped, not
+        # summed past int64 into a negative position
+        for seed in range(20):
+            _, gate_ev, _ = engine._kicks(np.random.default_rng(seed), 1000,
+                                          np.array([1e-30, 0.5, 1e-30]), np.full(3, 3))
+            assert 400 < gate_ev.size < 600 and set(gate_ev.tolist()) == {1}
+
+    def test_a_run_with_no_gate_noise_draws_no_kick(self, monkeypatch):
+        # Q = 16: preparation flips alone draw (shots, Q) coins, no (shots, gates) grid
+        circuit = compiled("pb", 16, 0.5)
+        shots, gates = 2000, len(circuit.gates)
+        draws, make = [], np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = make(seed)
+
+            def __getattr__(self, name):
+                def draw(*args):
+                    out = getattr(self.rng, name)(*args)
+                    draws.append((name, np.size(out)))
+                    return out
+                return draw
+
+        monkeypatch.setattr(engine.np.random, "default_rng", Recording)
+        tracemalloc.start()
+        try:
+            run_and_sample(circuit, shots, NoiseModel(p_prep_flip=0.005), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < shots * gates * 8
+        assert [name for name, _ in draws if name != "random"] == ["integers"]
+        assert max(size for _, size in draws) == shots * 16
 
 
 @pytest.mark.parametrize("circuit,noise,shots,seed", [
@@ -200,6 +259,19 @@ def test_one_shot_blocks_measure_the_same_trajectories(monkeypatch, circuit, noi
                         lambda *args: calls.append(len(args[1])) or gaussian_shots(*args))
     assert run_and_sample(circuit, shots, noise, seed).counts == whole
     assert len(calls) > 1 and set(calls) == {1}
+
+
+def test_the_descent_reads_a_tie_as_levels_does():
+    # a uniform exactly at qubit 0's P(0) reads 1, as a uniform on a cumulative
+    # sum's entry reads the level above it in `_levels` (side="right")
+    dec = decompose(compiled("pb", 3, 0.6))
+    init, none = np.array([[True, False, False]] * 2), np.empty(0, dtype=int)
+    gamma, _ = engine.trajectory_covariances(dec, init[:1], none, none, none)
+    p0 = (1.0 + gamma[0, 1, 0]) / 2
+    assert 0.1 < p0 < 0.9
+    u = np.array([np.nextafter(p0, 0.0), p0])
+    assert engine._gaussian_shots(dec, init, none, none, none, u)[:, 0].tolist() == [0, 1]
+    assert _levels(np.array([p0, 1.0]), u).tolist() == [0, 1]
 
 
 def test_noisy_shots_at_twelve_qubits_hold_bounded_memory():
