@@ -43,6 +43,11 @@ MUTANTS = [
      "(dec.gates > gate_ev[:, None])",
      "(dec.gates >= gate_ev[:, None])",
      [REPLAY, DENSITY_MATRIX]),
+    # each kick event's Majorana set: its own word's sum of its gate's frame images
+    ("kick-set-word", "parasim/circuits.py",
+     "sums = _KICK_SUMS[word_ev][:, None] @ self.frames[gate_ev]",
+     "sums = _KICK_SUMS[0 * word_ev][:, None] @ self.frames[gate_ev]",
+     [REPLAY, DENSITY_MATRIX]),
     # the sampled descent: the uniform left over for the next qubit
     ("descent-u-rescale", "parasim/engine.py",
      "u = np.where(bit, u - p0, u) / np.where(bit, 1.0 - p0, p0)",
@@ -63,7 +68,7 @@ MUTANTS = [
     # and in a cancelled circuit each kept centre's new index
     ("centre-word-phase", "parasim/circuits.py",
      "centres.append((len(gates), term.word))",
-     "centres.append((len(gates), _times(term.word, _IDENTITY, 2)))",
+     "centres.append((len(gates), _times(term.word, (0, 0, 0, 0), 2)))",
      [RECORDED + "test_recorded_centres_equal_a_frame_walk",
       RECORDED + "test_the_recorded_pass_gives_the_walks_weights_bit_for_bit"]),
     ("centre-index", "parasim/circuits.py",
@@ -85,8 +90,8 @@ MUTANTS = [
       "test_random_circuits_match_the_unitary_column_up_to_phase"]),
     # the cancellation pass merges a gate only with the latest kept gate on its qubits
     ("cancel-partner", "parasim/circuits.py",
-     "last = max((stacks[q][-1] for q in g.qubits if stacks[q]), default=None)",
-     "last = min((stacks[q][-1] for q in g.qubits if stacks[q]), default=None)",
+     "last = first if first > second else second",
+     "last = first if first < second else second",
      ["tests/test_circuits.py::TestOptimizeCancel::"
       "test_matches_the_backward_scan_on_compiled_templates"]),
     # post-selection after the readout inversion keeps a probability vector

@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mapping import (_IDENTITY, GeneratorBasis, PauliString, _pair, _times,
-                      _word, apply_word, dense_identity)
+from .mapping import (GeneratorBasis, PauliString, _pair, _times, _word, apply_word,
+                      dense_identity)
 from .textfile import keyed, read_file, text_lines
 
 _RX = "RX"
@@ -218,19 +218,14 @@ def compile_displacement(gammas, basis: GeneratorBasis, optimize: bool = True) -
         circuit = optimize_cancel(circuit)
         index = {id(gate): j for j, gate in enumerate(circuit.gates)}
         centres = [(index[id(gates[j])], word) for j, word in centres
-                   if not _is_zero_angle(gates[j])]
+                   if not _is_zero_angle(gates[j].angle)]
     object.__setattr__(circuit, "centres", tuple(centres))
     return circuit
 
 
-def _same_axis(a: Gate, b: Gate) -> bool:
-    return a.kind == b.kind and set(a.qubits) == set(b.qubits)
-
-
-def _is_zero_angle(g: Gate, tol: float = 1e-12) -> bool:
+def _is_zero_angle(angle: float, tol: float = 1e-12) -> bool:
     """Zero mod 2 pi; dropping such a gate changes at most the global phase."""
-    r = abs(g.angle) % (2 * np.pi)
-    return min(r, 2 * np.pi - r) < tol
+    return abs(math.remainder(angle, 2 * math.pi)) < tol
 
 
 def optimize_cancel(circuit: Circuit) -> Circuit:
@@ -241,26 +236,31 @@ def optimize_cancel(circuit: Circuit) -> Circuit:
     completely.  One pass reaches the fixed point: every gate kept after a
     partner shares no qubit with it, so removing or replacing the partner
     opens no new merge."""
-    kept: dict[int, Gate] = {}  # input index -> gate, in circuit order
-    stacks: list[list[int]] = [[] for _ in range(circuit.num_qubits)]  # keys per qubit
-    for i, g in enumerate(circuit.gates):
-        if _is_zero_angle(g):
+    kept: list[Gate | None] = []  # in circuit order, None where a merge cancelled
+    # positions in kept per qubit, the latest last, on a -1 that stands for none
+    stacks = [[-1] for _ in range(circuit.num_qubits)]
+    for g in circuit.gates:
+        if _is_zero_angle(g.angle):
             continue
+        qubits = g.qubits
         # the only possible partner: the latest kept gate on any of g's qubits
-        last = max((stacks[q][-1] for q in g.qubits if stacks[q]), default=None)
-        if last is not None and _same_axis(kept[last], g):
-            merged = Gate(g.kind, kept[last].qubits, kept[last].angle + g.angle)
-            if _is_zero_angle(merged):
-                del kept[last]
-                for q in g.qubits:
+        first, second = stacks[qubits[0]][-1], stacks[qubits[-1]][-1]
+        last = first if first > second else second
+        partner = kept[last] if last >= 0 else None
+        if partner is not None and partner.kind == g.kind and (
+                partner.qubits == qubits or partner.qubits[::-1] == qubits):
+            angle = partner.angle + g.angle
+            if _is_zero_angle(angle):
+                kept[last] = None
+                for q in qubits:
                     stacks[q].pop()
             else:
-                kept[last] = merged
+                kept[last] = Gate(g.kind, partner.qubits, angle)
             continue
-        kept[i] = g
-        for q in g.qubits:
-            stacks[q].append(i)
-    return Circuit(circuit.num_qubits, list(kept.values()))
+        for q in qubits:
+            stacks[q].append(len(kept))
+        kept.append(g)
+    return Circuit(circuit.num_qubits, [g for g in kept if g is not None])
 
 
 def gate_counts(circuit: Circuit) -> dict:
@@ -373,9 +373,18 @@ class Decomposition(NamedTuple):
     planes: np.ndarray   # (n, 2) its Majorana plane a < b
     angles: np.ndarray   # (n,) its gate's full angle, signed by the plane:
                          # the centre is exp(theta/2 c_a c_b)
-    kicks: np.ndarray    # (gates, 15, 2Q) bool Majorana set of each kick word;
-                         # a one-qubit gate's three kicks are its first rows
+    frames: np.ndarray   # (gates, 4, 2Q) uint8 bits: the Majorana sets of the
+                         # frame images of X and Z on each gate's first and
+                         # second qubit, after it; a one-qubit gate's first
+                         # two are empty
     readout: np.ndarray  # (Q, 2) pairs (a, b): Z_k pulls back to i c_a c_b
+
+    def kick_sets(self, gate_ev: np.ndarray, word_ev: np.ndarray) -> np.ndarray:
+        """(events, 2Q) bool Majorana set of each kick event e, word
+        KICK_WORDS[k][word_ev[e]] after gate gate_ev[e] pulled back through
+        the frame after that gate: the GF(2) sum of its frame images."""
+        sums = _KICK_SUMS[word_ev][:, None] @ self.frames[gate_ev]
+        return (sums[:, 0] & 1).astype(bool)
 
 
 def decompose(circuit: Circuit) -> Decomposition:
@@ -384,34 +393,35 @@ def decompose(circuit: Circuit) -> Decomposition:
 
     Each centre's word W, pulled back through the frame before it, is
     W = +-i c_a c_b, a Givens rotation of the Majorana covariance by the
-    gate's angle.  `kicks[j, w]` is the Majorana set of kick word
-    KICK_WORDS[k][w] of gate j pulled back through the frame after gate j,
-    and `readout[k]` the pulled-back Z_k.  Raises ValueError when a centre
-    or a Z_k does not pull back to a quadratic word, i.e. the circuit is not
-    fermionic linear optics.
+    gate's angle.  `frames[j]` holds the Majorana sets of the four frame
+    images after gate j, read from their words' m ints, from which
+    `kick_sets` forms the set of any kick on gate j; `readout[k]` is the
+    pulled-back Z_k.  Raises ValueError when a centre or a Z_k does not
+    pull back to a quadratic word, i.e. the circuit is not fermionic linear
+    optics.
     """
     q = circuit.num_qubits
     frame = Frame(q)
-    centres, frames = [], []
+    xs, zs = frame.xs, frame.zs  # each step updates these lists in place
+    centres, sets = [], []  # sets: the Majorana set m of each frame image
     for j, gate in enumerate(circuit.gates):
         word = frame.step(gate)
         if word is not None:
             a, b = _pair(word, f"gate {j} ({gate.kind} {' '.join(map(str, gate.qubits))})")
             centres.append((j, min(a, b), max(a, b), gate.angle if a < b else -gate.angle))
         k, last = gate.qubits[0], gate.qubits[-1]
-        frames += [frame.xs[k], frame.zs[k]] if gate.kind == _XX else [_IDENTITY, _IDENTITY]
-        frames += [frame.xs[last], frame.zs[last]]
+        sets += (xs[k][3], zs[k][3]) if gate.kind == _XX else (0, 0)
+        sets += (xs[last][3], zs[last][3])
     nbytes = (2 * q + 7) // 8
-    raw = b"".join(w[3].to_bytes(nbytes, "little") for w in frames)
-    sets = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, 4, nbytes),
-                         axis=-1, count=2 * q, bitorder="little")
-    readout = [_pair(frame.zs[k], f"Z on qubit {k}") for k in range(q)]
+    raw = b"".join([m.to_bytes(nbytes, "little") for m in sets])
+    readout = [_pair(zs[k], f"Z on qubit {k}") for k in range(q)]
     gates, a, b, angles = zip(*centres) if centres else ((), (), (), ())
     return Decomposition(
         gates=np.array(gates, dtype=int),
         planes=np.array([a, b], dtype=int).reshape(2, -1).T,
         angles=np.array(angles, dtype=float),
-        kicks=(_KICK_SUMS @ sets & 1).astype(bool),
+        frames=np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(-1, 4, nbytes),
+                             axis=-1, count=2 * q, bitorder="little"),
         readout=np.array(readout, dtype=int).reshape(q, 2))
 
 

@@ -15,12 +15,14 @@ centres every compiled circuit carries, else those of one walk of its
 gates, then the frame's Clifford; `_ideal_bits` reads their weights
 |amps|^2, one binary search per shot.  Every compiled circuit is fermionic
 linear optics: `circuits.decompose` reads it as Givens rotations of the
-Jordan-Wigner Majoranas on a Clifford frame.  A Pauli kick passes through
-the frame as a Pauli, so each dirty trajectory is the same rotations with
-some angles negated and some read bits flipped, and is measured from its
-own 2Q x 2Q Majorana covariance, with no 2^Q array.  Every shot is
-measured by the inverse CDF of one uniform draw, qubit 0 the most
-significant bit.
+Jordan-Wigner Majoranas on a Clifford frame, keeping the Majorana sets of
+each gate's frame images.  A Pauli kick passes through the frame as a
+Pauli, whose set is the GF(2) sum of its gate's images for its word, read
+only for the kicks drawn (`Decomposition.kick_sets`), so each dirty
+trajectory is the same rotations with some angles negated and some read
+bits flipped, and is measured from its own 2Q x 2Q Majorana covariance,
+with no 2^Q array.  Every shot is measured by the inverse CDF of one
+uniform draw, qubit 0 the most significant bit.
 
 The covariance kernel is two functions: `rotate_covariances`, the Givens
 pass with each trajectory's own sines, and `condition`, the rank-2 update
@@ -217,7 +219,7 @@ def trajectory_covariances(dec: Decomposition, init: np.ndarray, shot_ev: np.nda
     n, q = init.shape
     order = dec.readout.ravel()
     label = np.argsort(order)
-    sets = dec.kicks[gate_ev, word_ev][:, order]         # (events, 2Q)
+    sets = dec.kick_sets(gate_ev, word_ev)[:, order]     # (events, 2Q)
     a, b = label[dec.planes.T]
     hits = (sets[:, a] ^ sets[:, b]) & (dec.gates > gate_ev[:, None])
     shot, first = np.unique(shot_ev, return_index=True)
@@ -263,7 +265,8 @@ def _kicks(rng: np.random.Generator, shots: int, gate_probs: np.ndarray, words: 
     rates increasing.  Each kick's word is then uniform over its gate's
     `words`, 4^k - 1 for k qubits (circuits.KICK_WORDS)."""
     found = [np.empty(0, dtype=np.int64)]
-    for p in np.unique(gate_probs[gate_probs > 0]):
+    # np.unique's index-free path imports numpy.ma (np.ma.is_masked), 10-18 ms
+    for p in sorted(set(gate_probs.tolist()) - {0.0}):
         cols = np.flatnonzero(gate_probs == p)
         size = shots * cols.size
         pos, chunk = np.array([-1]), int(size * p + 4 * np.sqrt(size * p)) + 16

@@ -103,8 +103,14 @@ def factor_onehot(target: np.ndarray, basis: GeneratorBasis,
     for any target whose gauged form lies in SO(Q) (see the module
     docstring).  The residual is that of the product of the Givens factors
     the returned gammas define; FactorizationError if it exceeds tol."""
+    return _factor_gauged(gauge(target), basis, tol)[0]
+
+
+def _factor_gauged(gauged: np.ndarray, basis: GeneratorBasis,
+                   tol: float) -> tuple[GammaVector, np.ndarray]:
+    """factor_onehot of a gauged target, with the Givens product of the
+    returned gammas that its residual reads."""
     planes = _planes(basis)
-    gauged = gauge(target)
     rest = gauged.real.copy()
     gammas = np.empty(len(planes))
     for j in reversed(range(len(planes))):
@@ -114,12 +120,13 @@ def factor_onehot(target: np.ndarray, basis: GeneratorBasis,
         gammas[j] = -theta / s
     # theta in [-pi, pi] puts gamma in [-pi/2, pi/2]; + 0.0 turns -0.0 into 0.0
     gammas = np.where(gammas <= -np.pi / 2, gammas + np.pi, gammas) + 0.0
-    residual = float(np.linalg.norm(_givens_product(gammas, basis) - gauged))
+    product = _givens_product(gammas, basis)
+    residual = float(np.linalg.norm(product - gauged))
     if residual > tol:
         raise FactorizationError(
             f"factorization residual {residual:.3e} exceeds tol {tol:.1e}")
     return GammaVector(gammas=tuple(float(g) for g in gammas), residual=residual,
-                       converged=True, labels=basis.labels)
+                       converged=True, labels=basis.labels), product
 
 
 def product_unitary(gammas, basis: GeneratorBasis, space: str = "onehot") -> np.ndarray:
@@ -155,8 +162,14 @@ def full_space_residual(gammas, basis: GeneratorBasis, spec: ParaSpec,
     Its square is the product form of the module docstring."""
     if len(gammas) != len(basis):
         raise ValueError("gamma count does not match the basis")
-    target = gauge(restricted_target(spec, alpha)).real
-    phases = np.angle(np.linalg.eigvals(target.T @ _givens_product(gammas, basis)))
+    return _full_residual(gauge(restricted_target(spec, alpha)).real,
+                          _givens_product(gammas, basis))
+
+
+def _full_residual(target: np.ndarray, product: np.ndarray) -> float:
+    """full_space_residual from the gauged one-hot blocks of the target and
+    of the product, both in SO(Q)."""
+    phases = np.angle(np.linalg.eigvals(target.T @ product))
     with np.errstate(divide="ignore"):  # a half turn phi_j = pi may give log1p(-1)
         log_prod = np.sum(np.log1p(-2 * np.sin(phases / 4) ** 2))
     # 0.0 - x, not -x, so that an exact product, L = 0, reads 0 and not -0
@@ -166,13 +179,14 @@ def full_space_residual(gammas, basis: GeneratorBasis, spec: ParaSpec,
 def solve_displacement(spec: ParaSpec, alpha: float, tol: float = 1e-9,
                        seed: int = 0) -> GammaVector:
     """Factor exp(i alpha (a + adag)) for the given spec in closed form, with
-    the full-register residual attached.  The solve is deterministic: seed
-    is accepted for the callers that pass one and does not change the
-    result.  ValueError, naming alpha, if restricted_target rejects it;
+    the full-register residual attached, both residuals read from one
+    target and one Givens product.  The solve is deterministic: seed is
+    accepted for the callers that pass one and does not change the result.
+    ValueError, naming alpha, if restricted_target rejects it;
     FactorizationError if the one-hot residual exceeds tol."""
-    basis = generator_family(spec.num_qubits)
-    gv = factor_onehot(restricted_target(spec, alpha), basis, tol)
-    return replace(gv, residual_full=full_space_residual(gv.gammas, basis, spec, alpha))
+    gauged = gauge(restricted_target(spec, alpha))
+    gv, product = _factor_gauged(gauged, generator_family(spec.num_qubits), tol)
+    return replace(gv, residual_full=_full_residual(gauged.real, product))
 
 
 def gamma_document_text(gv: GammaVector, spec: ParaSpec, alpha: float) -> str:

@@ -394,6 +394,22 @@ def test_importing_the_cli_does_not_load_scipy():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
+def test_a_noisy_simulate_does_not_load_numpy_ma(tmp_path):
+    # numpy.ma costs 10-18 ms to import, a cold noisy run's share of it
+    noise = tmp_path / "noise.txt"
+    noise.write_text("p_prep_flip 0.005\neps01 0.01\neps10 0.02\n"
+                     "p_depol_1q 0.001\np_depol_2q 0.01\n")
+    argv = ["simulate", "--kind", "pb", "--p", "2", "--np", "4", "--alpha", "0.6",
+            "--shots", "500", "--noise", str(noise), "--spam-correct", "--postselect",
+            "--seed", "1", "--out", str(tmp_path / "sim.csv")]
+    code = ("import sys; from parasim.cli import main; code = main(sys.argv[1:]); "
+            "sys.exit(code or 3 * ('numpy.ma' in sys.modules))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=src, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert (tmp_path / "sim.csv").exists()
+
+
 class TestSimulate:
     def test_writes_csv_and_shotset(self, tmp_path):
         out = tmp_path / "sim.csv"

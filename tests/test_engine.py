@@ -313,7 +313,7 @@ class TestCancellationKeepsCentres:
                 assert set(generic) <= {j for j, _ in circuit.centres}
                 # a centre is dropped only at angle 0 (mod 2 pi), and kept unmerged
                 kept = [(i, w) for i, w in template.centres
-                        if not parasim.circuits._is_zero_angle(template.gates[i])]
+                        if not parasim.circuits._is_zero_angle(template.gates[i].angle)]
                 assert [w for _, w in circuit.centres] == [w for _, w in kept]
                 assert ([circuit.gates[j] for j, _ in circuit.centres]
                         == [template.gates[i] for i, _ in kept])

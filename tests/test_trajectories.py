@@ -300,8 +300,9 @@ class TestDecompose:
     ])
     def test_frame_and_centres_rebuild_the_circuit(self, kind, q, cancelled):
         """After each gate j the prefix is C_j times its centres' rotations
-        exp(theta/2 c_a c_b); C_j pulls each kick of gate j back to the
-        Majorana product `kicks[j, w]`, and the last frame pulls Z_k back to
+        exp(theta/2 c_a c_b); C_j pulls each kick w of gate j back to the
+        Majorana product of the set `kick_sets` reads for the event (j, w),
+        as the engine reads it, and the last frame pulls Z_k back to
         i c_a c_b for (a, b) = readout[k]."""
         circuit = compiled(kind, q, 0.7, cancelled)
         dec = decompose(circuit)
@@ -317,7 +318,8 @@ class TestDecompose:
             for w, letters in enumerate(KICKS[len(gate.qubits)]):
                 kick = apply_pauli(one.astype(complex), letters, gate.qubits)
                 pulled = frame.conj().T @ kick @ frame
-                product = reduce(np.matmul, [c[a] for a in np.flatnonzero(dec.kicks[j, w])], one)
+                kick_set, = dec.kick_sets(np.array([j]), np.array([w]))
+                product = reduce(np.matmul, [c[a] for a in np.flatnonzero(kick_set)], one)
                 overlap = np.trace(product.conj().T @ pulled) / 2 ** q
                 assert abs(abs(overlap) - 1) < 1e-9
         assert done == len(dec.gates)
@@ -353,7 +355,7 @@ class TestDecompose:
     def test_text_round_trip_keeps_the_decomposition(self):
         circuit = compiled("pb", 5, 0.6)
         first, second = decompose(circuit), decompose(circuit_from_text(circuit_to_text(circuit)))
-        for name in ("gates", "planes", "angles", "kicks", "readout"):
+        for name in ("gates", "planes", "angles", "frames", "readout"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
 
     def test_non_gaussian_circuit_raises_under_gate_noise_only(self):
