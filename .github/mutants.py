@@ -58,10 +58,10 @@ MUTANTS = [
      'side="right"',
      'side="left"',
      ["tests/test_trajectories.py::TestLevels"]),
-    # the frame walk's net Clifford, as one final Pauli
-    ("apply-circuit-final-pauli", "parasim/engine.py",
-     "return apply_word(amps, pauli)",
-     "return amps",
+    # a walk that does not end on the identity frame replays the gates
+    ("apply-circuit-identity-frame", "parasim/engine.py",
+     "if (frame.xs, frame.zs) != (identity.xs, identity.zs):",
+     "if False:",
      ["tests/test_engine.py::TestFramePass::"
       "test_random_circuits_match_the_unitary_column_up_to_phase"]),
     # the centres every compiled circuit carries: each term's word and gate,
@@ -137,6 +137,12 @@ MUTANTS = [
      "-np.expm1(log_prod)",
      ["tests/test_factorize.py::TestFullSpaceResidual::"
       "test_an_exact_product_reads_zero_not_minus_zero"]),
+    # a confusion matrix exactly 1e-12 from singular is still inverted
+    ("confusion-boundary", "parasim/engine.py",
+     "if 1.0 - self.eps01 - self.eps10 < 1e-12:",
+     "if 1.0 - self.eps01 - self.eps10 <= 1e-12:",
+     ["tests/test_engine.py::TestNoiseModel::"
+      "test_a_confusion_exactly_1e_12_from_singular_is_accepted"]),
     # readout: a true 0 misreads with eps01, a true 1 with eps10
     ("read-out-rates-swapped", "parasim/engine.py",
      "meas_u < noise.eps01, meas_u < noise.eps10",

@@ -59,7 +59,7 @@ print("  ...")
 print()
 spec = ParaSpec("pf", 4)
 basis = generator_family(5)
-gv = solve_displacement(spec, 0.5, seed=0)
+gv = solve_displacement(spec, 0.5)
 circuit = compile_displacement(gv, basis)
 counts = gate_counts(circuit)
 print(f"Five-qubit displacement: {2 * len(basis)} exponential factors "

@@ -12,13 +12,14 @@ walk of a gate list, `Frame`, splits it by one rule: gates whose angle is
 an exact multiple of pi/2 join a Clifford frame, and every other gate is
 a centre, a rotation by its full angle about its Pauli pulled back
 through the frame.  The engine's ideal pass applies only the centres
-densely, then the frame's Clifford; `decompose` reads the same walk as
-Givens rotations of the Jordan-Wigner Majoranas, the form in which the
-engine runs noisy trajectories.  A compiled circuit needs no walk: each
-of its terms is a scaffold, a centre and the scaffold's exact inverse, so
-its frame is the identity between terms, and each centre pulls back to
-its term's own word, which the compiler records on every circuit it
-returns (`Circuit.centres`), cancelled or not.
+densely, on a frame whose net Clifford is the identity; `decompose` reads
+the same walk as Givens rotations of the Jordan-Wigner Majoranas, the
+form in which the engine runs noisy trajectories.  A compiled circuit
+needs no walk: each of its terms is a scaffold, a centre and the
+scaffold's exact inverse, so its frame is the identity between terms,
+and each centre pulls back to its term's own word, which the compiler
+records on every circuit it returns (`Circuit.centres`), cancelled or
+not.
 """
 from __future__ import annotations
 
@@ -89,7 +90,9 @@ class Circuit:
     term boundary.  A centre whose angle is an exact multiple of pi/2 is
     then rotated, not absorbed into the frame: the same unitary.  Every
     other circuit (read from text, built by hand, dataclasses.replace, or
-    optimize_cancel) gets None."""
+    optimize_cancel) gets None, and the ideal pass finds its centres in
+    one walk of its Frame, or replays its gates when that walk does not
+    end on the identity frame."""
 
     num_qubits: int
     gates: tuple[Gate, ...] = ()
@@ -342,17 +345,6 @@ class Frame:
             g = images[i]
             images[i] = (g[0], g[1], g[2] ^ 2, g[3]) if turns == 2 else _times(word, g, turns)
         return None
-
-    def pauli(self) -> tuple | None:
-        """C as a Pauli word, up to phase, when the images show it is one:
-        each X_k and Z_k maps to itself up to sign, X_k negated where C
-        holds a Z on qubit k and Z_k where it holds an X.  None otherwise."""
-        letters = []
-        for k, (x, z) in enumerate(zip(self.xs, self.zs)):
-            if x[:2] != (1 << k, 0) or z[:2] != (0, 1 << k):
-                return None
-            letters.append("IXZY"[(z[2] >> 1) + (x[2] & 2)])
-        return _word("".join(letters))
 
 
 # The 4^k - 1 non-identity Pauli kicks on a gate's k qubits, in the order a

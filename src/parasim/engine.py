@@ -12,11 +12,12 @@ classical readout bit flips.  Shots with no preparation flip and no kick
 share one state, whose amplitudes `apply_circuit` returns, up to a global
 phase, as a dense rotation per centre of the circuit's Clifford frame: the
 centres every compiled circuit carries, else those of one walk of its
-gates, then the frame's Clifford; `_ideal_bits` reads their weights
-|amps|^2, one binary search per shot.  Every compiled circuit is fermionic
-linear optics: `circuits.decompose` reads it as Givens rotations of the
-Jordan-Wigner Majoranas on a Clifford frame, keeping the Majorana sets of
-each gate's frame images.  A Pauli kick passes through the frame as a
+gates when that walk ends on the identity frame, else the gates replayed
+one by one; `_ideal_bits` reads their weights |amps|^2, one binary search
+per shot.  Every compiled circuit is fermionic linear optics:
+`circuits.decompose` reads it as Givens rotations of the Jordan-Wigner
+Majoranas on a Clifford frame, keeping the Majorana sets of each gate's
+frame images.  A Pauli kick passes through the frame as a
 Pauli, whose set is the GF(2) sum of its gate's images for its word, read
 only for the kicks drawn (`Decomposition.kick_sets`), so each dirty
 trajectory is the same rotations with some angles negated and some read
@@ -38,7 +39,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .circuits import Circuit, Decomposition, Frame, apply_gate_batch, decompose, rotate
-from .mapping import apply_word, dense_identity
+from .mapping import dense_identity
 from .textfile import keyed, read_file
 
 
@@ -105,32 +106,26 @@ def apply_circuit(circuit: Circuit) -> np.ndarray:
     state |10..0>, within the limit of dense_identity; equal to the
     gate-by-gate amplitudes up to a global phase.
 
-    Each centre is one dense rotation about its word pulled back through
-    the circuit's Clifford frame.  Every circuit the compiler returns,
-    cancelled or not, carries its centres (Circuit.centres), and its frame
-    is the identity at the end, so no gate is walked.  Any other circuit
-    takes one walk of its Frame, and the frame's Clifford then acts at the
-    end, as one Pauli when the walk shows it is one, else by replaying the
-    gates that joined it.
+    Each centre (gate index, word) is one dense rotation about its word
+    pulled back through the circuit's Clifford frame, whose net Clifford is
+    the identity.  Every circuit the compiler returns, cancelled or not,
+    carries its centres (Circuit.centres), so no gate is walked.  Any other
+    circuit finds its centres in one walk of its Frame; when that walk does
+    not end on the identity frame, the circuit replays its gates instead.
     """
     q = circuit.num_qubits
     amps = dense_identity(q, 1 << q - 1)
-    if circuit.centres is not None:
-        for j, word in circuit.centres:
-            amps = rotate(amps, word, circuit.gates[j].angle)
-        return amps
-    frame, clifford = Frame(q), []
-    for gate in circuit.gates:
-        word = frame.step(gate)
-        if word is None:
-            clifford.append(gate)
-        else:
-            amps = rotate(amps, word, gate.angle)
-    pauli = frame.pauli()
-    if pauli is not None:
-        return apply_word(amps, pauli)
-    for gate in clifford:
-        amps = apply_gate_batch(amps, gate)
+    centres = circuit.centres
+    if centres is None:
+        frame, identity = Frame(q), Frame(q)
+        centres = [(j, word) for j, gate in enumerate(circuit.gates)
+                   if (word := frame.step(gate)) is not None]
+        if (frame.xs, frame.zs) != (identity.xs, identity.zs):
+            for gate in circuit.gates:
+                amps = apply_gate_batch(amps, gate)
+            return amps
+    for j, word in centres:
+        amps = rotate(amps, word, circuit.gates[j].angle)
     return amps
 
 

@@ -176,14 +176,12 @@ def _full_residual(target: np.ndarray, product: np.ndarray) -> float:
     return float(np.sqrt(2.0 ** (len(phases) + 1) * (0.0 - np.expm1(log_prod))))
 
 
-def solve_displacement(spec: ParaSpec, alpha: float, tol: float = 1e-9,
-                       seed: int = 0) -> GammaVector:
+def solve_displacement(spec: ParaSpec, alpha: float, tol: float = 1e-9) -> GammaVector:
     """Factor exp(i alpha (a + adag)) for the given spec in closed form, with
     the full-register residual attached, both residuals read from one
-    target and one Givens product.  The solve is deterministic: seed is
-    accepted for the callers that pass one and does not change the result.
-    ValueError, naming alpha, if restricted_target rejects it;
-    FactorizationError if the one-hot residual exceeds tol."""
+    target and one Givens product.  ValueError, naming alpha, if
+    restricted_target rejects it; FactorizationError if the one-hot
+    residual exceeds tol."""
     gauged = gauge(restricted_target(spec, alpha))
     gv, product = _factor_gauged(gauged, generator_family(spec.num_qubits), tol)
     return replace(gv, residual_full=_full_residual(gauged.real, product))

@@ -119,12 +119,12 @@ def test_criterion_3_factorization_exactness():
     for spec in CASES_3Q:
         basis = generator_family(spec.num_qubits)
         for alpha in ALPHAS:
-            gv = solve_displacement(spec, alpha, seed=SEED)
+            gv = solve_displacement(spec, alpha)
             block = product_unitary(gv, basis, space="onehot")
             residual = np.linalg.norm(block - restricted_target(spec, alpha))
             worst = max(worst, residual)
     spec5 = ParaSpec("pf", 4)
-    gv5 = solve_displacement(spec5, 0.5, tol=1e-8, seed=SEED)
+    gv5 = solve_displacement(spec5, 0.5, tol=1e-8)
     elapsed = time.time() - start
     ok = worst <= 1e-8 and gv5.converged and gv5.residual <= 1e-8 and elapsed < 30.0
     report(3, "factorization-exactness", ok, elapsed, 30.0,
@@ -143,7 +143,7 @@ def test_criterion_4_compiled_circuit_equivalence():
     for spec, alpha in cases:
         q = spec.num_qubits
         basis = generator_family(q)
-        gv = solve_displacement(spec, alpha, seed=SEED)
+        gv = solve_displacement(spec, alpha)
         circuit = compile_displacement(gv, basis)
         unitary = circuit_unitary(circuit)
         product = product_unitary(gv, basis, space="full")
@@ -179,7 +179,7 @@ def test_criterion_5_parafermi_evolution():
         if err > max(3 * sigma, 1e-12):
             shot_fails.append((gt, err, sigma))
     for alpha in gts:
-        gv = solve_displacement(ParaSpec("pf", 2), float(alpha), seed=SEED)
+        gv = solve_displacement(ParaSpec("pf", 2), float(alpha))
         c = gate_counts(compile_displacement(gv, generator_family(3), optimize=False))
         counts = counts or c
         assert c == counts, "gate counts changed with evolution time"
@@ -249,7 +249,7 @@ def test_criterion_7_mitigation_properties():
 
     # SPAM round trip at 5000 shots, 4 sigma per marginal
     alpha = np.pi / 4
-    gv = solve_displacement(spec, alpha, seed=SEED)
+    gv = solve_displacement(spec, alpha)
     circuit = compile_displacement(gv, basis)
     spam_noise = NoiseModel(eps01=0.05, eps10=0.05)
     shots = run_and_sample(circuit, 5000, spam_noise, seed=13)
@@ -263,7 +263,7 @@ def test_criterion_7_mitigation_properties():
 
     # post-selection vs raw under depolarizing noise, 50 seeded runs
     alpha = np.pi / 2
-    gv = solve_displacement(spec, alpha, seed=SEED)
+    gv = solve_displacement(spec, alpha)
     circuit = compile_displacement(gv, basis)
     depol = NoiseModel(p_depol_1q=0.001, p_depol_2q=0.01)
     exact_mean = 2.0  # 1 - cos(2 alpha)

@@ -112,7 +112,7 @@ class TestCompileDisplacement:
     def test_five_qubit_displacement_matches_product(self):
         spec = ParaSpec("pf", 4)
         basis = generator_family(5)
-        gv = solve_displacement(spec, 0.5, seed=0)
+        gv = solve_displacement(spec, 0.5)
         circuit = compile_displacement(gv, basis)
         oracle = product_unitary(gv, basis, space="full")
         assert phase_distance(circuit_unitary(circuit), oracle) <= 1e-9
@@ -125,7 +125,7 @@ class TestCompileDisplacement:
     ])
     def test_onehot_leakage_is_negligible(self, q, spec):
         basis = generator_family(q)
-        gv = solve_displacement(spec, 0.4, seed=1)
+        gv = solve_displacement(spec, 0.4)
         unitary = circuit_unitary(compile_displacement(gv, basis))
         idx = [onehot_index(n, q) for n in range(q)]
         outside = np.setdiff1d(np.arange(2 ** q), idx)

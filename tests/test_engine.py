@@ -72,6 +72,13 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="confusion matrix is singular"):
             NoiseModel(eps01=eps01, eps10=eps10)
 
+    def test_a_confusion_exactly_1e_12_from_singular_is_accepted(self):
+        # both rates are exact in binary, and 1 - eps01 - eps10 rounds to 1e-12 itself
+        eps01, eps10 = 1 - 2.0 ** -39, 2.0 ** -39 - 1e-12
+        assert 1.0 - eps01 - eps10 == 1e-12
+        noise = NoiseModel(eps01=eps01, eps10=eps10)
+        assert (noise.eps01, noise.eps10) == (eps01, eps10)
+
 
 class TestVacuumStart:
     def test_ideal_three_qubits(self):
@@ -135,7 +142,8 @@ class TestApplyCircuit:
 
 def count_gate_calls(monkeypatch) -> list:
     """A one-item list that counts the calls apply_circuit makes to
-    apply_gate_batch, the replay of a frame that is not a Pauli."""
+    apply_gate_batch: the replay of a circuit with no recorded centres
+    whose walk does not end on the identity frame."""
     calls = [0]
     replay = parasim.engine.apply_gate_batch
 
@@ -156,9 +164,16 @@ def compiled(kind: str, q: int, alpha: float, optimize: bool) -> Circuit:
                                 generator_family(q), optimize=optimize)
 
 
+def is_identity_frame(frame: Frame, q: int) -> bool:
+    """Whether the walked frame's images are X_k and Z_k themselves."""
+    return (frame.xs, frame.zs) == (Frame(q).xs, Frame(q).zs)
+
+
 class TestFramePass:
-    """apply_circuit walks the Clifford frame once, rotates densely about
-    each centre's pulled-back word, and applies the frame's Clifford last."""
+    """apply_circuit walks the Clifford frame of a circuit without recorded
+    centres once and rotates densely about each centre's pulled-back word
+    when the walk ends on the identity frame; otherwise it replays the
+    gates."""
 
     HALF_TURNS = (0.0, np.pi, -np.pi, 2 * np.pi)
     EXACT = (0.0, np.pi / 2, -np.pi / 2, np.pi, 3 * np.pi / 2, 2 * np.pi)
@@ -184,6 +199,11 @@ class TestFramePass:
             # half turns keep the frame a Pauli; quarter turns mostly do not
             exact = self.HALF_TURNS if trial % 2 else self.EXACT
             circuit = self.mixed_circuit(rng, q, 3 * q + trial, exact)
+            if trial % 4 < 2:
+                # the Clifford gates' inverses, last first, undo the frame
+                clifford = [g for g in circuit.gates if g.angle in exact]
+                circuit = Circuit(q, circuit.gates
+                                  + tuple(replace(g, angle=-g.angle) for g in clifford[::-1]))
             before = calls[0]
             amps = apply_circuit(circuit)
             replayed.add(calls[0] > before)
@@ -203,7 +223,7 @@ class TestFramePass:
             frame = Frame(q)
             for gate in circuit.gates:
                 frame.step(gate)
-            assert frame.pauli() is not None
+            assert is_identity_frame(frame, q)
             onehot = apply_circuit(circuit)[[onehot_index(n, q) for n in range(q)]]
             exact = displaced_vacuum_exact(spec_of(kind, q), alpha)
             assert np.abs(np.abs(onehot) - np.abs(exact)).max() < 1e-9
@@ -260,16 +280,20 @@ class TestRecordedCentres:
                 # a generic angle reads the pulled-back word and leaves the frame
                 assert frame.step(replace(gate, angle=1.0)) == recorded[j]
             assert frame.step(gate) is None or j in recorded
-        assert frame.pauli() == (0, 0, 0, 0)
+        assert is_identity_frame(frame, q)
 
     @OPTIMIZE
     @pytest.mark.parametrize("kind,q", TEMPLATES)
     def test_the_recorded_pass_gives_the_walks_weights_bit_for_bit(self, kind, q, optimize,
                                                                     monkeypatch):
-        steps = count_frame_steps(monkeypatch)
+        steps, calls = count_frame_steps(monkeypatch), count_gate_calls(monkeypatch)
         for alpha in (0.0, 0.3, 1.1):
             circuit = compiled(kind, q, alpha, optimize)
             walked = np.abs(apply_circuit(Circuit(q, circuit.gates))) ** 2
+            # the text route a circuit file takes walks to the identity frame too
+            read = np.abs(apply_circuit(circuit_from_text(circuit_to_text(circuit)))) ** 2
+            assert np.array_equal(read, walked)
+            assert calls[0] == 0
             before = steps[0]
             assert np.array_equal(np.abs(apply_circuit(circuit)) ** 2, walked)
             assert steps[0] == before

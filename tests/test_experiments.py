@@ -412,7 +412,7 @@ class TestCircuitVsOracle:
         from parasim.engine import apply_circuit
         from parasim.factorize import solve_displacement
         from parasim.mapping import generator_family, onehot_index
-        gv = solve_displacement(spec, alpha, seed=0)
+        gv = solve_displacement(spec, alpha)
         circuit = compile_displacement(gv, generator_family(spec.num_qubits))
         amps = apply_circuit(circuit)
         probs = np.array([abs(amps[onehot_index(n, spec.num_qubits)]) ** 2

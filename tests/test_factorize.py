@@ -136,15 +136,14 @@ class TestNumericSolver:
         assert gv.residual <= 1e-12
 
     def test_five_qubit_convergence(self):
-        gv = solve_displacement(ParaSpec("pf", 4), 0.5, tol=1e-8, seed=0)
+        gv = solve_displacement(ParaSpec("pf", 4), 0.5, tol=1e-8)
         assert gv.converged and gv.residual <= 1e-8
         assert np.isfinite(gv.residual_full)
 
     def test_determinism(self):
         spec = ParaSpec("pf", 4)
-        first = solve_displacement(spec, 0.7, seed=42)
-        assert solve_displacement(spec, 0.7, seed=42) == first
-        assert solve_displacement(spec, 0.7, seed=7).gammas == first.gammas
+        first = solve_displacement(spec, 0.7)
+        assert solve_displacement(spec, 0.7) == first
 
     @pytest.mark.parametrize("alpha", [1e9, 1e17, 1e300, -1e7])
     def test_unrepresentable_alpha_is_a_value_error_naming_it(self, alpha):
@@ -358,7 +357,7 @@ class TestProductUnitary:
 class TestGammaDocument:
     def test_round_trip(self, tmp_path):
         spec = ParaSpec("pf", 4)
-        gv = solve_displacement(spec, 0.5, seed=0)
+        gv = solve_displacement(spec, 0.5)
         path = tmp_path / "gammas.txt"
         path.write_text(gamma_document_text(gv, spec, 0.5))
         loaded, spec2, alpha2 = read_gamma_document(path)
