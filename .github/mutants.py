@@ -26,6 +26,7 @@ SAMPLED_COUNTS = ORACLE + "test_sampled_onehot_counts_match_the_run_trajectories
 REPLAY = "tests/test_trajectories.py::test_counts_equal_the_dense_replay"
 RECORDED = "tests/test_engine.py::TestRecordedCentres::"
 CANCELLED = "tests/test_engine.py::TestCancellationKeepsCentres::"
+GATE_ORACLE = "tests/test_circuits.py::TestApplyGateBatch::test_every_gate_matches_expm_oracle"
 
 # (name, file under src/, snippet, replacement, test node ids that must kill it)
 MUTANTS = [
@@ -88,6 +89,25 @@ MUTANTS = [
      "if abs(gate.angle - turns * _QUARTER) > 0.1:",
      ["tests/test_engine.py::TestFramePass::"
       "test_random_circuits_match_the_unitary_column_up_to_phase"]),
+    # the dense kernels: a word's phase, a rotation's cosine, the view's X flip
+    # and the one dense limit
+    ("dense-word-phase", "parasim/dense.py",
+     "_I_POWERS[(r + 2 * (x & z).bit_count()) % 4]",
+     "_I_POWERS[r % 4]",
+     [GATE_ORACLE,
+      "tests/test_mapping.py::TestDenseMatrices::test_words_match_kronecker_products"]),
+    ("dense-rotate-cos-sign", "parasim/dense.py",
+     "out += math.cos(theta / 2) * amps",
+     "out -= math.cos(theta / 2) * amps",
+     [GATE_ORACLE]),
+    ("dense-view-flip", "parasim/dense.py",
+     "_REVERSE if x >> qubit & 1 else _KEEP",
+     "_KEEP",
+     [GATE_ORACLE]),
+    ("dense-limit-boundary", "parasim/dense.py",
+     "if rows << num_qubits > 4 ** MAX_DENSE_QUBITS:",
+     "if rows << num_qubits >= 4 ** MAX_DENSE_QUBITS:",
+     ["tests/test_mapping.py::TestDenseLimit::test_every_caller_reads_the_one_limit"]),
     # the cancellation pass merges a gate only with the latest kept gate on its qubits
     ("cancel-partner", "parasim/circuits.py",
      "last = first if first > second else second",

@@ -16,9 +16,8 @@ from parasim import (
     commutator_table,
     encode_fock,
     generator_family,
-    pauli_sum_to_matrix,
-    restrict_to_onehot,
 )
+from parasim.dense import pauli_sum_to_matrix, restrict_to_onehot
 
 print("One-hot encoding on 5 qubits:")
 for level in range(5):

@@ -20,7 +20,8 @@ equivalent 2^(Q+1) - 2 Re det(1 + t^T u) loses every residual below about
 """
 import numpy as np
 
-from parasim import ParaSpec, generator_family, product_unitary, solve_displacement
+from parasim import ParaSpec, generator_family, solve_displacement
+from parasim.dense import product_unitary
 from parasim.factorize import restricted_target
 
 print("Three-qubit factorization (order p = 2):")

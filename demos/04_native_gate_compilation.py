@@ -11,16 +11,15 @@ import numpy as np
 
 from parasim import (
     ParaSpec,
-    circuit_unitary,
     compile_displacement,
     compile_pauli_exp,
     gate_counts,
     generator_family,
     optimize_cancel,
-    product_unitary,
     solve_displacement,
 )
 from parasim.circuits import circuit_to_text
+from parasim.dense import circuit_unitary, product_unitary
 from parasim.mapping import PauliString
 
 

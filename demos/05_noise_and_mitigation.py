@@ -21,8 +21,7 @@ from parasim import (
     solve_displacement,
     spam_correct,
 )
-from parasim.engine import outcome_bits
-from parasim.experiments import histogram
+from parasim.dense import histogram, outcome_bits
 
 spec = ParaSpec("pf", 2)
 alpha = np.pi / 2

@@ -20,19 +20,15 @@ from .mapping import (
     commutator_table,
     encode_fock,
     generator_family,
-    pauli_sum_to_matrix,
-    restrict_to_onehot,
 )
 from .factorize import (
     FactorizationError,
     GammaVector,
-    product_unitary,
     solve_displacement,
 )
 from .circuits import (
     Circuit,
     Gate,
-    circuit_unitary,
     compile_displacement,
     compile_pauli_exp,
     gate_counts,

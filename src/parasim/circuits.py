@@ -5,9 +5,7 @@ Conventions (pinned once): RX/RY/RZ(theta) = exp(-i theta P / 2) and
 XX(chi) = exp(-i chi X.X / 2), so exp(i gamma X.X) compiles to a single
 XX(-2 gamma).  CNOT and CZ exist internally as macros over that set.
 
-Every native gate is thus a rotation about a Pauli word P, and dense
-execution applies it in closed form, cos(theta/2) psi - i sin(theta/2) P psi,
-with P psi a phase times a reversed strided view of the amplitudes.  One
+Every native gate is thus a rotation about a Pauli word P.  One
 walk of a gate list, `Frame`, splits it by one rule: gates whose angle is
 an exact multiple of pi/2 join a Clifford frame, and every other gate is
 a centre, a rotation by its full angle about its Pauli pulled back
@@ -31,8 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mapping import (GeneratorBasis, PauliString, _pair, _times, _word, apply_word,
-                      dense_identity)
+from .mapping import GeneratorBasis, PauliString, _pair, _times, _word
 from .textfile import keyed, read_file, text_lines
 
 _RX = "RX"
@@ -270,33 +267,6 @@ def gate_counts(circuit: Circuit) -> dict:
     one = sum(1 for g in circuit.gates if len(g.qubits) == 1)
     two = sum(1 for g in circuit.gates if len(g.qubits) == 2)
     return {"one_qubit": one, "two_qubit": two}
-
-
-# --- dense execution ------------------------------------------------------
-
-def rotate(amps: np.ndarray, word: tuple, theta: float) -> np.ndarray:
-    """exp(-i theta W / 2) amps for the Pauli word W = (x, z, r, m), amps of
-    shape (2**Q,) or (2**Q, batch), in closed form: cos(theta/2) amps -
-    i sin(theta/2) W amps, with W amps a phase times a reversed strided view
-    of amps (mapping.apply_word).  No matrix is built and nothing is
-    gathered.  Returns a new array."""
-    out = apply_word(amps, word, -1j * math.sin(theta / 2))
-    out += math.cos(theta / 2) * amps
-    return out
-
-
-def apply_gate_batch(amps: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply one gate to amplitudes of shape (2**Q,) or (2**Q, batch): the
-    rotation about its Pauli word.  Returns a new array."""
-    return rotate(amps, _word(_WORDS[gate.kind], gate.qubits), gate.angle)
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2^Q unitary of the circuit (gates applied in list order)."""
-    u = dense_identity(circuit.num_qubits)
-    for gate in circuit.gates:
-        u = apply_gate_batch(u, gate)
-    return u
 
 
 # --- Clifford frame and Majorana rotation centres --------------------------

@@ -38,8 +38,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .circuits import Circuit, Decomposition, Frame, apply_gate_batch, decompose, rotate
-from .mapping import dense_identity
+from .circuits import Circuit, Decomposition, Frame, decompose
+from .dense import apply_gate_batch, dense_identity, rotate
 from .textfile import keyed, read_file
 
 
@@ -93,12 +93,6 @@ class ShotSet:
     def __post_init__(self):
         if sum(self.counts.values()) != self.shots:
             raise ValueError("counts must sum to the shot total")
-
-
-def outcome_bits(num_qubits: int) -> np.ndarray:
-    """(2^Q, Q) bits of every outcome, qubit 0 the most significant: the
-    dense reference that the checks read, not the run path."""
-    return (np.arange(1 << num_qubits)[:, None] >> np.arange(num_qubits - 1, -1, -1)) & 1
 
 
 def apply_circuit(circuit: Circuit) -> np.ndarray:

@@ -86,15 +86,6 @@ def _observed(shotset: ShotSet):
     return np.array([shotset.counts[b] for b in keys]), (bits == ord("1")).astype(int)
 
 
-def histogram(shotset: ShotSet) -> np.ndarray:
-    """The counts as a (2^Q,) integer array indexed by outcome."""
-    if shotset.shots == 0:
-        raise EmptyShotSetError("no shots to analyze")
-    out = np.zeros(1 << len(next(iter(shotset.counts))), dtype=np.int64)
-    out[[int(b, 2) for b in shotset.counts]] = list(shotset.counts.values())
-    return out
-
-
 def spam_correct(data, noise: NoiseModel) -> np.ndarray:
     """Invert the per-qubit readout confusion of `noise` on an array of
     outcome weights (..., 2^Q): counts, a distribution, or one bit's two

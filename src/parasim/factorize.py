@@ -42,8 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import ParaSpec, gauge, restricted_target
-from .mapping import (GeneratorBasis, apply_pauli, dense_identity, generator_family,
-                      onehot_block)
+from .mapping import GeneratorBasis, generator_family, onehot_block
 from .textfile import keyed, read_file
 
 
@@ -127,32 +126,6 @@ def _factor_gauged(gauged: np.ndarray, basis: GeneratorBasis,
             f"factorization residual {residual:.3e} exceeds tol {tol:.1e}")
     return GammaVector(gammas=tuple(float(g) for g in gammas), residual=residual,
                        converged=True, labels=basis.labels), product
-
-
-def product_unitary(gammas, basis: GeneratorBasis, space: str = "onehot") -> np.ndarray:
-    """Ordered product prod_j exp(i gamma_j G_j) on the one-hot block or the
-    full register (leftmost factor applied last), the reference the Givens
-    solve is checked against.  G_j has eigenvalues {-2, 0, 2} on both, so a
-    factor is 1 + i sin(2 gamma)/2 G + (cos(2 gamma) - 1)/4 G^2; on the full
-    register G acts on the partial product word by word (apply_pauli)."""
-    gam = np.asarray(gammas.gammas if isinstance(gammas, GammaVector) else gammas,
-                     dtype=float)
-    if len(gam) != len(basis):
-        raise ValueError("gamma count does not match the basis")
-    if space not in ("onehot", "full"):
-        raise ValueError(f"unknown space {space!r}")
-    q = basis.num_qubits
-    if space == "onehot":
-        actions = [lambda m, b=b: b @ m for b in restricted_generators(basis)]
-        out = np.eye(q, dtype=complex)
-    else:
-        actions = [lambda m, h=h: sum(apply_pauli(m, t.letters, scale=t.coeff) for t in h.terms)
-                   for h in basis.generators]
-        out = dense_identity(q)
-    for g, act in zip(gam[::-1], actions[::-1]):
-        once = act(out)
-        out = out + 1j * np.sin(2 * g) / 2 * once + (np.cos(2 * g) - 1) / 4 * act(once)
-    return out
 
 
 def full_space_residual(gammas, basis: GeneratorBasis, spec: ParaSpec,

@@ -4,15 +4,13 @@ driven para-particle oscillator, and the Pauli word.
 Level n maps to the register basis state with qubit n flipped (qubit 0
 is the leftmost / most significant position).  The hopping Hamiltonian
 and the whole u/v/w/a generator family preserve that single-excitation
-subspace; `restrict_to_onehot` extracts the block that carries the Fock
-dynamics.
+subspace; `onehot_block` reads the block that carries the Fock dynamics.
 
 A Pauli word is the int tuple (x, z, r, m): the operator i^r X^x Z^z with
 bit q of x and z for qubit q, and m its set of Jordan-Wigner Majoranas
 (bit a for c_a; c_2q = Z_0..Z_q-1 X_q, c_2q+1 = Z_0..Z_q-1 Y_q), set when
 the word is built and carried through products by XOR.  The generator
-algebra and the one-hot block are read from the bits; `apply_word` applies
-a word to amplitudes as a phase times a reversed strided view.
+algebra and the one-hot block are read from the bits.
 """
 from __future__ import annotations
 
@@ -23,9 +21,6 @@ import numpy as np
 
 from .algebra import ParaSpec, ladder_amplitude
 
-MAX_DENSE_QUBITS = 12
-
-_IDENTITY = (0, 0, 0, 0)
 _I_POWERS = (1, 1j, -1, -1j)
 
 
@@ -71,62 +66,6 @@ _SPAN_LETTER = {2: "u", 3: "v", 4: "w", 5: "a"}
 
 def _span_letter(k: int) -> str:
     return _SPAN_LETTER.get(k) or (chr(ord("b") + k - 6) if k <= 24 else f"x{k}_")
-
-
-# one pair of slices, shared by every cached view
-_KEEP, _REVERSE = slice(None), slice(None, None, -1)
-_Z_SIGNS = np.array([1.0, -1.0])
-
-
-@lru_cache(maxsize=None)
-def pauli_view(x: int, z: int) -> tuple[tuple[int, ...], tuple[slice, ...], tuple[int, ...]]:
-    """The word X^x Z^z, qubit 0 most significant, as (shape, flip,
-    sign_shape) for psi of shape (2^Q,) or (2^Q, batch): each qubit of the
-    word gets a length-2 axis of psi.reshape(shape) and the qubits between
-    them one axis (the batch folds into the last); flip reverses the X
-    axes, and the Z axes' signs broadcast from sign_shape.  The view holds
-    no array: a word's phase has 2^k entries for its k Z qubits, and is
-    made for each call (apply_word).
-    """
-    shape, flip, sign_shape, edge = [], [], [], 0
-    for qubit in (k for k in range((x | z).bit_length()) if (x | z) >> k & 1):
-        shape += [2 ** (qubit - edge), 2]
-        flip += [_KEEP, _REVERSE if x >> qubit & 1 else _KEEP]
-        sign_shape += [1, 2 if z >> qubit & 1 else 1]
-        edge = qubit + 1
-    return (*shape, -1), tuple(flip), (*sign_shape, 1)
-
-
-def apply_word(amps: np.ndarray, word: tuple, scale: complex = 1.0) -> np.ndarray:
-    """scale * P amps for the Pauli word P = (x, z, r, m), as a new array: a
-    phase times the reversed strided view of amps (pauli_view).  As
-    X^x Z^z = (-1)^|x & z| Z^z X^x, row b of the flipped amplitudes takes the
-    sign (-1)^|z & b|, the outer product of (1, -1) over the Z axes."""
-    x, z, r, _ = word
-    shape, flip, sign_shape = pauli_view(x, z)
-    phase = np.full((), scale * _I_POWERS[(r + 2 * (x & z).bit_count()) % 4], dtype=complex)
-    for _ in range(z.bit_count()):
-        phase = np.multiply.outer(phase, _Z_SIGNS)
-    return (phase.reshape(sign_shape) * amps.reshape(shape)[flip]).reshape(amps.shape)
-
-
-def apply_pauli(amps: np.ndarray, letters: str, qubits: tuple[int, ...] | None = None,
-                scale: complex = 1.0) -> np.ndarray:
-    """apply_word for the word with letters[i] ('IXYZ') on qubit qubits[i], by
-    default on qubit i."""
-    return apply_word(amps, _word(letters, qubits), scale)
-
-
-def dense_identity(num_qubits: int, column: int | None = None) -> np.ndarray:
-    """The 2^Q x 2^Q identity, or its column `column` as (2^Q,) amplitudes: the
-    one constructor of a 2^Q object.  ValueError, naming the width, past
-    4^MAX_DENSE_QUBITS entries, so a 12-qubit matrix or a 24-qubit state."""
-    rows, kind = (1 << num_qubits, "matrix") if column is None else (1, "state")
-    if rows << num_qubits > 4 ** MAX_DENSE_QUBITS:  # its entries
-        raise ValueError(f"a dense {num_qubits}-qubit {kind} would hold more than "
-                         f"4^{MAX_DENSE_QUBITS} entries")
-    eye = np.eye(rows, 1 << num_qubits, column or 0, dtype=complex)
-    return eye if column is None else eye[0]
 
 
 @dataclass(frozen=True)
@@ -199,13 +138,6 @@ def encode_fock(n: int, num_qubits: int) -> str:
     return "".join("1" if q == n else "0" for q in range(num_qubits))
 
 
-def onehot_index(n: int, num_qubits: int) -> int:
-    """Position of the one-hot level-n state in the 2^Q amplitude vector."""
-    if not 0 <= n < num_qubits:
-        raise ValueError(f"level {n} does not fit in {num_qubits} qubits")
-    return 1 << (num_qubits - 1 - n)
-
-
 def build_xy_hamiltonian(spec: ParaSpec, g: float) -> PauliSum:
     """H = g sum_m c(m)/2 (X_m X_m+1 + Y_m Y_m+1), with bond weights
     c(m) = ladder_amplitude(spec, m+1); restricts to g(a + adag) on the
@@ -253,20 +185,6 @@ def generator_family(num_qubits: int) -> GeneratorBasis:
             gens.append(_generator(num_qubits, anchor, span))
             labels.append(f"{_span_letter(span)}{anchor}")
     return GeneratorBasis(tuple(gens), tuple(labels))
-
-
-def pauli_sum_to_matrix(h: PauliSum) -> np.ndarray:
-    """Dense 2^Q x 2^Q matrix of a PauliSum (qubit 0 most significant)."""
-    eye = dense_identity(h.num_qubits)
-    return sum(apply_pauli(eye, t.letters, scale=t.coeff) for t in h.terms)
-
-
-def restrict_to_onehot(op: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Q x Q block <onehot(i)| op |onehot(j)> with levels ordered 0..Q-1."""
-    if op.shape != (2 ** num_qubits, 2 ** num_qubits):
-        raise ValueError(f"operator shape {op.shape} does not match {num_qubits} qubits")
-    idx = [onehot_index(i, num_qubits) for i in range(num_qubits)]
-    return op[np.ix_(idx, idx)]
 
 
 def onehot_block(h: PauliSum) -> np.ndarray:

@@ -19,13 +19,13 @@ from parasim.algebra import (
     displaced_vacuum_exact,
     verify_truncation_identity,
 )
-from parasim.circuits import circuit_unitary, compile_displacement, gate_counts
-from parasim.engine import NoiseModel, outcome_bits, run_and_sample
+from parasim.circuits import compile_displacement, gate_counts
+from parasim.dense import circuit_unitary, histogram, onehot_index, outcome_bits, product_unitary
+from parasim.engine import NoiseModel, run_and_sample
 from parasim.experiments import (
     SOURCE_EXACT,
     SOURCE_RAW,
     cutoff_study,
-    histogram,
     number_stats,
     postselect,
     run_pb_mandel_sweep,
@@ -33,11 +33,10 @@ from parasim.experiments import (
     spam_correct,
 )
 from parasim.factorize import (
-    product_unitary,
     restricted_target,
     solve_displacement,
 )
-from parasim.mapping import check_jacobi, commutator_table, generator_family, onehot_index
+from parasim.mapping import check_jacobi, commutator_table, generator_family
 
 SEED = 7
 

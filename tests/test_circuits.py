@@ -11,10 +11,8 @@ from parasim.algebra import ParaSpec
 from parasim.circuits import (
     Circuit,
     Gate,
-    apply_gate_batch,
     circuit_from_text,
     circuit_to_text,
-    circuit_unitary,
     compile_displacement,
     compile_pauli_exp,
     gate_counts,
@@ -25,8 +23,9 @@ from parasim.circuits import (
     rz,
     xx,
 )
-from parasim.factorize import product_unitary, solve_displacement
-from parasim.mapping import PauliString, generator_family, onehot_index
+from parasim.dense import apply_gate_batch, circuit_unitary, onehot_index, product_unitary
+from parasim.factorize import solve_displacement
+from parasim.mapping import PauliString, generator_family
 
 _P1 = {
     "I": np.eye(2, dtype=complex),

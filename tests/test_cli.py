@@ -26,7 +26,8 @@ from parasim.cli import (
     read_noise_file,
 )
 from parasim.factorize import FactorizationError
-from parasim.circuits import circuit_unitary, read_circuit
+from parasim.circuits import read_circuit
+from parasim.dense import circuit_unitary
 from parasim.engine import read_shotset
 from parasim.experiments import MITIGATION_ORDERS
 from parasim.mapping import GeneratorBasis, PauliString, PauliSum, generator_family

@@ -19,30 +19,28 @@ from parasim.circuits import (
     Gate,
     circuit_from_text,
     circuit_to_text,
-    circuit_unitary,
     compile_displacement,
     compile_pauli_exp,
     optimize_cancel,
     rx,
     xx,
 )
+from parasim.dense import circuit_unitary, histogram, onehot_index, outcome_bits
 from parasim.engine import (
     NoiseModel,
     ShotSet,
     apply_circuit,
-    outcome_bits,
     run_and_sample,
     shotset_to_text,
 )
 from parasim.experiments import (
     EmptyShotSetError,
-    histogram,
     number_stats,
     postselect,
     spam_correct,
 )
 from parasim.factorize import solve_displacement
-from parasim.mapping import encode_fock, generator_family, onehot_index
+from parasim.mapping import encode_fock, generator_family
 
 
 def random_circuit(rng, q: int, gates: int) -> Circuit:

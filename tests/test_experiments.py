@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from parasim.algebra import ParaSpec, build_fock_ops
 from parasim.circuits import compile_displacement, gate_counts
+from parasim.dense import histogram
 from parasim.engine import NoiseModel, ShotSet
 from parasim.experiments import (
     SOURCE_EXACT,
@@ -20,7 +21,6 @@ from parasim.experiments import (
     SeriesPoint,
     cutoff_study,
     exact_number_stats,
-    histogram,
     number_stats,
     postselect,
     run_pb_mandel_sweep,
@@ -409,9 +409,10 @@ class TestCircuitVsOracle:
     @staticmethod
     def circuit_moments(spec, alpha):
         from parasim.circuits import compile_displacement
+        from parasim.dense import onehot_index
         from parasim.engine import apply_circuit
         from parasim.factorize import solve_displacement
-        from parasim.mapping import generator_family, onehot_index
+        from parasim.mapping import generator_family
         gv = solve_displacement(spec, alpha)
         circuit = compile_displacement(gv, generator_family(spec.num_qubits))
         amps = apply_circuit(circuit)

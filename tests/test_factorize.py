@@ -14,25 +14,19 @@ from scipy import sparse
 from scipy.linalg import expm
 
 from parasim.algebra import ParaSpec, build_fock_ops, displaced_vacuum_exact
+from parasim.dense import onehot_index, pauli_sum_to_matrix, product_unitary, restrict_to_onehot
 from parasim.factorize import (
     FactorizationError,
     GammaVector,
     factor_onehot,
     full_space_residual,
     gamma_document_text,
-    product_unitary,
     read_gamma_document,
     restricted_generators,
     restricted_target,
     solve_displacement,
 )
-from parasim.mapping import (
-    build_xy_hamiltonian,
-    generator_family,
-    onehot_index,
-    pauli_sum_to_matrix,
-    restrict_to_onehot,
-)
+from parasim.mapping import build_xy_hamiltonian, generator_family
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -6,26 +6,30 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import parasim.mapping
+import parasim.dense
 from parasim.algebra import MAX_LEVEL, ParaSpec, build_fock_ops
-from parasim.circuits import Circuit, circuit_unitary
+from parasim.circuits import Circuit
+from parasim.dense import (
+    apply_word,
+    circuit_unitary,
+    dense_identity,
+    onehot_index,
+    pauli_sum_to_matrix,
+    product_unitary,
+    restrict_to_onehot,
+)
 from parasim.engine import apply_circuit, run_and_sample
-from parasim.factorize import product_unitary
 from parasim.mapping import (
     GeneratorBasis,
     PauliString,
     PauliSum,
-    apply_pauli,
+    _word,
     build_xy_hamiltonian,
     check_jacobi,
     commutator_table,
-    dense_identity,
     encode_fock,
     generator_family,
     onehot_block,
-    onehot_index,
-    pauli_sum_to_matrix,
-    restrict_to_onehot,
 )
 
 from reference_tables import FIVE_QUBIT_TABLE
@@ -174,8 +178,8 @@ class TestDenseMatrices:
             shuffled = "".join(letters[k] for k in qubits)
             for shape in ((2 ** q,), (2 ** q, 3)):
                 m = rng.normal(size=shape)
-                assert np.array_equal(apply_pauli(m, letters), kron @ m)
-                assert np.array_equal(apply_pauli(m, shuffled, qubits), kron @ m)
+                assert np.array_equal(apply_word(m, _word(letters)), kron @ m)
+                assert np.array_equal(apply_word(m, _word(shuffled, qubits)), kron @ m)
 
 
 class TestDenseLimit:
@@ -204,7 +208,7 @@ class TestDenseLimit:
         assert peak < 1 << 20
 
     def test_every_caller_reads_the_one_limit(self, monkeypatch):
-        monkeypatch.setattr(parasim.mapping, "MAX_DENSE_QUBITS", 3)
+        monkeypatch.setattr(parasim.dense, "MAX_DENSE_QUBITS", 3)
         assert np.array_equal(dense_identity(3), np.eye(8))
         assert np.array_equal(dense_identity(6, 5), np.eye(64)[5])
         assert np.array_equal(circuit_unitary(Circuit(3)), np.eye(8))

@@ -18,7 +18,8 @@ from scipy.stats import chi2
 
 from parasim.algebra import ParaSpec
 from parasim.circuits import Circuit, compile_displacement, read_circuit
-from parasim.engine import NoiseModel, outcome_bits, run_and_sample
+from parasim.dense import outcome_bits
+from parasim.engine import NoiseModel, run_and_sample
 from parasim.experiments import spam_correct
 from parasim.factorize import solve_displacement
 from parasim.mapping import generator_family

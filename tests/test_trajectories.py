@@ -17,19 +17,18 @@ import pytest
 from parasim.algebra import ParaSpec
 from parasim.circuits import (
     Circuit,
-    apply_gate_batch,
     circuit_from_text,
     circuit_to_text,
-    circuit_unitary,
     compile_displacement,
     decompose,
     rx,
     xx,
 )
+from parasim.dense import apply_gate_batch, apply_word, circuit_unitary
 import parasim.engine as engine
 from parasim.engine import NoiseModel, _levels, run_and_sample
 from parasim.factorize import solve_displacement
-from parasim.mapping import apply_pauli, generator_family
+from parasim.mapping import _word, generator_family
 
 _P1 = {
     "I": np.eye(2, dtype=complex),
@@ -93,7 +92,7 @@ def dense_run_and_sample(circuit: Circuit, shots: int, noise: NoiseModel, seed: 
         amps = apply_gate_batch(amps, gate)
         words = KICKS[len(gate.qubits)]
         for s in np.flatnonzero(coins[:, j]):
-            amps[:, s] = apply_pauli(amps[:, s], words[picks[s, j]], gate.qubits)
+            amps[:, s] = apply_word(amps[:, s], _word(words[picks[s, j]], gate.qubits))
     ideal = np.zeros(2 ** q, dtype=complex)
     ideal[1 << (q - 1)] = 1.0
     for gate in gates:
@@ -316,7 +315,7 @@ class TestDecompose:
                 done += 1
             frame = prefix @ centres.conj().T
             for w, letters in enumerate(KICKS[len(gate.qubits)]):
-                kick = apply_pauli(one.astype(complex), letters, gate.qubits)
+                kick = apply_word(one.astype(complex), _word(letters, gate.qubits))
                 pulled = frame.conj().T @ kick @ frame
                 kick_set, = dec.kick_sets(np.array([j]), np.array([w]))
                 product = reduce(np.matmul, [c[a] for a in np.flatnonzero(kick_set)], one)
@@ -324,7 +323,7 @@ class TestDecompose:
                 assert abs(abs(overlap) - 1) < 1e-9
         assert done == len(dec.gates)
         for k, (a, b) in enumerate(dec.readout):
-            z = apply_pauli(one.astype(complex), "Z", (k,))
+            z = apply_word(one.astype(complex), _word("Z", (k,)))
             assert np.allclose(frame.conj().T @ z @ frame, 1j * c[a] @ c[b], atol=1e-9)
         assert np.allclose(prefix, circuit_unitary(circuit))
 
